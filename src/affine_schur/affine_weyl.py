@@ -7,6 +7,15 @@ by the simple reflections s_0, ..., s_{D-1} (indices mod D).
 
 Products compose inside-first on the right, so that the right action on
 flag symbols, (p)w (k) = p(w(k)), satisfies ((p)w)w' = (p)(ww').
+
+Memos.  Young subgroups and double cosets are enumerated once per process:
+`young_subgroup_elements` is memoized per (D, lambda) and
+`double_coset_elements` per (D, lambda, rep, mu), each in an unbounded
+`lru_cache` on a private helper that lives as long as the process.  Both
+are pure functions of their key, and they return tuples of immutable
+permutations, so a cached result is safe to hand to every caller and to
+share between threads.  The public functions stay the module-level names
+that callers look up, so that a caller can rebind or wrap them.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AffinePermutation:
     rank: int
     window: tuple
@@ -200,8 +209,14 @@ def young_generators(dominant_window) -> list:
             if dominant_window[i - 1] == dominant_window[i]]
 
 
-def young_subgroup_elements(D: int, dominant_window) -> list:
-    """All elements of S_lambda (finite), by BFS over the block generators."""
+def young_subgroup_elements(D: int, dominant_window) -> tuple:
+    """All elements of S_lambda (finite), sorted by (length, window)."""
+    return _young_subgroup_elements(D, tuple(dominant_window))
+
+
+@lru_cache(maxsize=None)
+def _young_subgroup_elements(D: int, dominant_window: tuple) -> tuple:
+    """BFS over the block generators."""
     gens = [simple(D, i) for i in young_generators(dominant_window)]
     seen = {identity(D)}
     frontier = [identity(D)]
@@ -214,7 +229,7 @@ def young_subgroup_elements(D: int, dominant_window) -> list:
                     seen.add(u)
                     nxt.append(u)
         frontier = nxt
-    return sorted(seen, key=lambda w: (w.length(), w.window))
+    return tuple(sorted(seen, key=lambda w: (w.length(), w.window)))
 
 
 def min_coset_rep(n: int, dominant_window, target_window) -> AffinePermutation:
@@ -266,8 +281,15 @@ def min_double_coset_rep(D: int, lam_window, w: AffinePermutation, mu_window) ->
     return w
 
 
-def double_coset_elements(D: int, lam_window, rep: AffinePermutation, mu_window) -> list:
-    """All elements of S_lambda rep S_mu, without duplicates."""
+def double_coset_elements(D: int, lam_window, rep: AffinePermutation, mu_window) -> tuple:
+    """All elements of S_lambda rep S_mu, sorted by (length, window)."""
+    return _double_coset_elements(D, tuple(lam_window), rep, tuple(mu_window))
+
+
+@lru_cache(maxsize=None)
+def _double_coset_elements(D: int, lam_window: tuple, rep: AffinePermutation,
+                           mu_window: tuple) -> tuple:
+    """BFS from rep over the left and right block generators."""
     left = [simple(D, i) for i in young_generators(lam_window)]
     right = [simple(D, j) for j in young_generators(mu_window)]
     seen = {rep}
@@ -286,4 +308,4 @@ def double_coset_elements(D: int, lam_window, rep: AffinePermutation, mu_window)
                     seen.add(u)
                     nxt.append(u)
         frontier = nxt
-    return sorted(seen, key=lambda w: (w.length(), w.window))
+    return tuple(sorted(seen, key=lambda w: (w.length(), w.window)))

@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import tempfile
 from dataclasses import dataclass, field
 
 from . import flag_comb, hecke, tmodule
@@ -322,7 +324,17 @@ class CanonicalCache:
         return json.loads(path.read_text())
 
     def store(self, n, D, lam_wt, mu_wt, key: str, payload: dict):
+        """Add one entry to the block's file.  The new file is written beside
+        the old one and renamed over it, so a failed or interrupted write
+        leaves the previous file whole."""
         path = self._path(n, D, lam_wt, mu_wt)
         data = json.loads(path.read_text()) if path.exists() else {}
         data[key] = payload
-        path.write_text(json.dumps(data, sort_keys=True, indent=1))
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as f:
+                json.dump(data, f, sort_keys=True, indent=1)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise

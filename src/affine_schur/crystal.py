@@ -193,19 +193,6 @@ def _value_at_zero(c: RationalScalar):
     return Fraction(num.constant_term(), den.constant_term())
 
 
-def _reduce_mod_v(x: ModuleVector):
-    """Reduce mod v L_D; expect 0 or a single basis class with coefficient 1."""
-    consts = {p: c.constant_term() for p, c in x.terms.items()
-              if c.constant_term() != 0}
-    if not consts:
-        return None
-    if len(consts) == 1:
-        (p, a), = consts.items()
-        if a == 1:
-            return p
-    raise ArithmeticError(f"not a crystal class mod v: {consts}")
-
-
 # ---------------------------------------------------------------------------
 # Uniqueness checker (brute force, for tests)
 

@@ -9,12 +9,13 @@ stored on the strip with row index in [1, n].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import affine_weyl
 from .affine_weyl import AffinePermutation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlagSymbol:
     n: int
     D: int
@@ -145,7 +146,7 @@ def x_stat(p: FlagSymbol) -> int:
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PeriodicMatrix:
     n: int
     D: int
@@ -315,13 +316,21 @@ def symbol_of_matrix(s: PeriodicMatrix, mu: FlagSymbol) -> FlagSymbol:
 
 def double_coset_min_rep(s: PeriodicMatrix, lam: FlagSymbol, mu: FlagSymbol) -> AffinePermutation:
     """The minimal element of the double coset S_lam w S_mu attached to s,
-    certified by matrix_of_pair((lam)w, mu) = s."""
+    certified by matrix_of_pair((lam)w, mu) = s.
+
+    Memoized per (s, lam, mu) for the life of the process: the result is a
+    pure function of the key and an immutable permutation.
+    """
+    return _double_coset_min_rep(s, lam, mu)
+
+
+@lru_cache(maxsize=None)
+def _double_coset_min_rep(s: PeriodicMatrix, lam: FlagSymbol, mu: FlagSymbol) -> AffinePermutation:
     p = symbol_of_matrix(s, mu)
     if p.dominant_rep() != lam:
         raise ValueError("s is not in the (lam, mu) block")
     w = p.min_coset_rep()
-    rep = affine_weyl.min_double_coset_rep(s.D, lam.values, w, mu.values)
-    return rep
+    return affine_weyl.min_double_coset_rep(s.D, lam.values, w, mu.values)
 
 
 def enumerate_flag_symbols(n: int, D: int, lo: int, hi: int) -> list:

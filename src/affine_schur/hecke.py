@@ -3,6 +3,18 @@
 Products, inverses, the bar involution, and the finite coset and double-coset
 sums underlying the flag module and the Schur algebra.  The quadratic
 relation is (T_i + 1)(T_i - v^-2) = 0 throughout.
+
+Memo.  `bar` keeps bar(T_w) for every w it has met, in the module-level
+dict `_BAR_T`, keyed by the permutation w (its rank included) and held for
+the life of the process.  Each entry is a pair of equal-length tuples,
+(u_1, u_2, ...) and (coefficient_1, coefficient_2, ...), with no tuple per
+term.  It is filled one letter at a time from the entry of w s_i, s_i a
+right descent.  The entry is a pure function of w because the quadratic
+relation is fixed in this module and nowhere else, and entries are
+immutable, so the memo is safe to share between callers and threads (two
+threads that miss at once store equal values).  Permutations and
+coefficients stored in it are interned through `_INTERN`, so repeated ones
+are held once.
 """
 
 from __future__ import annotations
@@ -14,7 +26,6 @@ from .affine_weyl import AffinePermutation
 from .laurent import LaurentScalar, ONE
 
 _Q_LOW = LaurentScalar({-2: 1, 0: -1})   # v^-2 - 1
-_Q_INV = LaurentScalar({2: 1, 0: 1})     # not used alone; see below
 _VM2 = LaurentScalar({-2: 1})            # v^-2
 _VP2 = LaurentScalar({2: 1})             # v^2
 _VP2_M1 = LaurentScalar({2: 1, 0: -1})   # v^2 - 1
@@ -129,14 +140,21 @@ def mul(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
     if h1.rank != h2.rank:
         raise ValueError("rank mismatch")
     D = h1.rank
-    out = HeckeElement.zero(D)
+    out = {}
     for w, c in h2.terms.items():
         k, word = w.reduced_word()
         piece = mul_by_rotation(h1, k) if k else h1
         for i in word:
             piece = mul_by_simple(piece, i)
-        out = out + piece.scale(c)
-    return out
+        _accumulate(out, piece.terms.items(), c)
+    return HeckeElement(D, out)
+
+
+def _accumulate(out: dict, terms, c: LaurentScalar):
+    """out += c * terms, in place; zero sums are dropped by the caller."""
+    for u, d in terms:
+        s = out.get(u)
+        out[u] = c * d if s is None else s + c * d
 
 
 def mul_by_simple_inverse(h: HeckeElement, i: int, side: str = "right") -> HeckeElement:
@@ -154,21 +172,51 @@ def inverse_of_Tw(w: AffinePermutation) -> HeckeElement:
     return mul_by_rotation(h, -k)
 
 
+# w -> bar(T_w) as ((u, ...), (coeff, ...)); see the module docstring
+_BAR_T: dict = {}
+_INTERN: dict = {}
+
+
+def _intern(x):
+    return _INTERN.setdefault(x, x)
+
+
+def _bar_t(w: AffinePermutation) -> tuple:
+    """bar(T_w), memoized: bar(T_{rho^k}) = T_{rho^k}, and
+    bar(T_w) = bar(T_{w s_i}) T_{s_i}^{-1} for the smallest right descent i."""
+    got = _BAR_T.get(w)
+    if got is not None:
+        return got
+    D = w.rank
+    # walk down one letter at a time to a memoized or length-zero element
+    path = []
+    while got is None:
+        if w.rotation_power() is not None:
+            w = _intern(w)
+            got = ((w,), (ONE,))
+            _BAR_T[w] = got
+            break
+        i = next(j for j in range(D) if w.has_right_descent(j))
+        path.append((w, i))
+        w = w * affine_weyl.simple(D, i)
+        got = _BAR_T.get(w)
+    for w, i in reversed(path):
+        h = mul_by_simple_inverse(HeckeElement(D, dict(zip(*got))), i)
+        got = (tuple(map(_intern, h.terms)), tuple(map(_intern, h.terms.values())))
+        _BAR_T[_intern(w)] = got
+    return got
+
+
 def bar(h: HeckeElement) -> HeckeElement:
     """The bar involution: v -> v^-1 and T_w -> T_{w^-1}^{-1}.
 
-    Bar is a ring homomorphism twisted on scalars, so it is computed one
-    reduced-word letter at a time: bar(T_w) = T_{rho^k} prod_j T_{s_ij}^{-1}.
+    Bar is a ring homomorphism twisted on scalars, so bar(h) is the sum of
+    bar(c) bar(T_w) over the terms c T_w of h, with bar(T_w) from the memo.
     """
-    D = h.rank
-    out = HeckeElement.zero(D)
+    out = {}
     for w, c in h.terms.items():
-        k, word = w.reduced_word()
-        piece = HeckeElement.t(affine_weyl.rotation(D, k))
-        for i in word:
-            piece = mul_by_simple_inverse(piece, i)
-        out = out + piece.scale(c.bar())
-    return out
+        _accumulate(out, zip(*_bar_t(w)), c.bar())
+    return HeckeElement(h.rank, out)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ from __future__ import annotations
 from . import affine_weyl, flag_comb, hecke
 from .flag_comb import FlagSymbol, x_stat
 from .hecke import HeckeElement
-from .laurent import LaurentScalar, ONE, divide_exact, quantum_factorial
+from .laurent import (LaurentScalar, ONE, divide_exact, quantum_factorial,
+                      quantum_integer)
 
 
 class ModuleVector:
@@ -223,15 +224,6 @@ def right_simple(x: ModuleVector, j: int) -> ModuleVector:
     return out
 
 
-def right_rotation(x: ModuleVector, k: int = 1) -> ModuleVector:
-    rho = affine_weyl.rotation(x.D, k)
-    out = {}
-    for p, c in x.terms.items():
-        q = p.act(rho)
-        out[q] = c.shift(x_stat(p) - x_stat(q))
-    return ModuleVector(x.n, x.D, out)
-
-
 def tau(x: ModuleVector) -> ModuleVector:
     """The antilinear involution with tau([p]) = bar([p]), blockwise."""
     out = ModuleVector.zero(x.n, x.D)
@@ -319,14 +311,13 @@ def commutator_form(n: int, D: int, i: int, mu) -> "int | None":
 
 
 def _as_quantum_integer(c: LaurentScalar) -> "int | None":
-    """m with c = [m] under the convention [-m] = -[m], [0] = 0."""
-    from .laurent import quantum_integer
+    """m with c = [m] under the convention [-m] = -[m], [0] = 0.
+
+    [m] has coefficient 1 at the exponents -(m-1), -(m-3), ..., m-1, so m
+    is fixed by the number of terms and the sign of the top coefficient.
+    """
     if c.is_zero():
         return 0
-    for m in range(1, 200):
-        q = quantum_integer(m)
-        if c == q:
-            return m
-        if c == LaurentScalar({e: -a for e, a in q.items()}):
-            return -m
-    return None
+    m = len(c.items())
+    m *= c.coeff(m - 1)
+    return m if m and c == quantum_integer(m) else None

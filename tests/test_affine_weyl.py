@@ -1,10 +1,11 @@
 """Group structure of periodic permutations: lengths, words, cosets."""
 
+import itertools
 import math
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from affine_schur import affine_weyl as aw
+from affine_schur import affine_weyl as aw, flag_comb as fc
 
 
 def random_elements(D, max_word=6):
@@ -86,3 +87,50 @@ def test_double_coset_elements():
     assert rep in elems
     assert all(rep.length() <= u.length() for u in elems)
     assert len(set(elems)) == len(elems)
+
+
+def young_by_blocks(D, lam):
+    """S_lambda, freshly: the permutations of [1, D] that keep each block of
+    equal values of lambda."""
+    blocks = [[j for j in range(1, D + 1) if lam[j - 1] == v] for v in sorted(set(lam))]
+    out = set()
+    for perms in itertools.product(*(itertools.permutations(b) for b in blocks)):
+        window = [0] * D
+        for block, perm in zip(blocks, perms):
+            for j, pj in zip(block, perm):
+                window[j - 1] = pj
+        out.add(aw.AffinePermutation(D, tuple(window)))
+    return out
+
+
+def by_length(elems):
+    return tuple(sorted(elems, key=lambda w: (w.length(), w.window)))
+
+
+@st.composite
+def blocks_and_elements(draw):
+    """(n, D, lambda, mu, w): dominant windows with values in [1, n] and w a
+    word of length <= 7 over s_0, ..., s_{D-1} times a rotation."""
+    n = draw(st.integers(2, 3))
+    D = draw(st.integers(3, 4))
+    dominant = st.lists(st.integers(1, n), min_size=D, max_size=D).map(
+        lambda v: tuple(sorted(v)))
+    w = aw.from_word(D, draw(st.integers(-2, 2)),
+                     draw(st.lists(st.integers(0, D - 1), max_size=7)))
+    return n, D, draw(dominant), draw(dominant), w
+
+
+@settings(max_examples=60, deadline=None)
+@given(blocks_and_elements())
+def test_cached_cosets_match_fresh_enumeration(case):
+    n, D, lam, mu, w = case
+    assert aw.young_subgroup_elements(D, lam) == by_length(young_by_blocks(D, lam))
+    assert aw.young_subgroup_elements(D, list(lam)) == aw.young_subgroup_elements(D, lam)
+    fresh = {u * w * y for u in young_by_blocks(D, lam) for y in young_by_blocks(D, mu)}
+    rep = aw.min_double_coset_rep(D, lam, w, mu)
+    assert rep == min(fresh, key=lambda u: u.length())
+    assert aw.double_coset_elements(D, lam, rep, mu) == by_length(fresh)
+    assert aw.double_coset_elements(D, list(lam), rep, list(mu)) == by_length(fresh)
+    lam_f, mu_f = fc.FlagSymbol(n, D, lam), fc.FlagSymbol(n, D, mu)
+    s = fc.matrix_of_pair(lam_f.act(w), mu_f)
+    assert fc.double_coset_min_rep(s, lam_f, mu_f) == rep

@@ -85,3 +85,16 @@ def test_export_and_cache(tmp_path):
     cache = canonical.CanonicalCache(tmp_path)
     cache.store(2, 2, (1, 1), None, "k", payload)
     assert cache.load(2, 2, (1, 1), None)["k"] == payload
+
+
+def test_cache_store_failure_keeps_previous_file(tmp_path):
+    cache = canonical.CanonicalCache(tmp_path)
+    cache.store(2, 2, (1, 1), None, "a", {"x": 1})
+    (path,) = tmp_path.iterdir()
+    before = path.read_text()
+    # "z" sorts last, so serialization fails after the other keys are written
+    with pytest.raises(TypeError):
+        cache.store(2, 2, (1, 1), None, "b", {"x": 2, "z": object()})
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_text() == before
+    assert cache.load(2, 2, (1, 1), None) == {"a": {"x": 1}}

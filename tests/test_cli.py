@@ -1,6 +1,10 @@
 """Command line entry point: exit codes, report schema, determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -78,3 +82,26 @@ def test_cache_warm_run_identical(tmp_path, capsys):
 def test_transfer_compute_requires_lowering():
     with pytest.raises(SystemExit):
         cli.main(["compute", "transfer", "--s", "n=2;D=2;[[1,1,1],[2,2,1]]"])
+
+
+def test_canonical_report_same_cold_warm_and_across_hash_seeds(tmp_path):
+    """Memo iteration order must not leak into a report: two fresh
+    interpreters with different hash seeds and a warm in-process rerun all
+    write the same bytes."""
+    args = ["run-suite", "canonical", "--n", "2", "--D", "2", "--window", "4",
+            "--band", "2"]
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    reports = []
+    for seed in ("0", "1"):
+        out = tmp_path / f"cold{seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        subprocess.run([sys.executable, "-m", "affine_schur.cli", *args,
+                        "--out", str(out)], env=env, check=True, timeout=300)
+        reports.append(out.read_bytes())
+    for name in ("first", "warm"):
+        out = tmp_path / f"{name}.json"
+        assert cli.main([*args, "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] and all(r == reports[0] for r in reports)

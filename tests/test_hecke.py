@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from affine_schur import affine_weyl as aw, flag_comb as fc, hecke
 from affine_schur.hecke import HeckeElement
-from affine_schur.laurent import LaurentScalar, ONE
+from affine_schur.laurent import LaurentScalar, ONE, ZERO
 
 
 def t(D, i):
@@ -79,3 +79,41 @@ def test_double_coset_sum_support():
     elems = aw.double_coset_elements(3, lam.values, rep, mu.values)
     assert set(h.terms) == set(elems)
     assert all(c == ONE for c in h.terms.values())
+
+
+def bar_by_letters(h):
+    """The letter-by-letter route, bar(T_w) = T_{rho^k} prod_j T_{s_ij}^{-1}
+    over a reduced word of each term: the oracle for the memoized bar."""
+    D = h.rank
+    out = HeckeElement.zero(D)
+    for w, c in h.terms.items():
+        k, word = w.reduced_word()
+        piece = HeckeElement.t(aw.rotation(D, k))
+        for i in word:
+            piece = hecke.mul_by_simple_inverse(piece, i)
+        out = out + piece.scale(c.bar())
+    return out
+
+
+laurent_scalars = st.dictionaries(st.integers(-4, 4), st.integers(-3, 3),
+                                  max_size=3).map(LaurentScalar)
+
+
+@st.composite
+def hecke_elements(draw):
+    """Random h at D = 3 or 4: words of length <= 7 over s_0, ..., s_{D-1},
+    times a rotation, with random Laurent coefficients."""
+    D = draw(st.sampled_from((3, 4)))
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        w = aw.from_word(D, draw(st.integers(-2, 2)),
+                         draw(st.lists(st.integers(0, D - 1), max_size=7)))
+        terms[w] = terms.get(w, ZERO) + draw(laurent_scalars)
+    return HeckeElement(D, terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(hecke_elements())
+def test_memoized_bar_matches_letter_route(h):
+    assert hecke.bar(h) == bar_by_letters(h)
+    assert hecke.bar(hecke.bar(h)) == h

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from affine_schur import affine_weyl as aw, cli, flag_comb as fc, hecke, tmodule
 from affine_schur.flag_comb import FlagSymbol
-from affine_schur.laurent import LaurentScalar, ONE
+from affine_schur.laurent import LaurentScalar, ONE, quantum_integer
 from affine_schur.tmodule import ModuleVector
 
 
@@ -84,3 +84,13 @@ def test_angle_vector_leading_term():
 def test_json_roundtrip():
     x = tmodule.apply_f(1, ModuleVector.basis(FlagSymbol(2, 2, (1, 1))))
     assert ModuleVector.from_json(x.to_json()) == x
+
+
+def test_as_quantum_integer_closed_form():
+    assert tmodule._as_quantum_integer(quantum_integer(250)) == 250
+    assert tmodule._as_quantum_integer(quantum_integer(-250)) == -250
+    assert tmodule._as_quantum_integer(LaurentScalar.zero()) == 0
+    for c in (LaurentScalar.const(2), LaurentScalar.v(2),
+              LaurentScalar({1: 1, 0: 1, -1: 1}), LaurentScalar({1: 1, -1: -1}),
+              quantum_integer(250) + LaurentScalar.v(251)):
+        assert tmodule._as_quantum_integer(c) is None
