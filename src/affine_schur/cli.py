@@ -16,7 +16,6 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 from . import canonical, crystal, flag_comb, hecke, schur, tmodule, transfer
@@ -31,6 +30,7 @@ CACHE_ENV = "AFFINE_SCHUR_CACHE"
 
 SUITES = ("relations", "crystal", "canonical", "schur", "transfer")
 FORMATS = ("json", "csv", "dot")
+COMMUTATOR = "upper"  # [mu_i - mu_{i+1}] acts on weight mu
 
 
 @dataclass
@@ -42,29 +42,20 @@ class RunConfig:
     word_len: int = 4        # monomial / Hecke word length bound
     suite: str = "relations"
     fmt: str = "json"
-    cache_dir: str = ""
-    psi_flag: tuple = transfer.PSI_FLAG
-    commutator: str = "upper"  # [mu_i - mu_{i+1}] acts on weight mu
-    workers: int = 4
     seed: int = 0
 
     def validate(self):
-        if self.n < 1 or self.D < 1 or self.window < 1 or self.band < 0:
-            raise ValueError("bounds must be positive")
-        if self.word_len < 0 or self.workers < 1:
+        if (self.n < 1 or self.D < 1 or self.window < 1 or self.band < 0
+                or self.word_len < 0):
             raise ValueError("bounds must be positive")
         if self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}")
         if self.fmt not in FORMATS:
             raise ValueError(f"unknown format {self.fmt!r}")
-        if tuple(self.psi_flag) not in transfer.PSI_CANDIDATES:
-            raise ValueError(f"unknown psi flag {self.psi_flag!r}")
-        if self.commutator != "upper":
-            raise ValueError("only the [mu_i - mu_{i+1}] convention is supported")
 
     def flags(self) -> dict:
-        return {"psi_flag": list(self.psi_flag),
-                "commutator": self.commutator,
+        return {"psi_flag": list(transfer.PSI_FLAG),
+                "commutator": COMMUTATOR,
                 "eps_rho": transfer.EPS_RHO.to_json()}
 
 
@@ -529,7 +520,7 @@ def suite_transfer(cfg: RunConfig) -> list:
     flags = transfer.calibrate_flags(n=n, Ds=(1, 2), max_len=3)
     psis = sorted({f[0] for f in flags})
     cases.append(_case("transfer/calibration",
-                       psis == [tuple(cfg.psi_flag)],
+                       psis == [transfer.PSI_FLAG],
                        f"surviving psi flags {psis}, rho candidates "
                        f"{len({str(f[1]) for f in flags})}"))
 
@@ -595,30 +586,10 @@ _SUITE_FN = {"relations": suite_relations, "crystal": suite_crystal,
              "canonical": suite_canonical, "schur": suite_schur,
              "transfer": suite_transfer}
 
-# suites whose cases share mutable workspaces run single-threaded
-_SEQUENTIAL = {"canonical", "transfer"}
-
-
-def _suite_jobs(cfg: RunConfig) -> list:
-    """Independent chunks of a suite, safe to run on separate workers."""
-    if cfg.suite == "relations":
-        return [lambda: list(_hecke_cases(cfg)),
-                lambda: list(_module_cases(cfg)),
-                lambda: list(_xdiff_cases(cfg)),
-                lambda: list(_ystat_cases(cfg))]
-    if cfg.suite == "crystal":
-        return [(lambda i=i: _crystal_cases(cfg, i)) for i in range(cfg.n)]
-    return [lambda: _SUITE_FN[cfg.suite](cfg)]
-
 
 def run_suite(cfg: RunConfig) -> dict:
     cfg.validate()
-    if cfg.suite in _SEQUENTIAL or cfg.workers == 1:
-        cases = _SUITE_FN[cfg.suite](cfg)
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            cases = [c for chunk in pool.map(lambda job: job(), _suite_jobs(cfg))
-                     for c in chunk]
+    cases = _SUITE_FN[cfg.suite](cfg)
     cases.sort(key=lambda c: c["id"])
     return {"suite": cfg.suite,
             "config": {"n": cfg.n, "D": cfg.D, "window": cfg.window,
@@ -746,15 +717,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rs.add_argument("--band", type=int, default=2)
     rs.add_argument("--word-len", type=int, default=4)
     rs.add_argument("--format", choices=("json", "csv"), default="json")
-    rs.add_argument("--workers", type=int, default=4)
     rs.add_argument("--seed", type=int, default=0)
-    rs.add_argument("--psi", choices=("offset:-1", "offset:1", "window:-1",
-                                      "window:1", "weight:0"),
-                    default="offset:-1",
-                    help="block twist convention of the transfer composition")
-    rs.add_argument("--commutator", choices=("upper",), default="upper",
-                    help="commutator scalar convention [mu_i - mu_{i+1}]")
-    rs.add_argument("--cache", default="", help=f"cache root (or ${CACHE_ENV})")
     rs.add_argument("--out", default="", help="report path (default stdout)")
 
     cp = sub.add_parser("compute", help="compute a single quantity")
@@ -775,12 +738,9 @@ def main(argv=None) -> int:
     if args.command == "compute":
         return compute(args)
 
-    name, sign = args.psi.split(":")
     cfg = RunConfig(n=args.n, D=args.D, window=args.window, band=args.band,
                     word_len=args.word_len, suite=args.suite, fmt=args.format,
-                    cache_dir=args.cache or os.environ.get(CACHE_ENV, ""),
-                    psi_flag=(name, int(sign)), commutator=args.commutator,
-                    workers=args.workers, seed=args.seed)
+                    seed=args.seed)
     try:
         cfg.validate()
     except ValueError as e:

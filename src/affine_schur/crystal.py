@@ -13,7 +13,7 @@ from itertools import combinations
 
 from . import tmodule
 from .flag_comb import FlagSymbol
-from .laurent import LaurentScalar, RationalScalar, quantum_binomial, quantum_factorial
+from .laurent import RationalScalar, quantum_binomial, quantum_factorial
 from .tmodule import ModuleVector, apply_e, apply_f, apply_divided
 
 
@@ -103,7 +103,7 @@ def _r_apply(i: int, terms: dict, which: str) -> dict:
         for k in main:
             exp = (sum(1 for l in main if cmp(l, k)) - sum(1 for l in other if cmp(l, k)))
             q = p.with_value(k, p(k) + delta)
-            add = c * RationalScalar.from_laurent(LaurentScalar.v(exp))
+            add = c.shift(exp)
             s = out.get(q)
             out[q] = add if s is None else s + add
     return {q: c for q, c in out.items() if not c.is_zero()}
@@ -112,6 +112,11 @@ def _r_apply(i: int, terms: dict, which: str) -> dict:
 def _r_divided(i: int, k: int, terms: dict, which: str) -> dict:
     for _ in range(k):
         terms = _r_apply(i, terms, which)
+    return _over_factorial(terms, k)
+
+
+def _over_factorial(terms: dict, k: int) -> dict:
+    """terms / [k]!"""
     fact = RationalScalar.from_laurent(quantum_factorial(k))
     return {p: c / fact for p, c in terms.items()}
 
@@ -125,7 +130,7 @@ def string_decomposition(x: ModuleVector, i: int) -> list:
     terms = {p: RationalScalar.from_laurent(c) for p, c in x.terms.items()}
     out = []
     while terms:
-        # largest K with e^{(K)} x != 0
+        # largest K with e^{(K)} x != 0, and y = e^K x
         k = 0
         y = terms
         while True:
@@ -134,7 +139,7 @@ def string_decomposition(x: ModuleVector, i: int) -> list:
                 break
             y = y_next
             k += 1
-        top = _r_divided(i, k, terms, "e")
+        top = _over_factorial(y, k)
         m_top = _iweight(top, i)
         binom = RationalScalar.from_laurent(quantum_binomial(m_top, k))
         u = {p: c / binom for p, c in top.items()}

@@ -379,7 +379,30 @@ def _normalize_unit(x: LaurentScalar) -> LaurentScalar:
 
 class RationalScalar:
     """An element of the field of rational functions Q(v), stored as a reduced
-    quotient of integer Laurent polynomials."""
+    quotient of integer Laurent polynomials.
+
+    Reduced form, kept by every constructor: ``den`` is a polynomial with
+    nonzero constant term and positive lowest coefficient, and
+    gcd(num, den) = 1 in Z[v, v^-1] (zero is 0/1).  The units of
+    Z[v, v^-1] are the +-v^s, so this form is unique and equality is
+    structural.
+
+    ``RationalScalar(num, den)`` is the one route that normalises an
+    arbitrary pair (shift, gcd, sign).  The arithmetic below builds results
+    that are reduced by a theorem with ``_rat`` and does only the gcds that
+    theorem needs (Henrici's method, Knuth TAOCP vol. 2, 4.5.1):
+
+    - a unit denominator +-v^s gives (+-num v^-s, 1), and gcd(x, 1) = 1;
+    - a/b * c/d = (a/g1 * c/g2) / (b/g2 * d/g1) with g1 = gcd(a, d),
+      g2 = gcd(c, b), because gcd(a, b) = gcd(c, d) = 1; a gcd with a unit
+      operand is 1 and is skipped; division multiplies by d/c;
+    - a/b + c/1 = (a + c b)/b, because gcd(a + c b, b) = gcd(a, b) = 1;
+    - a/b + c/b = (a + c)/b reduced by gcd(a + c, b) alone;
+    - multiplying by the unit v^k (``shift``) changes no gcd.
+
+    The shift and sign fixes after a product (``_normalized``) multiply
+    both parts by one unit, which keeps them coprime.
+    """
 
     __slots__ = ("num", "den")
 
@@ -388,6 +411,11 @@ class RationalScalar:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
             self.num, self.den = _ZERO, _ONE
+            return
+        if _is_unit(den):
+            (s, a), = den._c.items()
+            num = num.shift(-s)
+            self.num, self.den = (num if a > 0 else -num), _ONE
             return
         # clear v-shifts: make den a polynomial with nonzero constant term
         s = den.min_exp
@@ -402,36 +430,45 @@ class RationalScalar:
 
     @staticmethod
     def from_laurent(x: LaurentScalar) -> "RationalScalar":
-        return RationalScalar(x)
+        return _rat(x, _ONE)
 
     @staticmethod
     def zero() -> "RationalScalar":
-        return RationalScalar(_ZERO)
+        return _RZERO
 
     @staticmethod
     def one() -> "RationalScalar":
-        return RationalScalar(_ONE)
+        return _RONE
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
     def is_laurent(self) -> bool:
-        return self.den.is_monomial() and abs(self.den.coeff(self.den.min_exp)) == 1
+        return self.den.is_one()
 
     def as_laurent(self) -> LaurentScalar:
         return divide_exact(self.num, self.den)
 
+    def shift(self, k: int) -> "RationalScalar":
+        """Multiply by v^k."""
+        return _rat(self.num.shift(k), self.den)
+
     def __add__(self, other):
         other = _coerce_rat(other)
-        return RationalScalar(self.num * other.den + other.num * self.den,
-                              self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if d.is_one():
+            return _rat_or_zero(a + c * b, b)
+        if b.is_one():
+            return _rat_or_zero(c + a * d, d)
+        if b == d:
+            num = a + c
+            return _RZERO if num.is_zero() else _normalized(*_cancel(num, b))
+        return RationalScalar(a * d + c * b, b * d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = RationalScalar.__new__(RationalScalar)
-        out.num, out.den = -self.num, self.den
-        return out
+        return _rat(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-_coerce_rat(other))
@@ -441,13 +478,15 @@ class RationalScalar:
 
     def __mul__(self, other):
         other = _coerce_rat(other)
-        return RationalScalar(self.num * other.num, self.den * other.den)
+        return _henrici(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = _coerce_rat(other)
-        return RationalScalar(self.num * other.den, self.den * other.num)
+        if other.num.is_zero():
+            raise ZeroDivisionError("division by zero RationalScalar")
+        return _henrici(self.num, self.den, other.den, other.num)
 
     def __rtruediv__(self, other):
         return _coerce_rat(other) / self
@@ -471,9 +510,61 @@ class RationalScalar:
         return f"RationalScalar(({self.num}) / ({self.den}))"
 
 
+def _rat(num: LaurentScalar, den: LaurentScalar) -> RationalScalar:
+    """A RationalScalar from a pair already in reduced form (trusted)."""
+    out = RationalScalar.__new__(RationalScalar)
+    out.num, out.den = num, den
+    return out
+
+
+def _rat_or_zero(num: LaurentScalar, den: LaurentScalar) -> RationalScalar:
+    return _RZERO if num.is_zero() else _rat(num, den)
+
+
+def _is_unit(x: LaurentScalar) -> bool:
+    """True iff x = +-v^s, a unit of Z[v, v^-1]."""
+    if len(x._c) != 1:
+        return False
+    (a,) = x._c.values()
+    return a == 1 or a == -1
+
+
+def _normalized(num: LaurentScalar, den: LaurentScalar) -> RationalScalar:
+    """Fix the v-shift and the sign of a coprime pair (num nonzero)."""
+    s = den.min_exp
+    if s:
+        num, den = num.shift(-s), den.shift(-s)
+    if den.coeff(0) < 0:
+        num, den = -num, -den
+    return _rat(num, den)
+
+
+def _cancel(x: LaurentScalar, y: LaurentScalar):
+    """x / g and y / g for g = gcd(x, y); no gcd when either is a unit."""
+    if _is_unit(x) or _is_unit(y):
+        return x, y
+    g = laurent_gcd(x, y)
+    if g.is_one():
+        return x, y
+    return divide_exact(x, g), divide_exact(y, g)
+
+
+def _henrici(a, b, c, d) -> RationalScalar:
+    """(a/b) * (c/d) for coprime pairs (a, b) and (c, d), with d nonzero."""
+    if a.is_zero() or c.is_zero():
+        return _RZERO
+    a, d = _cancel(a, d)
+    c, b = _cancel(c, b)
+    return _normalized(a * c, b * d)
+
+
 def _coerce_rat(x) -> RationalScalar:
     if isinstance(x, RationalScalar):
         return x
     if isinstance(x, (int, LaurentScalar)):
-        return RationalScalar(_coerce(x))
+        return _rat(_coerce(x), _ONE)
     raise TypeError(f"cannot coerce {type(x)} to RationalScalar")
+
+
+_RZERO = _rat(_ZERO, _ONE)
+_RONE = _rat(_ONE, _ONE)

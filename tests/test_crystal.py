@@ -4,6 +4,8 @@ import json
 
 from affine_schur import cli, crystal, flag_comb as fc, tmodule
 from affine_schur.flag_comb import FlagSymbol
+from affine_schur.laurent import (LaurentScalar, RationalScalar,
+                                  quantum_binomial, quantum_factorial)
 
 
 def test_bracket_example():
@@ -65,6 +67,65 @@ def test_string_decomposition_reconstructs():
         for q, c in total.items():
             if not c.is_zero():
                 assert c.as_laurent() == x.terms[q]
+
+
+def _apply_by_products(i, terms, which):
+    """Chevalley operator with each v^exp as a full rational product."""
+    out = {}
+    for p, c in terms.items():
+        if which == "e":
+            main, other, delta, cmp = p.preimage(i + 1), p.preimage(i), -1, int.__gt__
+        else:
+            main, other, delta, cmp = p.preimage(i), p.preimage(i + 1), 1, int.__lt__
+        for k in main:
+            exp = (sum(1 for l in main if cmp(l, k)) - sum(1 for l in other if cmp(l, k)))
+            q = p.with_value(k, p(k) + delta)
+            add = c * RationalScalar.from_laurent(LaurentScalar.v(exp))
+            out[q] = out[q] + add if q in out else add
+    return {q: c for q, c in out.items() if not c.is_zero()}
+
+
+def _divided_by_products(i, k, terms, which):
+    for _ in range(k):
+        terms = _apply_by_products(i, terms, which)
+    fact = RationalScalar.from_laurent(quantum_factorial(k))
+    return {p: c / fact for p, c in terms.items()}
+
+
+def string_decomposition_recompute(x, i):
+    """The string decomposition that recomputes e_i^(K) x from x after
+    finding K: the oracle for crystal.string_decomposition."""
+    terms = {p: RationalScalar.from_laurent(c) for p, c in x.terms.items()}
+    out = []
+    while terms:
+        k, y = 0, terms
+        while (y := _apply_by_products(i, y, "e")):
+            k += 1
+        top = _divided_by_products(i, k, terms, "e")
+        binom = RationalScalar.from_laurent(
+            quantum_binomial(crystal._iweight(top, i), k))
+        u = {p: c / binom for p, c in top.items()}
+        out.append((k, u))
+        for p, c in _divided_by_products(i, k, u, "f").items():
+            s = terms.get(p, RationalScalar.zero()) - c
+            if s.is_zero():
+                terms.pop(p, None)
+            else:
+                terms[p] = s
+    out.reverse()
+    return out
+
+
+def test_string_decomposition_matches_recompute_route():
+    for p in fc.enumerate_flag_symbols(2, 3, 1, 4):
+        x = tmodule.ModuleVector.basis(p)
+        for i in range(2):
+            fast = crystal.string_decomposition(x, i)
+            slow = string_decomposition_recompute(x, i)
+            assert [k for k, _ in fast] == [k for k, _ in slow]
+            for (_, u), (_, w) in zip(fast, slow):
+                assert ({q: (c.num, c.den) for q, c in u.items()}
+                        == {q: (c.num, c.den) for q, c in w.items()})
 
 
 def test_graph_exports():

@@ -92,3 +92,106 @@ def test_json_roundtrip(a):
 def test_evaluate():
     # [3](v=2) = 4 + 1 + 1/4
     assert quantum_integer(3).evaluate(Fraction(2)) == Fraction(21, 4)
+
+
+# ---------------------------------------------------------------------------
+# RationalScalar fast paths against the always-normalising route
+
+
+def normalise_by_gcd(num, den):
+    """The reduced pair of num/den by shift, full gcd and sign: the route
+    every RationalScalar operation took before the fast paths."""
+    if num.is_zero():
+        return LaurentScalar.zero(), ONE
+    s = den.min_exp
+    num, den = num.shift(-s), den.shift(-s)
+    g = laurent_gcd(num, den)
+    num, den = divide_exact(num, g), divide_exact(den, g)
+    if den.coeff(0) < 0:
+        num, den = -num, -den
+    return num, den
+
+
+def pair(r):
+    return r.num, r.den
+
+
+def _raw_den(qints, content, sign, shift):
+    out = L({shift: sign * content})
+    for k in qints:
+        out = out * quantum_integer(k)
+    return out
+
+
+# denominators: products of quantum integers (and v + 1 factors), with
+# integer content, either sign and a v-shift, e.g. 2v + 2, -2v^3, v^-2 [2][3]
+raw_dens = st.one_of(
+    st.builds(_raw_den, st.lists(st.integers(1, 4), max_size=3),
+              st.sampled_from([1, 2, 3, 6]), st.sampled_from([1, -1]),
+              st.integers(-3, 3)),
+    st.builds(lambda c, e, s: L({e: s * c, e + 1: s * c}),
+              st.sampled_from([1, 2, 4]), st.integers(-3, 3),
+              st.sampled_from([1, -1])),
+    # the units +-v^s
+    st.builds(lambda e, s: L({e: s}), st.integers(-3, 3),
+              st.sampled_from([1, -1])),
+    nonzero,
+)
+# numerators share factors with the denominators often enough to cancel
+raw_nums = st.one_of(
+    st.just(LaurentScalar.zero()),
+    scalars,
+    st.builds(lambda a, d: a * d, scalars, raw_dens),
+)
+rationals = st.builds(RationalScalar, raw_nums, raw_dens)
+
+
+@given(raw_nums, raw_dens)
+def test_constructor_is_reduced_form(num, den):
+    r = RationalScalar(num, den)
+    assert pair(r) == normalise_by_gcd(num, den)
+    if not r.is_zero():
+        assert r.den.min_exp == 0 and r.den.coeff(0) > 0
+        assert laurent_gcd(r.num, r.den) == ONE
+
+
+@given(rationals, rationals)
+def test_rational_ops_match_normalising_route(x, y):
+    a, b, c, d = x.num, x.den, y.num, y.den
+    assert pair(x + y) == normalise_by_gcd(a * d + c * b, b * d)
+    assert pair(x - y) == normalise_by_gcd(a * d - c * b, b * d)
+    assert pair(x * y) == normalise_by_gcd(a * c, b * d)
+    if y.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x / y
+    else:
+        assert pair(x / y) == normalise_by_gcd(a * d, b * c)
+
+
+@given(rationals, raw_nums)
+def test_rational_add_shared_and_unit_denominators(x, c):
+    # y often keeps x's denominator: the one-gcd path a/b + c/b
+    y = RationalScalar(c, x.den)
+    assert pair(x + y) == normalise_by_gcd(x.num * y.den + y.num * x.den,
+                                           x.den * y.den)
+    # a Laurent operand: the no-gcd path a/b + c/1
+    z = RationalScalar.from_laurent(c)
+    assert pair(x + z) == normalise_by_gcd(x.num + c * x.den, x.den)
+    assert pair(z + x) == pair(x + z)
+    assert pair(x * z) == normalise_by_gcd(x.num * c, x.den)
+
+
+@given(rationals, st.integers(-5, 5))
+def test_rational_shift(x, k):
+    assert pair(x.shift(k)) == normalise_by_gcd(x.num.shift(k), x.den)
+    assert x.shift(k) == x * RationalScalar.from_laurent(LaurentScalar.v(k))
+
+
+def test_rational_division_by_zero_raises():
+    x = RationalScalar(quantum_integer(3), quantum_integer(2))
+    for zero in (RationalScalar.zero(), 0,
+                 RationalScalar(LaurentScalar.zero(), L({0: 2}))):
+        with pytest.raises(ZeroDivisionError):
+            x / zero
+    with pytest.raises(ZeroDivisionError):
+        RationalScalar(ONE, LaurentScalar.zero())
