@@ -392,7 +392,7 @@ class RationalScalar:
     that are reduced by a theorem with ``_rat`` and does only the gcds that
     theorem needs (Henrici's method, Knuth TAOCP vol. 2, 4.5.1):
 
-    - a unit denominator +-v^s gives (+-num v^-s, 1), and gcd(x, 1) = 1;
+    - a Laurent polynomial x is x/1 (``from_laurent``), and gcd(x, 1) = 1;
     - a/b * c/d = (a/g1 * c/g2) / (b/g2 * d/g1) with g1 = gcd(a, d),
       g2 = gcd(c, b), because gcd(a, b) = gcd(c, d) = 1; a gcd with a unit
       operand is 1 and is skipped; division multiplies by d/c;
@@ -411,11 +411,6 @@ class RationalScalar:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
             self.num, self.den = _ZERO, _ONE
-            return
-        if _is_unit(den):
-            (s, a), = den._c.items()
-            num = num.shift(-s)
-            self.num, self.den = (num if a > 0 else -num), _ONE
             return
         # clear v-shifts: make den a polynomial with nonzero constant term
         s = den.min_exp
