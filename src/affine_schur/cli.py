@@ -527,12 +527,11 @@ def suite_transfer(cfg: RunConfig) -> list:
     for D in (1, 2):
         bad = 0
         total = 0
-        for m in transfer.enumerate_monomials(n, D + n, cfg.word_len):
-            red = transfer.reduce_monomial(m)
-            expected = (SchurElement.zero(n, D) if red is None
-                        else schur.phi_monomial(red, D))
+        # both sides come from the depth-first walk; the dual-route case
+        # below and the tests check the walk against phi_monomial
+        for _m, tensor, expected in transfer.route_pairs(n, D, cfg.word_len):
             total += 1
-            if transfer.transfer_route_b(m, D) != expected:
+            if transfer.collapse_twist(tensor, n, D) != expected:
                 bad += 1
         cases.append(_case(f"transfer/composition/D{D}", bad == 0,
                            f"{total - bad}/{total} monomials, length <= {cfg.word_len}"))

@@ -139,6 +139,12 @@ def string_decomposition(x: ModuleVector, i: int) -> list:
                 break
             y = y_next
             k += 1
+        # a correct pass leaves e_i^(K) x = 0, so K falls strictly; a pass
+        # that does not lower it would repeat forever
+        if out and k >= out[-1][0]:
+            raise ArithmeticError(
+                f"string decomposition along i={i} does not terminate: "
+                f"top degrees K = {[kk for kk, _ in out] + [k]}")
         top = _over_factorial(y, k)
         m_top = _iweight(top, i)
         binom = RationalScalar.from_laurent(quantum_binomial(m_top, k))

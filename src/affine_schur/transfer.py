@@ -6,7 +6,8 @@ and push the reduced monomials through rank D) and a comultiplication route
 (split each monomial across a rank-n / rank-D tensor factor, collapse the
 rank-n leg with the sign character, twist blockwise).  Executable checkers
 for the leading-term lemma and the canonical-basis transfer theorem close
-the loop.
+the loop.  Calibration and the composition check walk the words depth first
+(route_pairs), so each word extends its prefix's evaluation by one letter.
 """
 
 from __future__ import annotations
@@ -162,33 +163,34 @@ def _all_splits(wt: tuple):
 
 
 @lru_cache(maxsize=None)
-def _basis_mul(s: PeriodicMatrix, g: SchurElement) -> SchurElement:
-    return schur.schur_mul(SchurElement.basis(s), g)
+def _basis_gen(s: PeriodicMatrix, kind: str, i: int) -> tuple:
+    """[s] * e_i or [s] * f_i as a tuple of (matrix, scalar) pairs; empty
+    when the product is zero."""
+    n, D = s.n, s.D
+    wt = s.col_weight()
+    if kind == "e":
+        g = phi_e(n, D, i, wt)
+    else:
+        lam = _weight_bump(wt, i if i >= 1 else n, n)
+        if lam is None:
+            return ()
+        g = phi_f(n, D, i, lam)
+    if g.is_zero():
+        return ()
+    return tuple(schur.schur_mul(SchurElement.basis(s), g).terms().items())
 
 
 def _mul_gen_right_cached(x: SchurElement, kind: str, i: int) -> SchurElement:
     """x * e_i or x * f_i, distributed over basis matrices with caching."""
-    n, D = x.n, x.D
     out = {}
     for s, c in x.terms().items():
-        wt = s.col_weight()
-        if kind == "e":
-            g = phi_e(n, D, i, wt)
-        else:
-            r = i if i >= 1 else n
-            lam = _weight_bump(wt, r, n)
-            if lam is None:
-                continue
-            g = phi_f(n, D, i, lam)
-        if g.is_zero():
-            continue
-        for t, a in _basis_mul(s, g).terms().items():
+        for t, a in _basis_gen(s, kind, i):
             prev = out.get(t, LaurentScalar.zero()) + c * a
             if prev.is_zero():
                 out.pop(t, None)
             else:
                 out[t] = prev
-    return SchurElement.from_terms(n, D, out)
+    return SchurElement.from_terms(x.n, x.D, out)
 
 
 def _weight_bump(nu: tuple, r: int, n: int):
@@ -201,42 +203,43 @@ def _weight_bump(nu: tuple, r: int, n: int):
     return tuple(lam)
 
 
-def _omega_step(n: int, D1: int, D2: int, terms: dict, kind: str, i: int) -> dict:
+def _omega_step(n: int, terms: dict, kind: str, i: int) -> dict:
+    """Right multiplication of a tensor dict by Delta(e_i) or Delta(f_i)."""
     r = i if i >= 1 else n
     out = {}
 
-    def add(s1, s2, c):
-        prev = out.get((s1, s2))
+    def add(key, c):
+        prev = out.get(key)
         s = c if prev is None else prev + c
         if s.is_zero():
-            out.pop((s1, s2), None)
+            out.pop(key, None)
         else:
-            out[(s1, s2)] = s
+            out[key] = s
 
     for (s1, s2), c in terms.items():
         nu1, nu2 = s1.col_weight(), s2.col_weight()
         if kind == "e":
-            legs = [(c.shift(nu1[r - 1]), None, phi_e(n, D2, i, nu2)),
-                    (c.shift(-nu2[r - 1]), phi_e(n, D1, i, nu1), None)]
+            c2, c1 = c.shift(nu1[r - 1]), c.shift(-nu2[r - 1])
         else:
-            i1 = r % n
-            lam2 = _weight_bump(nu2, r, n)
-            lam1 = _weight_bump(nu1, r, n)
-            legs = [(c.shift(-nu1[i1]), None,
-                     phi_f(n, D2, i, lam2) if lam2 else None),
-                    (c.shift(nu2[i1]),
-                     phi_f(n, D1, i, lam1) if lam1 else None, None)]
-        for coeff, g1, g2 in legs:
-            if (g1 is not None and g1.is_zero()) or (g2 is not None and g2.is_zero()):
-                continue
-            if g1 is None and g2 is None:
-                continue
-            x1 = {s1: ONE} if g1 is None else _basis_mul(s1, g1).terms()
-            x2 = {s2: ONE} if g2 is None else _basis_mul(s2, g2).terms()
-            for t1, c1 in x1.items():
-                for t2, c2 in x2.items():
-                    add(t1, t2, coeff * c1 * c2)
+            c2, c1 = c.shift(-nu1[r % n]), c.shift(nu2[r % n])
+        for t2, a in _basis_gen(s2, kind, i):
+            add((s1, t2), c2 * a)
+        for t1, a in _basis_gen(s1, kind, i):
+            add((t1, s2), c1 * a)
     return out
+
+
+def _split_tensor(n: int, D1: int, D2: int, wt: tuple) -> dict:
+    """The idempotent a_wt across the rank split: every [delta w1] x
+    [delta w2] with w1 + w2 = wt and sum(w1) = D1, coefficient 1."""
+    terms = {}
+    for w1, w2 in _all_splits(wt):
+        if sum(w1) != D1:
+            continue
+        s1 = flag_comb.delta_matrix(flag_comb.dominant_from_weight(n, D1, w1))
+        s2 = flag_comb.delta_matrix(flag_comb.dominant_from_weight(n, D2, w2))
+        terms[(s1, s2)] = ONE
+    return terms
 
 
 def omega_route(m: UdotMonomial, D1: int, D2: int) -> dict:
@@ -249,18 +252,12 @@ def omega_route(m: UdotMonomial, D1: int, D2: int) -> dict:
     gens, weights = res
     if sum(weights[0]) != D1 + D2:
         return {}
-    terms = {}
-    for w1, w2 in _all_splits(weights[0]):
-        if sum(w1) != D1:
-            continue
-        s1 = flag_comb.delta_matrix(flag_comb.dominant_from_weight(n, D1, w1))
-        s2 = flag_comb.delta_matrix(flag_comb.dominant_from_weight(n, D2, w2))
-        terms[(s1, s2)] = ONE
+    terms = _split_tensor(n, D1, D2, weights[0])
     divisor = ONE
     for kind, i, k in gens:
         divisor = divisor * quantum_factorial(k)
         for _ in range(k):
-            terms = _omega_step(n, D1, D2, terms, kind, i)
+            terms = _omega_step(n, terms, kind, i)
         if not terms:
             return {}
     if not divisor.is_one():
@@ -300,18 +297,16 @@ def _apply_psi(x: SchurElement, psi_flag: tuple) -> SchurElement:
     raise ValueError(f"unknown psi mode {mode!r}")
 
 
-def transfer_route_b(m: UdotMonomial, D: int, psi_flag: tuple = None,
-                     rho_value: LaurentScalar = None) -> SchurElement:
+def transfer_route_b(m: UdotMonomial, D: int) -> SchurElement:
     """The comultiplication route: psi o (epsilon x 1) o omega on a monomial
     anchored at total weight D + n."""
-    if psi_flag is None:
-        psi_flag = PSI_FLAG
-    if rho_value is None:
-        rho_value = EPS_RHO
-    n = m.n
-    tensor = omega_route(m, n, D)
-    x = epsilon_collapse(tensor, n, D, rho_value)
-    return _apply_psi(x, psi_flag)
+    return collapse_twist(omega_route(m, m.n, D), m.n, D)
+
+
+def collapse_twist(tensor: dict, n: int, D: int) -> SchurElement:
+    """psi o (epsilon x 1) at the frozen conventions on a tensor dict from
+    the rank-n / rank-D split."""
+    return _apply_psi(epsilon_collapse(tensor, n, D, EPS_RHO), PSI_FLAG)
 
 
 # ---------------------------------------------------------------------------
@@ -336,11 +331,35 @@ def _compositions(total: int, parts: int):
             yield (a,) + rest
 
 
+@lru_cache(maxsize=None)
 def _phi_of_reduction(m: UdotMonomial, D: int) -> SchurElement:
+    """phi at rank D of the weight-reduced monomial; zero when it has none."""
     m2 = reduce_monomial(m)
     if m2 is None:
         return SchurElement.zero(m.n, D)
     return phi_monomial(m2, D)
+
+
+def route_pairs(n: int, D: int, max_len: int):
+    """Yield (m, omega_route(m, n, D), _phi_of_reduction(m, D)) for every
+    word m of enumerate_monomials(n, D + n, max_len), depth first: each
+    word extends its prefix's tensor and phi image by one letter."""
+    gens = [(kind, i) for kind in ("e", "f") for i in range(n)]
+    zero = SchurElement.zero(n, D)
+
+    def walk(letters, tensor, phi):
+        yield UdotMonomial(n, letters), tensor, phi
+        if len(letters) > max_len:
+            return
+        for kind, i in gens:
+            yield from walk(
+                letters + ((kind, i, 1),), _omega_step(n, tensor, kind, i),
+                zero if phi.is_zero() else _mul_gen_right_cached(phi, kind, i))
+
+    for lam in _compositions(D + n, n):
+        reduced = tuple(x - 1 for x in lam)
+        phi = zero if min(reduced) < 0 else phi_idempotent(n, D, reduced)
+        yield from walk((("a", lam),), _split_tensor(n, n, D, lam), phi)
 
 
 def calibrate_flags(n: int = 2, Ds=(1, 2), max_len: int = 3):
@@ -351,15 +370,13 @@ def calibrate_flags(n: int = 2, Ds=(1, 2), max_len: int = 3):
                   for a in (1, -1)
                   for e in range(-n, n + 1)]
     for D in Ds:
-        for m in enumerate_monomials(n, D + n, max_len):
-            tensor = omega_route(m, n, D)
-            rhs = _phi_of_reduction(m, D)
-            survivors = []
-            for flag, rho in candidates:
-                x = epsilon_collapse(tensor, n, D, rho)
-                if _apply_psi(x, flag) == rhs:
-                    survivors.append((flag, rho))
-            candidates = survivors
+        for _m, tensor, rhs in route_pairs(n, D, max_len):
+            collapsed = {}
+            for _flag, rho in candidates:
+                if rho not in collapsed:
+                    collapsed[rho] = epsilon_collapse(tensor, n, D, rho)
+            candidates = [(flag, rho) for flag, rho in candidates
+                          if _apply_psi(collapsed[rho], flag) == rhs]
             if not candidates:
                 return []
     return candidates
@@ -506,7 +523,7 @@ def transfer_map(x: SchurElement, span: MonomialSpan,
                          f"{sorted(residual, key=lambda s: s.entries)}")
     out = {}
     for m, c in combo.items():
-        img = _phi_of_reduction_cached(m, D)
+        img = _phi_of_reduction(m, D)
         for s, a in img.terms().items():
             r = out.get(s, RationalScalar.zero()) + c * RationalScalar.from_laurent(a)
             if r.is_zero():
@@ -521,11 +538,6 @@ def transfer_map(x: SchurElement, span: MonomialSpan,
                 "the solve is preimage-dependent")
         terms[s] = c.as_laurent()
     return SchurElement.from_terms(n, D, terms)
-
-
-@lru_cache(maxsize=None)
-def _phi_of_reduction_cached(m: UdotMonomial, D: int) -> SchurElement:
-    return _phi_of_reduction(m, D)
 
 
 # ---------------------------------------------------------------------------

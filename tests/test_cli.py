@@ -105,3 +105,15 @@ def test_canonical_report_same_cold_warm_and_across_hash_seeds(tmp_path):
         assert cli.main([*args, "--out", str(out)]) == 0
         reports.append(out.read_bytes())
     assert reports[0] and all(r == reports[0] for r in reports)
+
+
+def test_transfer_suite_matches_benchmark_reference():
+    """The benchmark's transfer workload, in process: every case must equal
+    the checked-in reference record."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    reference = json.loads(
+        (root / "perfbench" / "reference" / "transfer.json").read_text())
+    cfg = cli.RunConfig(suite="transfer", n=2, D=1, band=1, word_len=3)
+    report = cli.run_suite(cfg)
+    assert ([(c["id"], c["status"], c["detail"]) for c in report["cases"]]
+            == [(c["id"], c["status"], c["detail"]) for c in reference["cases"]])

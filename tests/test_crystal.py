@@ -1,6 +1,7 @@
 """Crystal operators: bracketing rule, string oracle, graph export."""
 
 import json
+import signal
 
 from affine_schur import cli, crystal, flag_comb as fc, tmodule
 from affine_schur.flag_comb import FlagSymbol
@@ -126,6 +127,35 @@ def test_string_decomposition_matches_recompute_route():
             for (_, u), (_, w) in zip(fast, slow):
                 assert ({q: (c.num, c.den) for q, c in u.items()}
                         == {q: (c.num, c.den) for q, c in w.items()})
+
+
+def test_string_decomposition_raises_when_top_degree_repeats(monkeypatch):
+    # dividing the top vector by [1]! instead of [K]! leaves e_i^(K) x != 0
+    # after a pass with K >= 2, so K repeats; the decomposition must raise
+    # instead of spinning (the alarm turns a spin into a failure)
+    def over_one_factorial(terms, k):
+        fact = RationalScalar.from_laurent(quantum_factorial(1))
+        return {p: c / fact for p, c in terms.items()}
+
+    def spinning(signum, frame):
+        raise TimeoutError("string decomposition still running after 10 s")
+
+    monkeypatch.setattr(crystal, "_over_factorial", over_one_factorial)
+    previous = signal.signal(signal.SIGALRM, spinning)
+    signal.alarm(10)
+    raised = 0
+    try:
+        for p in fc.enumerate_flag_symbols(2, 3, 1, 4):
+            for i in range(2):
+                try:
+                    crystal.string_decomposition(tmodule.ModuleVector.basis(p), i)
+                except ArithmeticError as e:
+                    assert f"along i={i} does not terminate" in str(e)
+                    raised += 1
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert raised
 
 
 def test_graph_exports():

@@ -107,3 +107,68 @@ def test_band_enumeration_counts():
 def test_calibration_unique_psi():
     flags = transfer.calibrate_flags(n=2, Ds=(1,), max_len=2)
     assert {f[0] for f in flags} == {("offset", -1)}
+
+
+def calibrate_flags_per_monomial(n, Ds, max_len):
+    """Calibration that evaluates every word from scratch and collapses once
+    per candidate: the oracle for transfer.calibrate_flags."""
+    candidates = [(flag, LaurentScalar.monomial(a, e))
+                  for flag in transfer.PSI_CANDIDATES
+                  for a in (1, -1)
+                  for e in range(-n, n + 1)]
+    for D in Ds:
+        for m in transfer.enumerate_monomials(n, D + n, max_len):
+            tensor = transfer.omega_route(m, n, D)
+            red = transfer.reduce_monomial(m)
+            rhs = (SchurElement.zero(n, D) if red is None
+                   else schur.phi_monomial(red, D))
+            survivors = []
+            for flag, rho in candidates:
+                x = transfer.epsilon_collapse(tensor, n, D, rho)
+                if transfer._apply_psi(x, flag) == rhs:
+                    survivors.append((flag, rho))
+            candidates = survivors
+            if not candidates:
+                return []
+    return candidates
+
+
+def test_calibration_matches_per_monomial_route():
+    fast = transfer.calibrate_flags(2, (1, 2), 3)
+    assert fast == calibrate_flags_per_monomial(2, (1, 2), 3)
+    assert fast
+
+
+# (2, 1, 4) reaches the word length of the REFERENCE transfer suite
+@pytest.mark.parametrize("n,D,max_len", [(2, 1, 3), (2, 1, 4), (2, 2, 3), (3, 1, 2)])
+def test_route_pairs_match_word_by_word_routes(n, D, max_len):
+    pairs = list(transfer.route_pairs(n, D, max_len))
+    words = list(transfer.enumerate_monomials(n, D + n, max_len))
+    walked = {m: (tensor, phi) for m, tensor, phi in pairs}
+    # every word exactly once
+    assert len(pairs) == len(walked) == len(words)
+    assert set(walked) == set(words)
+    for m in words:
+        tensor, phi = walked[m]
+        assert tensor == transfer.omega_route(m, n, D)
+        red = transfer.reduce_monomial(m)
+        assert phi == (SchurElement.zero(n, D) if red is None
+                       else schur.phi_monomial(red, D))
+
+
+@pytest.mark.parametrize("D,band", [(3, 2), (4, 1)])
+def test_basis_gen_matches_schur_mul(D, band):
+    n = 2
+    for s in transfer.band_matrices(n, D, band):
+        x = SchurElement.basis(s)
+        wt = s.col_weight()
+        for i in range(n):
+            expected = schur.schur_mul(x, schur.phi_e(n, D, i, wt))
+            assert (SchurElement.from_terms(n, D, dict(transfer._basis_gen(s, "e", i)))
+                    == expected)
+            # f_i a_lam with left weight wt has right weight lam
+            lam = tuple(a - b for a, b in zip(wt, schur._wshift(n, "f", i, 1)))
+            expected = (SchurElement.zero(n, D) if min(lam) < 0
+                        else schur.schur_mul(x, schur.phi_f(n, D, i, lam)))
+            assert (SchurElement.from_terms(n, D, dict(transfer._basis_gen(s, "f", i)))
+                    == expected)
