@@ -42,10 +42,15 @@ class AffinePermutation:
 
     def __mul__(self, other: "AffinePermutation") -> "AffinePermutation":
         """(self * other)(k) = self(other(k)):  other acts first."""
-        if self.rank != other.rank:
+        D = self.rank
+        if D != other.rank:
             raise ValueError("rank mismatch")
-        return AffinePermutation(self.rank,
-                                 tuple(self(other(k)) for k in range(1, self.rank + 1)))
+        win = self.window
+        out = []
+        for o in other.window:
+            q, r = divmod(o - 1, D)
+            out.append(win[r] + q * D)
+        return _trusted(D, tuple(out))
 
     def inverse(self) -> "AffinePermutation":
         D = self.rank
@@ -53,7 +58,7 @@ class AffinePermutation:
         for j, wj in enumerate(self.window, start=1):
             q, r = divmod(wj - 1, D)
             inv[r] = j - q * D
-        return AffinePermutation(D, tuple(inv))
+        return _trusted(D, tuple(inv))
 
     def is_identity(self) -> bool:
         return all(w == i for i, w in enumerate(self.window, start=1))
@@ -124,6 +129,20 @@ class AffinePermutation:
         D = int(head[2:])
         window = tuple(int(x) for x in body[1:-1].split(","))
         return AffinePermutation(D, window)
+
+
+_SET_RANK = AffinePermutation.rank.__set__
+_SET_WINDOW = AffinePermutation.window.__set__
+
+
+def _trusted(rank: int, window: tuple) -> AffinePermutation:
+    """An AffinePermutation built without `__post_init__`'s validation, for
+    windows that are valid by construction (products and inverses of valid
+    permutations)."""
+    out = object.__new__(AffinePermutation)
+    _SET_RANK(out, rank)
+    _SET_WINDOW(out, window)
+    return out
 
 
 def identity(D: int) -> AffinePermutation:

@@ -5,6 +5,31 @@ involution tau acting unitriangularly on a labeled standard basis, each label
 x carries a unique tau-fixed element b_x = [x] + (coefficients in vZ[v]).
 Specializations: b_p in the flag module and b_s in the Schur algebra (with
 the twisted involution on double-coset sums).
+
+Discrepancy.  `solve_canonical` builds b_x as b = [x] + sum of p_y b_y and
+keeps d = tau(b) - b beside it, starting from d = tau([x]) - [x].  A step
+picks a maximal label y of the support of d, splits gamma = d[y] as
+p - bar(p) with p in vZ[v], and sets b <- b + p b_y.  Since b_y is
+tau-fixed and tau is antilinear,
+
+    tau(b + p b_y) - (b + p b_y) = d + bar(p) b_y - p b_y = d - gamma b_y,
+
+so d is updated by subtracting gamma b_y and tau is never applied to b.
+Every y lies strictly below x, so b keeps coefficient 1 at x, and b_y has
+coefficient 1 at y and is supported at and below y, so the update clears d
+at y and adds labels only below it; the solver checks that d[y] is gone,
+so the loop, which ends when d = 0, cannot revisit a label.
+The labels b_y still to be solved sit on an explicit stack, so the depth of
+the bar-support order is not bounded by Python's recursion limit.
+
+Memos.  `block_of` is memoized per matrix, and tau([s]) on the Schur side
+per matrix s (`_tau_schur_terms`), each in an unbounded `lru_cache` that
+lives as long as the process.  Both are pure functions of the matrix:
+the block is fixed by the row and column weights, and tau([s]) by s and
+the quadratic relation, which `hecke` fixes and nothing else changes.
+`PeriodicMatrix` and `FlagSymbol` are frozen and the cached values are
+tuples, so the memos are safe to share between callers, `BarSystem`s and
+threads; `_tau_schur_label` hands each caller a fresh dict.
 """
 
 from __future__ import annotations
@@ -15,6 +40,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import flag_comb, hecke, tmodule
 from .flag_comb import FlagSymbol, PeriodicMatrix, x_stat, y_stat
@@ -81,19 +107,6 @@ class BarSystem:
             self._below[label] = out
         return out
 
-    def tau_vector(self, vec: dict) -> dict:
-        """tau of a vector given in the standard basis (antilinear)."""
-        out = {}
-        for x, c in vec.items():
-            cb = c.bar()
-            for y, d in self.tau_expand(x).items():
-                s = out.get(y, LaurentScalar.zero()) + cb * d
-                if s.is_zero():
-                    out.pop(y, None)
-                else:
-                    out[y] = s
-        return out
-
 
 @dataclass(frozen=True)
 class CanonicalExpansion:
@@ -113,52 +126,55 @@ class CanonicalExpansion:
 def solve_canonical(system: BarSystem, label) -> CanonicalExpansion:
     """The unique tau-fixed b = [label] + sum of vZ[v]-corrections."""
     system.lower_labels(label)  # forces acyclicity check
-    canon_cache = system._canon
+    canon = system._canon
+    # frames (x, b, d) with d = tau(b) - b; a frame waits while the b_y
+    # its next step needs is solved on top of it
+    stack = [] if label in canon else [_frame(system, label)]
+    while stack:
+        x, b, d = stack[-1]
+        if not d:
+            canon[x] = b
+            stack.pop()
+            continue
+        y = _max_label(system, d)
+        gamma = d[y]
+        if gamma.bar() != -gamma:
+            raise ArithmeticError(f"discrepancy at {y} is not bar-antisymmetric")
+        p = gamma.positive_part()
+        if p - p.bar() != gamma:
+            raise ArithmeticError(f"cannot split {gamma} as p - bar(p), p in vZ[v]")
+        by = canon.get(y)
+        if by is None:
+            stack.append(_frame(system, y))
+            continue
+        _add_scaled(b, p, by)
+        _add_scaled(d, -gamma, by)
+        if y in d:
+            raise ArithmeticError(f"correction at {y} did not clear the discrepancy")
 
-    def canon(x) -> dict:
-        got = canon_cache.get(x)
-        if got is not None:
-            return got
-        b = {x: ONE}
-        while True:
-            d = _sub(system.tau_vector(b), b)
-            if not d:
-                break
-            lower = {y for y in d}
-            y = _max_label(system, lower)
-            gamma = d[y]
-            if gamma.bar() != -gamma:
-                raise ArithmeticError(f"discrepancy at {y} is not bar-antisymmetric")
-            p = gamma.positive_part()
-            if p - p.bar() != gamma:
-                raise ArithmeticError(f"cannot split {gamma} as p - bar(p), p in vZ[v]")
-            by = canon(y)
-            for z, c in by.items():
-                s = b.get(z, LaurentScalar.zero()) + p * c
-                if s.is_zero():
-                    b.pop(z, None)
-                else:
-                    b[z] = s
-        canon_cache[x] = b
-        return b
-
-    b = canon(label)
+    b = canon[label]
     return CanonicalExpansion(label, tuple(sorted(b.items(),
                                                   key=lambda t: system.sort_key(t[0]))))
 
 
-def _sub(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for x, c in b.items():
-        s = out.get(x, LaurentScalar.zero()) - c
+def _frame(system: BarSystem, x) -> tuple:
+    """A new solver frame for x: b = [x] and d = tau([x]) - [x]."""
+    d = dict(system.tau_expand(x))
+    del d[x]
+    return x, {x: ONE}, d
+
+
+def _add_scaled(vec: dict, c: LaurentScalar, other: dict):
+    """vec += c * other, in place, dropping zero coefficients."""
+    for z, a in other.items():
+        s = vec.get(z, LaurentScalar.zero()) + c * a
         if s.is_zero():
-            out.pop(x, None)
+            vec.pop(z, None)
         else:
-            out[x] = s
-    return out
+            vec[z] = s
 
 
-def _max_label(system: BarSystem, labels: set):
+def _max_label(system: BarSystem, labels):
     """A label of the set maximal for the bar-support order (deterministic)."""
     for y in sorted(labels, key=system.sort_key):
         if not any(y in system.lower_labels(z) for z in labels if z != y):
@@ -195,7 +211,10 @@ def canonical_tmodule_vector(p: FlagSymbol, system: BarSystem = None) -> tmodule
 # Specialization to the Schur algebra
 
 
-def block_of(s: PeriodicMatrix):
+@lru_cache(maxsize=None)
+def block_of(s: PeriodicMatrix) -> tuple:
+    """The block (lam, mu) of [s]: the dominant symbols of its row and
+    column weights."""
     lam = flag_comb.dominant_from_weight(s.n, s.D, s.row_weight())
     mu = flag_comb.dominant_from_weight(s.n, s.D, s.col_weight())
     return lam, mu
@@ -226,12 +245,18 @@ def affine_weyl_double_coset(D, lam, rep, mu):
 
 def _tau_schur_label(s: PeriodicMatrix) -> dict:
     """tau([s]) = v^{-2 x_mu} bar([s]) expanded in the [t] basis."""
+    return dict(_tau_schur_terms(s))
+
+
+@lru_cache(maxsize=None)
+def _tau_schur_terms(s: PeriodicMatrix) -> tuple:
+    """tau([s]) as a tuple of (matrix, coeff) pairs, computed once per s."""
     lam, mu = block_of(s)
     h = hecke.double_coset_sum(lam, mu, s).scale(LaurentScalar.v(y_stat(s)))
     barh = hecke.bar(h)
     terms = hecke_to_matrix_terms(lam, mu, barh)
     twist = LaurentScalar.v(-2 * x_stat(mu))
-    return {t: twist * c for t, c in terms.items()}
+    return tuple((t, twist * c) for t, c in terms.items())
 
 
 def schur_system(n: int, D: int, max_labels: int = 10_000) -> BarSystem:

@@ -397,7 +397,7 @@ def tau_schur(x: SchurElement) -> SchurElement:
         acc = {}
         for s, c in terms.items():
             cb = c.bar()
-            for t, d in canonical._tau_schur_label(s).items():
+            for t, d in canonical._tau_schur_terms(s):
                 prev = acc.get(t, LaurentScalar.zero()) + cb * d
                 if prev.is_zero():
                     acc.pop(t, None)

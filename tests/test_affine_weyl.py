@@ -134,3 +134,28 @@ def test_cached_cosets_match_fresh_enumeration(case):
     lam_f, mu_f = fc.FlagSymbol(n, D, lam), fc.FlagSymbol(n, D, mu)
     s = fc.matrix_of_pair(lam_f.act(w), mu_f)
     assert fc.double_coset_min_rep(s, lam_f, mu_f) == rep
+
+
+@st.composite
+def valid_windows(draw, D):
+    """A permutation of 1..D shifted entrywise by multiples of D, so that
+    every rotation class occurs."""
+    perm = draw(st.permutations(range(1, D + 1)))
+    shifts = draw(st.lists(st.integers(-3, 3), min_size=D, max_size=D))
+    return tuple(p + D * m for p, m in zip(perm, shifts))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_trusted_product_and_inverse_match_validating_route(data):
+    D = data.draw(st.integers(1, 5))
+    a = aw.AffinePermutation(D, data.draw(valid_windows(D)))
+    b = aw.AffinePermutation(D, data.draw(valid_windows(D)))
+    prod = aw.AffinePermutation(D, tuple(a(b(k)) for k in range(1, D + 1)))
+    assert a * b == prod and hash(a * b) == hash(prod)
+    # a(k + mD) = a(k) + mD, so a^{-1}(j) = k + j - a(k) for the k in 1..D
+    # with a(k) = j mod D
+    inv = aw.AffinePermutation(D, tuple(k + j - a(k) for j in range(1, D + 1)
+                                        for k in range(1, D + 1) if (a(k) - j) % D == 0))
+    assert a.inverse() == inv and hash(a.inverse()) == hash(inv)
+    assert (a * inv).is_identity() and (inv * a).is_identity()

@@ -1,10 +1,13 @@
 """Bar-involution solver and the two canonical bases."""
 
+import inspect
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from affine_schur import canonical, cli, flag_comb as fc, schur, tmodule, transfer
+from affine_schur import canonical, cli, flag_comb as fc, hecke, schur, tmodule, transfer
 from affine_schur.flag_comb import FlagSymbol, PeriodicMatrix
 from affine_schur.laurent import LaurentScalar, ONE
 from affine_schur.schur import SchurElement
@@ -98,3 +101,151 @@ def test_cache_store_failure_keeps_previous_file(tmp_path):
     assert list(tmp_path.iterdir()) == [path]
     assert path.read_text() == before
     assert cache.load(2, 2, (1, 1), None) == {"a": {"x": 1}}
+
+
+# ---------------------------------------------------------------------------
+# The recompute route: the solver before the discrepancy was kept
+# incrementally, applying tau to the whole of b after every correction.
+
+
+def tau_vector_recompute(system, vec: dict) -> dict:
+    """tau of a vector given in the standard basis (antilinear)."""
+    out = {}
+    for x, c in vec.items():
+        cb = c.bar()
+        for y, d in system.tau_expand(x).items():
+            s = out.get(y, LaurentScalar.zero()) + cb * d
+            if s.is_zero():
+                out.pop(y, None)
+            else:
+                out[y] = s
+    return out
+
+
+def sub_recompute(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for x, c in b.items():
+        s = out.get(x, LaurentScalar.zero()) - c
+        if s.is_zero():
+            out.pop(x, None)
+        else:
+            out[x] = s
+    return out
+
+
+def solve_canonical_recompute(system, label, cache=None):
+    """The recursive solver loop; cache holds solved labels (not the
+    system's own, so the fast solver's results are never read)."""
+    cache = {} if cache is None else cache
+
+    def canon(x) -> dict:
+        got = cache.get(x)
+        if got is not None:
+            return got
+        b = {x: ONE}
+        while True:
+            d = sub_recompute(tau_vector_recompute(system, b), b)
+            if not d:
+                break
+            y = canonical._max_label(system, set(d))
+            gamma = d[y]
+            assert gamma.bar() == -gamma
+            p = gamma.positive_part()
+            assert p - p.bar() == gamma
+            by = canon(y)
+            for z, c in by.items():
+                s = b.get(z, LaurentScalar.zero()) + p * c
+                if s.is_zero():
+                    b.pop(z, None)
+                else:
+                    b[z] = s
+        cache[x] = b
+        return b
+
+    b = canon(label)
+    return canonical.CanonicalExpansion(
+        label, tuple(sorted(b.items(), key=lambda t: system.sort_key(t[0]))))
+
+
+@pytest.mark.parametrize("make_system, labels", [
+    (lambda: canonical.tmodule_system(2, 3),
+     lambda: fc.enumerate_flag_symbols(2, 3, 1, 5)),
+    (lambda: canonical.schur_system(2, 3), lambda: transfer.band_matrices(2, 3, 2)),
+    (lambda: canonical.schur_system(3, 3), lambda: transfer.band_matrices(3, 3, 1)),
+], ids=["tmodule-2-3-window5", "schur-2-3-band2", "schur-3-3-band1"])
+def test_incremental_solver_matches_recompute_route(make_system, labels):
+    fast, slow = make_system(), make_system()
+    cache = {}
+    for x in labels():
+        assert canonical.solve_canonical(fast, x) == \
+            solve_canonical_recompute(slow, x, cache)
+
+
+_ORDER_LABELS = fc.enumerate_flag_symbols(2, 2, 1, 4)
+_ORDER_MATRICES = transfer.band_matrices(2, 2, 2)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.permutations(range(len(_ORDER_LABELS))),
+       st.permutations(range(len(_ORDER_MATRICES))))
+def test_solver_random_order_matches_recompute_route(order_t, order_s):
+    for make_system, labels, order in (
+            (canonical.tmodule_system, _ORDER_LABELS, order_t),
+            (canonical.schur_system, _ORDER_MATRICES, order_s)):
+        fast, slow = make_system(2, 2), make_system(2, 2)
+        for k in order:
+            x = labels[k]
+            assert canonical.solve_canonical(fast, x) == \
+                solve_canonical_recompute(slow, x)
+
+
+def test_solver_chain_deeper_than_recursion_limit():
+    # b_k = [k] + v[k-1] (b_0 = [0]) is tau-fixed, which forces
+    # tau([k]) = [k] + v[k-1] - v^-1 tau([k-1]); every b_k then needs
+    # b_{k-1} first, a chain of N labels
+    v, vinv = LaurentScalar.v(1), LaurentScalar.v(-1)
+    taus = {0: {0: ONE}}
+    limit = len(inspect.stack(0)) + 60
+    N = limit + 20
+    for k in range(1, N + 1):
+        t = {j: -vinv * c for j, c in taus[k - 1].items()}
+        t[k - 1] = t[k - 1] + v
+        t[k] = ONE
+        taus[k] = t
+    system = canonical.BarSystem(tau_fn=lambda k: dict(taus[k]), sort_key=lambda k: -k)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        with pytest.raises(RecursionError):
+            solve_canonical_recompute(system, N)
+        exp = canonical.solve_canonical(system, N)
+    finally:
+        sys.setrecursionlimit(old)
+    assert exp.as_dict() == {N: ONE, N - 1: v}
+    for k in range(1, N):
+        assert system._canon[k] == {k: ONE, k - 1: v}
+    assert system._canon[0] == {0: ONE}
+
+
+def test_tau_schur_memo_matches_fresh_and_hands_out_copies():
+    for s in transfer.band_matrices(2, 3, 2):
+        lam, mu = canonical.block_of(s)
+        h = hecke.bar(hecke.double_coset_sum(lam, mu, s).scale(
+            LaurentScalar.v(fc.y_stat(s))))
+        twist = LaurentScalar.v(-2 * fc.x_stat(mu))
+        fresh = {t: twist * c
+                 for t, c in canonical.hecke_to_matrix_terms(lam, mu, h).items()}
+        got = canonical._tau_schur_label(s)
+        assert got == fresh
+        assert list(got) == list(fresh)
+        got.clear()
+        got[s] = LaurentScalar.v(5)
+        assert canonical._tau_schur_label(s) == fresh
+
+
+def test_block_of_memo_matches_fresh_computation():
+    for s in transfer.band_matrices(2, 3, 2):
+        fresh = (fc.dominant_from_weight(2, 3, s.row_weight()),
+                 fc.dominant_from_weight(2, 3, s.col_weight()))
+        assert canonical.block_of(s) == fresh
+        assert canonical.block_of(s) is canonical.block_of(s)
