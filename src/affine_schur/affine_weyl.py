@@ -86,9 +86,6 @@ class AffinePermutation:
             return self(0) > self(1)
         return self(i) > self(i + 1)
 
-    def right_descents(self):
-        return [i for i in range(self.rank) if self.has_right_descent(i)]
-
     def rotation_power(self):
         """k if self == rho^k, else None."""
         k = self.window[0] - 1

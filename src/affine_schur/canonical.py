@@ -20,7 +20,10 @@ coefficient 1 at y and is supported at and below y, so the update clears d
 at y and adds labels only below it; the solver checks that d[y] is gone,
 so the loop, which ends when d = 0, cannot revisit a label.
 The labels b_y still to be solved sit on an explicit stack, so the depth of
-the bar-support order is not bounded by Python's recursion limit.
+the bar-support order is not bounded by Python's recursion limit.  Both
+updates are `vector.add_scaled` on plain {label: scalar} dicts, and tau([s])
+comes back from the T_w basis through `hecke.collapse` over double cosets
+with the shift v^{-y_s} (`hecke_to_matrix_terms`).
 
 Memos.  `block_of` is memoized per matrix, and tau([s]) on the Schur side
 per matrix s (`_tau_schur_terms`), each in an unbounded `lru_cache` that
@@ -42,9 +45,13 @@ import tempfile
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from . import flag_comb, hecke, tmodule
+from . import affine_weyl, flag_comb, hecke, tmodule
 from .flag_comb import FlagSymbol, PeriodicMatrix, x_stat, y_stat
 from .laurent import LaurentScalar, ONE
+from .vector import add_scaled
+
+# the largest bar-support cone `BarSystem.closure` explores before it gives up
+MAX_LABELS = 10_000
 
 
 @dataclass
@@ -57,7 +64,6 @@ class BarSystem:
     """
     tau_fn: object
     sort_key: object
-    max_labels: int = 10_000
     _tau_cache: dict = field(default_factory=dict)
     _below: dict = field(default_factory=dict)
     _canon: dict = field(default_factory=dict)
@@ -82,9 +88,9 @@ class BarSystem:
                     if y not in seen:
                         seen.add(y)
                         nxt.append(y)
-                        if len(seen) > self.max_labels:
+                        if len(seen) > MAX_LABELS:
                             raise RuntimeError(
-                                f"support cone exceeded {self.max_labels} labels")
+                                f"support cone exceeded {MAX_LABELS} labels")
             frontier = nxt
         return sorted(seen, key=self.sort_key)
 
@@ -147,8 +153,8 @@ def solve_canonical(system: BarSystem, label) -> CanonicalExpansion:
         if by is None:
             stack.append(_frame(system, y))
             continue
-        _add_scaled(b, p, by)
-        _add_scaled(d, -gamma, by)
+        add_scaled(b, by, p)
+        add_scaled(d, by, -gamma)
         if y in d:
             raise ArithmeticError(f"correction at {y} did not clear the discrepancy")
 
@@ -162,16 +168,6 @@ def _frame(system: BarSystem, x) -> tuple:
     d = dict(system.tau_expand(x))
     del d[x]
     return x, {x: ONE}, d
-
-
-def _add_scaled(vec: dict, c: LaurentScalar, other: dict):
-    """vec += c * other, in place, dropping zero coefficients."""
-    for z, a in other.items():
-        s = vec.get(z, LaurentScalar.zero()) + c * a
-        if s.is_zero():
-            vec.pop(z, None)
-        else:
-            vec[z] = s
 
 
 def _max_label(system: BarSystem, labels):
@@ -190,10 +186,8 @@ def _tau_tmodule_label(p: FlagSymbol) -> dict:
     return dict(tmodule.tau(tmodule.ModuleVector.basis(p)).terms)
 
 
-def tmodule_system(n: int, D: int, max_labels: int = 10_000) -> BarSystem:
-    return BarSystem(tau_fn=_tau_tmodule_label,
-                     sort_key=lambda p: p.values,
-                     max_labels=max_labels)
+def tmodule_system(n: int, D: int) -> BarSystem:
+    return BarSystem(tau_fn=_tau_tmodule_label, sort_key=lambda p: p.values)
 
 
 def canonical_tmodule(p: FlagSymbol, system: BarSystem = None) -> CanonicalExpansion:
@@ -222,25 +216,13 @@ def block_of(s: PeriodicMatrix) -> tuple:
 
 def hecke_to_matrix_terms(lam: FlagSymbol, mu: FlagSymbol, h: hecke.HeckeElement) -> dict:
     """Re-collapse an element of H_{lam,mu} into the [t] basis."""
-    D = lam.D
-    remaining = dict(h.terms)
-    out = {}
-    while remaining:
-        w = next(iter(remaining))
+
+    def coset(w):
         t = flag_comb.matrix_of_pair(lam.act(w), mu)
-        c = remaining[w]
         rep = flag_comb.double_coset_min_rep(t, lam, mu)
-        for u in affine_weyl_double_coset(D, lam, rep, mu):
-            c2 = remaining.pop(u, None)
-            if c2 is None or c2 != c:
-                raise ArithmeticError("coefficients not constant on the double coset")
-        out[t] = c.shift(-y_stat(t))
-    return out
+        return t, affine_weyl.double_coset_elements(lam.D, lam.values, rep, mu.values)
 
-
-def affine_weyl_double_coset(D, lam, rep, mu):
-    from . import affine_weyl
-    return affine_weyl.double_coset_elements(D, lam.values, rep, mu.values)
+    return hecke.collapse(h, coset, y_stat)
 
 
 def _tau_schur_label(s: PeriodicMatrix) -> dict:
@@ -259,10 +241,8 @@ def _tau_schur_terms(s: PeriodicMatrix) -> tuple:
     return tuple((t, twist * c) for t, c in terms.items())
 
 
-def schur_system(n: int, D: int, max_labels: int = 10_000) -> BarSystem:
-    return BarSystem(tau_fn=_tau_schur_label,
-                     sort_key=lambda s: s.entries,
-                     max_labels=max_labels)
+def schur_system(n: int, D: int) -> BarSystem:
+    return BarSystem(tau_fn=_tau_schur_label, sort_key=lambda s: s.entries)
 
 
 def canonical_schur(s: PeriodicMatrix, system: BarSystem = None) -> CanonicalExpansion:

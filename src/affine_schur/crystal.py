@@ -9,12 +9,14 @@ of a basis vector.  Their agreement is a core test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import tmodule
 from .flag_comb import FlagSymbol
 from .laurent import RationalScalar, quantum_binomial, quantum_factorial
-from .tmodule import ModuleVector, apply_e, apply_f, apply_divided
+from .tmodule import ModuleVector, chevalley
+from .vector import add_scaled
+
+_R_MINUS_ONE = -RationalScalar.one()
 
 
 @dataclass(frozen=True)
@@ -92,26 +94,9 @@ def _iweight(terms: dict, i: int) -> int:
     return len(p.preimage(i)) - len(p.preimage(i + 1))
 
 
-def _r_apply(i: int, terms: dict, which: str) -> dict:
-    """Chevalley operators on a rational-coefficient vector {symbol: scalar}."""
-    out = {}
-    for p, c in terms.items():
-        if which == "e":
-            main, other, delta, cmp = p.preimage(i + 1), p.preimage(i), -1, int.__gt__
-        else:
-            main, other, delta, cmp = p.preimage(i), p.preimage(i + 1), 1, int.__lt__
-        for k in main:
-            exp = (sum(1 for l in main if cmp(l, k)) - sum(1 for l in other if cmp(l, k)))
-            q = p.with_value(k, p(k) + delta)
-            add = c.shift(exp)
-            s = out.get(q)
-            out[q] = add if s is None else s + add
-    return {q: c for q, c in out.items() if not c.is_zero()}
-
-
 def _r_divided(i: int, k: int, terms: dict, which: str) -> dict:
     for _ in range(k):
-        terms = _r_apply(i, terms, which)
+        terms = chevalley(i, terms, which)
     return _over_factorial(terms, k)
 
 
@@ -134,7 +119,7 @@ def string_decomposition(x: ModuleVector, i: int) -> list:
         k = 0
         y = terms
         while True:
-            y_next = _r_apply(i, y, "e")
+            y_next = chevalley(i, y, "e")
             if not y_next:
                 break
             y = y_next
@@ -150,31 +135,24 @@ def string_decomposition(x: ModuleVector, i: int) -> list:
         binom = RationalScalar.from_laurent(quantum_binomial(m_top, k))
         u = {p: c / binom for p, c in top.items()}
         out.append((k, u))
-        back = _r_divided(i, k, u, "f")
-        for p, c in back.items():
-            s = terms.get(p, RationalScalar.zero()) - c
-            if s.is_zero():
-                terms.pop(p, None)
-            else:
-                terms[p] = s
+        add_scaled(terms, _r_divided(i, k, u, "f"), _R_MINUS_ONE)
     out.reverse()
     return out
 
 
-def kashiwara_oracle(b: FlagSymbol, i: int, which: str = "f"):
-    """The Kashiwara operator via the string decomposition, reduced mod v L_D."""
-    x = ModuleVector.basis(b)
-    shift = 1 if which == "f" else -1
+def kashiwara_oracle(b: FlagSymbol, i: int) -> tuple:
+    """(f~_i b, e~_i b) from one string decomposition of [b], each reduced
+    mod v L_D; None where the string ends."""
+    parts = string_decomposition(ModuleVector.basis(b), i)
+    return tuple(_reduce_mod_v(parts, i, shift) for shift in (1, -1))
+
+
+def _reduce_mod_v(parts: list, i: int, shift: int):
+    """sum_k f_i^{(k + shift)} u_k as a crystal class mod v, or None."""
     out = {}
-    for k, u in string_decomposition(x, i):
-        if k + shift < 0:
-            continue
-        for p, c in _r_divided(i, k + shift, u, "f").items():
-            s = out.get(p, RationalScalar.zero()) + c
-            if s.is_zero():
-                out.pop(p, None)
-            else:
-                out[p] = s
+    for k, u in parts:
+        if k + shift >= 0:
+            add_scaled(out, _r_divided(i, k + shift, u, "f"))
     # the crystal lattice is the span over rational functions regular at
     # v = 0; reduce by evaluating each coefficient at v = 0
     consts = {}

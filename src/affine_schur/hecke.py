@@ -4,6 +4,11 @@ Products, inverses, the bar involution, and the finite coset and double-coset
 sums underlying the flag module and the Schur algebra.  The quadratic
 relation is (T_i + 1)(T_i - v^-2) = 0 throughout.
 
+`HeckeElement` is a `vector.SparseVector` over permutations, and every sum
+here goes through `vector.add_scaled`.  `collapse` is the one way back from
+the T_w basis to coset labels: `tmodule` uses it for flag symbols (left
+S_lambda cosets) and `canonical` for matrices (double cosets).
+
 Memo.  `bar` keeps bar(T_w) for every w it has met, in the module-level
 dict `_BAR_T`, keyed by the permutation w (its rank included) and held for
 the life of the process.  Each entry is a pair of equal-length tuples,
@@ -24,6 +29,7 @@ from functools import lru_cache
 from . import affine_weyl, flag_comb
 from .affine_weyl import AffinePermutation
 from .laurent import LaurentScalar, ONE
+from .vector import SparseVector, add_scaled
 
 _Q_LOW = LaurentScalar({-2: 1, 0: -1})   # v^-2 - 1
 _VM2 = LaurentScalar({-2: 1})            # v^-2
@@ -31,18 +37,17 @@ _VP2 = LaurentScalar({2: 1})             # v^2
 _VP2_M1 = LaurentScalar({2: 1, 0: -1})   # v^2 - 1
 
 
-class HeckeElement:
+class HeckeElement(SparseVector):
     """A finite A-linear combination of T_w, w in the affine symmetric group."""
 
-    __slots__ = ("rank", "terms")
+    __slots__ = ("rank",)
 
     def __init__(self, rank: int, terms: dict):
         self.rank = rank
-        self.terms = {w: c for w, c in terms.items() if not c.is_zero()}
+        super().__init__(terms)
 
-    @staticmethod
-    def zero(rank: int) -> "HeckeElement":
-        return HeckeElement(rank, {})
+    def _shape(self) -> tuple:
+        return (self.rank,)
 
     @staticmethod
     def unit(rank: int) -> "HeckeElement":
@@ -51,34 +56,6 @@ class HeckeElement:
     @staticmethod
     def t(w: AffinePermutation) -> "HeckeElement":
         return HeckeElement(w.rank, {w: ONE})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, w: AffinePermutation) -> LaurentScalar:
-        return self.terms.get(w, LaurentScalar.zero())
-
-    def __add__(self, other: "HeckeElement") -> "HeckeElement":
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w)
-            out[w] = c if s is None else s + c
-        return HeckeElement(self.rank, out)
-
-    def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self + other.scale(LaurentScalar.const(-1))
-
-    def scale(self, c: LaurentScalar) -> "HeckeElement":
-        return HeckeElement(self.rank, {w: c * x for w, x in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, HeckeElement)
-                and self.rank == other.rank and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.rank, frozenset(self.terms.items())))
 
     def __repr__(self):
         if not self.terms:
@@ -94,33 +71,28 @@ class HeckeElement:
 
 @lru_cache(maxsize=None)
 def _tw_times_simple(rank: int, window: tuple, i: int):
-    """T_w * T_{s_i} as a list of (window, coeff)."""
+    """T_w * T_{s_i} as a tuple of (permutation, coeff) pairs."""
     w = AffinePermutation(rank, window)
     ws = w * affine_weyl.simple(rank, i)
     if not w.has_right_descent(i):
-        return ((ws.window, ONE),)
-    return ((window, _Q_LOW), (ws.window, _VM2))
+        return ((ws, ONE),)
+    return ((w, _Q_LOW), (ws, _VM2))
 
 
 def mul_by_simple(h: HeckeElement, i: int, side: str = "right") -> HeckeElement:
     """h * T_{s_i} (side='right') or T_{s_i} * h (side='left')."""
+    if side not in ("right", "left"):
+        raise ValueError(f"bad side {side!r}")
     D = h.rank
     out = {}
     for w, c in h.terms.items():
         if side == "right":
             pairs = _tw_times_simple(D, w.window, i)
-        elif side == "left":
-            # T_{s_i} T_w = (T_{w^-1} T_{s_i})^anti; use descent of w^-1
-            winv = w.inverse()
-            pairs = tuple((AffinePermutation(D, u).inverse().window, c2)
-                          for u, c2 in _tw_times_simple(D, winv.window, i))
         else:
-            raise ValueError(f"bad side {side!r}")
-        for uwin, c2 in pairs:
-            u = AffinePermutation(D, uwin)
-            s = out.get(u)
-            prod = c * c2
-            out[u] = prod if s is None else s + prod
+            # T_{s_i} T_w = (T_{w^-1} T_{s_i})^anti; use descent of w^-1
+            pairs = ((u.inverse(), c2)
+                     for u, c2 in _tw_times_simple(D, w.inverse().window, i))
+        add_scaled(out, pairs, c)
     return HeckeElement(D, out)
 
 
@@ -146,15 +118,8 @@ def mul(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
         piece = mul_by_rotation(h1, k) if k else h1
         for i in word:
             piece = mul_by_simple(piece, i)
-        _accumulate(out, piece.terms.items(), c)
+        add_scaled(out, piece.terms, c)
     return HeckeElement(D, out)
-
-
-def _accumulate(out: dict, terms, c: LaurentScalar):
-    """out += c * terms, in place; zero sums are dropped by the caller."""
-    for u, d in terms:
-        s = out.get(u)
-        out[u] = c * d if s is None else s + c * d
 
 
 def mul_by_simple_inverse(h: HeckeElement, i: int, side: str = "right") -> HeckeElement:
@@ -215,7 +180,7 @@ def bar(h: HeckeElement) -> HeckeElement:
     """
     out = {}
     for w, c in h.terms.items():
-        _accumulate(out, zip(*_bar_t(w)), c.bar())
+        add_scaled(out, zip(*_bar_t(w)), c.bar())
     return HeckeElement(h.rank, out)
 
 
@@ -243,6 +208,29 @@ def double_coset_sum(lam: flag_comb.FlagSymbol, mu: flag_comb.FlagSymbol,
     rep = flag_comb.double_coset_min_rep(s, lam, mu)
     elems = affine_weyl.double_coset_elements(D, lam.values, rep, mu.values)
     return HeckeElement(D, {w: ONE for w in elems})
+
+
+def collapse(h: HeckeElement, coset, stat) -> dict:
+    """The coordinates {x: c} of h in a coset basis [x] = v^{stat(x)} T_x,
+    T_x the sum of T_w over the coset of x: the inverse of expanding into
+    coset sums.
+
+    coset(w) returns the label x of the coset that holds w and all of that
+    coset's elements.  Raises ArithmeticError when the coefficients of h are
+    not constant on a coset, that is when h is not in the span of the T_x.
+    """
+    remaining = dict(h.terms)
+    out = {}
+    while remaining:
+        w = next(iter(remaining))
+        c = remaining[w]
+        x, elems = coset(w)
+        for u in elems:
+            c2 = remaining.pop(u, None)
+            if c2 is None or c2 != c:
+                raise ArithmeticError(f"coefficients not constant on the coset of {x}")
+        out[x] = c.shift(-stat(x))
+    return out
 
 
 # ---------------------------------------------------------------------------

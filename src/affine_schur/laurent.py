@@ -78,9 +78,6 @@ class LaurentScalar:
     def is_one(self) -> bool:
         return self._c == {0: 1}
 
-    def is_monomial(self) -> bool:
-        return len(self._c) == 1
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
@@ -186,15 +183,9 @@ class LaurentScalar:
         """True iff the value lies in vZ[v] (all exponents >= 1)."""
         return all(e >= 1 for e in self._c)
 
-    def in_z_of_v(self) -> bool:
-        return all(e >= 0 for e in self._c)
-
     def positive_part(self) -> "LaurentScalar":
         """The vZ[v] part: terms with exponent >= 1."""
         return _raw({e: a for e, a in self._c.items() if e >= 1})
-
-    def nonneg_coeffs(self) -> bool:
-        return all(a > 0 for a in self._c.values())
 
     def evaluate(self, value: Fraction) -> Fraction:
         """Specialize v to a nonzero rational (test utility only)."""

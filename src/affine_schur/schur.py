@@ -1,9 +1,14 @@
 """The affine q-Schur algebra S_D in the [s] basis.
 
-Elements are block maps (lam, mu) -> {matrix: scalar}; multiplication acts
-through the Hecke realization (one source of truth, no structure-constant
-tables).  Also: the generator images of the quantum-algebra homomorphism,
-monomial evaluation, the sign character at D = n, and the block twist psi.
+Elements are flat combinations {matrix: scalar}, a `vector.SparseVector`;
+their grouping into (lam, mu) blocks is derived (`SchurElement.blocks`) from
+`canonical.block_of`, and every sum goes through `vector.add_scaled`.
+Multiplication acts through the Hecke realization (one source of truth, no
+structure-constant tables): a block expands into double-coset sums and the
+product comes back through the one coset collapse, `hecke.collapse` by way
+of `canonical.hecke_to_matrix_terms`.  Also: the generator images of the
+quantum-algebra homomorphism, monomial evaluation, the sign character at
+D = n, and the block twist psi.
 """
 
 from __future__ import annotations
@@ -15,92 +20,42 @@ from .canonical import hecke_to_matrix_terms
 from .flag_comb import FlagSymbol, PeriodicMatrix, x_stat, y_stat
 from .hecke import HeckeElement
 from .laurent import LaurentScalar, ONE, divide_exact, quantum_factorial
+from .vector import SparseVector, add_scaled
 
 
-class SchurElement:
-    """A finite A-linear combination of basis elements [s], organized by
-    (lam, mu) block."""
+class SchurElement(SparseVector):
+    """A finite A-linear combination of basis elements [s]."""
 
-    __slots__ = ("n", "D", "blocks")
+    __slots__ = ("n", "D")
 
-    def __init__(self, n: int, D: int, blocks: dict):
+    def __init__(self, n: int, D: int, terms: dict):
         self.n = n
         self.D = D
-        clean = {}
-        for (lam, mu), terms in blocks.items():
-            t = {s: c for s, c in terms.items() if not c.is_zero()}
-            for s in t:
-                if s.row_weight() != lam.weight() or s.col_weight() != mu.weight():
-                    raise ValueError("matrix outside its block")
-            if t:
-                clean[(lam, mu)] = t
-        self.blocks = clean
+        super().__init__(terms)
 
-    @staticmethod
-    def zero(n: int, D: int) -> "SchurElement":
-        return SchurElement(n, D, {})
+    def _shape(self) -> tuple:
+        return (self.n, self.D)
 
     @staticmethod
     def basis(s: PeriodicMatrix) -> "SchurElement":
-        lam, mu = canonical.block_of(s)
-        return SchurElement(s.n, s.D, {(lam, mu): {s: ONE}})
+        return SchurElement(s.n, s.D, {s: ONE})
 
-    @staticmethod
-    def from_terms(n: int, D: int, terms: dict) -> "SchurElement":
-        blocks = {}
-        for s, c in terms.items():
-            key = canonical.block_of(s)
-            blocks.setdefault(key, {})[s] = c
-        return SchurElement(n, D, blocks)
-
-    def is_zero(self) -> bool:
-        return not self.blocks
-
-    def terms(self) -> dict:
+    def blocks(self) -> dict:
+        """The terms grouped by block: {(lam, mu): {s: scalar}}."""
         out = {}
-        for t in self.blocks.values():
-            out.update(t)
+        for s, c in self.terms.items():
+            out.setdefault(canonical.block_of(s), {})[s] = c
         return out
 
-    def coeff(self, s: PeriodicMatrix) -> LaurentScalar:
-        key = canonical.block_of(s)
-        return self.blocks.get(key, {}).get(s, LaurentScalar.zero())
-
-    def __add__(self, other: "SchurElement") -> "SchurElement":
-        if (self.n, self.D) != (other.n, other.D):
-            raise ValueError("shape mismatch")
-        blocks = {k: dict(v) for k, v in self.blocks.items()}
-        for k, terms in other.blocks.items():
-            tgt = blocks.setdefault(k, {})
-            for s, c in terms.items():
-                prev = tgt.get(s)
-                tgt[s] = c if prev is None else prev + c
-        return SchurElement(self.n, self.D, blocks)
-
-    def __sub__(self, other: "SchurElement") -> "SchurElement":
-        return self + other.scale(LaurentScalar.const(-1))
-
-    def scale(self, c: LaurentScalar) -> "SchurElement":
-        return SchurElement(self.n, self.D,
-                            {k: {s: c * x for s, x in t.items()}
-                             for k, t in self.blocks.items()})
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SchurElement)
-                and (self.n, self.D) == (other.n, other.D)
-                and self.blocks == other.blocks)
-
-    def __hash__(self):
-        return hash((self.n, self.D,
-                     frozenset((k, frozenset(t.items()))
-                               for k, t in self.blocks.items())))
+    def _sorted_blocks(self) -> list:
+        return sorted(self.blocks().items(),
+                      key=lambda kv: (kv[0][0].values, kv[0][1].values))
 
     def __repr__(self):
-        if not self.blocks:
+        if not self.terms:
             return "SchurElement(0)"
         bits = []
-        for (lam, mu), terms in sorted(self.blocks.items(),
-                                       key=lambda kv: (kv[0][0].values, kv[0][1].values)):
+        for _, terms in self._sorted_blocks():
             for s, c in sorted(terms.items(), key=lambda t: t[0].entries):
                 bits.append(f"({c})*[{dict(s.entries)}]")
         return " + ".join(bits)
@@ -110,8 +65,7 @@ class SchurElement:
 
     def to_json(self) -> dict:
         out = []
-        for (lam, mu), terms in sorted(self.blocks.items(),
-                                       key=lambda kv: (kv[0][0].values, kv[0][1].values)):
+        for (lam, mu), terms in self._sorted_blocks():
             out.append({"lambda": list(lam.values), "mu": list(mu.values),
                         "terms": [{"matrix": [[i, j, v] for (i, j), v in s.entries],
                                    "coeff": c.to_json()}
@@ -121,13 +75,10 @@ class SchurElement:
     @staticmethod
     def from_json(obj: dict) -> "SchurElement":
         n, D = obj["n"], obj["D"]
-        terms = {}
-        for blk in obj["blocks"]:
-            for t in blk["terms"]:
-                s = PeriodicMatrix.make(n, D, {(i, j): v for i, j, v in t["matrix"]})
-                c = LaurentScalar.from_json(t["coeff"])
-                terms[s] = terms.get(s, LaurentScalar.zero()) + c
-        return SchurElement.from_terms(n, D, terms)
+        return SchurElement(n, D, add_scaled({}, (
+            (PeriodicMatrix.make(n, D, {(i, j): v for i, j, v in t["matrix"]}),
+             LaurentScalar.from_json(t["coeff"]))
+            for blk in obj["blocks"] for t in blk["terms"])))
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +86,10 @@ class SchurElement:
 
 
 def _block_to_hecke(terms: dict, lam: FlagSymbol, mu: FlagSymbol) -> HeckeElement:
-    h = HeckeElement.zero(lam.D)
+    out = {}
     for s, c in terms.items():
-        h = h + hecke.double_coset_sum(lam, mu, s).scale(c.shift(y_stat(s)))
-    return h
+        add_scaled(out, hecke.double_coset_sum(lam, mu, s).terms, c.shift(y_stat(s)))
+    return HeckeElement(lam.D, out)
 
 
 @lru_cache(maxsize=None)
@@ -161,20 +112,20 @@ def schur_mul(a: SchurElement, b: SchurElement) -> SchurElement:
     T_mu h -> T_s h."""
     if (a.n, a.D) != (b.n, b.D):
         raise ValueError("shape mismatch")
-    out = SchurElement.zero(a.n, a.D)
-    for (lam, mu), aterms in a.blocks.items():
+    out = {}
+    b_blocks = b.blocks()
+    for (lam, mu), aterms in a.blocks().items():
         ah = _block_to_hecke(aterms, lam, mu)
-        for (mu2, nu), bterms in b.blocks.items():
+        for (mu2, nu), bterms in b_blocks.items():
             if mu2 != mu:
                 continue
             for t, c in bterms.items():
-                prod = HeckeElement.zero(a.D)
+                prod = {}
                 for w in _left_coset_min_reps(t, mu, nu):
-                    prod = prod + hecke.mul(ah, HeckeElement.t(w))
-                prod = prod.scale(c.shift(y_stat(t)))
-                collapsed = hecke_to_matrix_terms(lam, nu, prod)
-                out = out + SchurElement.from_terms(a.n, a.D, collapsed)
-    return out
+                    add_scaled(prod, hecke.mul(ah, HeckeElement.t(w)).terms,
+                               c.shift(y_stat(t)))
+                add_scaled(out, hecke_to_matrix_terms(lam, nu, HeckeElement(a.D, prod)))
+    return SchurElement(a.n, a.D, out)
 
 
 def unit_on_weights(n: int, D: int, weights) -> SchurElement:
@@ -183,40 +134,32 @@ def unit_on_weights(n: int, D: int, weights) -> SchurElement:
     for wt in weights:
         lam = flag_comb.dominant_from_weight(n, D, wt)
         terms[flag_comb.delta_matrix(lam)] = ONE
-    return SchurElement.from_terms(n, D, terms)
+    return SchurElement(n, D, terms)
 
 
 def act_on_module(x: SchurElement, vec) -> "tmodule.ModuleVector":
     """The left action on the flag module: [s] in H_{lam,mu} maps the
-    mu-block of vec through the Hecke realization."""
+    mu-block of vec through the Hecke realization.
+
+    The mu-block of vec is sum_p c_p v^{x_p} T_p with T_p = T_mu T_{w_p},
+    w_p the minimal coset rep, and a in H_{lam,mu} sends T_mu T_{w_p} to
+    a T_{w_p}; the image is collapsed back onto lam-labels.
+    """
     from . import tmodule
-    out = tmodule.ModuleVector.zero(x.n, x.D)
-    vec_blocks = tmodule.to_hecke_blocks(vec)
-    for (lam, mu), terms in x.blocks.items():
-        h = vec_blocks.get(mu)
-        if h is None:
+    vec_blocks = {}
+    for p, c in vec.terms.items():
+        vec_blocks.setdefault(p.dominant_rep(), {})[p] = c
+    out = {}
+    for (lam, mu), terms in x.blocks().items():
+        if mu not in vec_blocks:
             continue
-        # write the mu-block as T_mu * h'; T_mu itself is v^{-x_mu}[mu],
-        # so h' = v^{x_mu} (coefficient extraction below)
-        # The block of vec is sum_w c_w T_w with coefficients constant on
-        # left S_mu-cosets; acting by a in H_{lam,mu}: T_mu T_w0 -> a T_w0
-        # for minimal reps w0.
         ah = _block_to_hecke(terms, lam, mu)
-        reps = {}
-        remaining = dict(h.terms)
-        acc = HeckeElement.zero(x.D)
-        while remaining:
-            w = next(iter(remaining))
-            p = mu.act(w)
-            w0 = p.min_coset_rep()
-            c = remaining[w]
-            for u in affine_weyl.young_subgroup_elements(x.D, mu.values):
-                c2 = remaining.pop(u * w0, None)
-                if c2 is None or c2 != c:
-                    raise ArithmeticError("vector not in the mu-block submodule")
-            acc = acc + hecke.mul(ah, HeckeElement.t(w0)).scale(c)
-        out = out + tmodule.from_hecke_block(lam, acc)
-    return out
+        acc = {}
+        for p, c in vec_blocks[mu].items():
+            add_scaled(acc, hecke.mul(ah, HeckeElement.t(p.min_coset_rep())).terms,
+                       c.shift(x_stat(p)))
+        add_scaled(out, tmodule.from_hecke_block(lam, HeckeElement(x.D, acc)).terms)
+    return tmodule.ModuleVector(x.n, x.D, out)
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +250,14 @@ def _wshift(n: int, kind: str, i: int, k: int) -> tuple:
 
 def _mul_gen_left(x: SchurElement, kind: str, i: int, k: int) -> SchurElement:
     """Left multiplication by e_i^(k) or f_i^(k)."""
-    out = SchurElement.zero(x.n, x.D)
+    out = {}
     shift = _wshift(x.n, kind, i, 1)
-    for (lam, mu), terms in x.blocks.items():
-        piece = SchurElement(x.n, x.D, {(lam, mu): terms})
+    for terms in x.blocks().values():
+        piece = SchurElement(x.n, x.D, terms)
         for _ in range(k):
-            left_wt = next(iter(piece.blocks))[0].weight() if piece.blocks else None
-            if left_wt is None:
+            if piece.is_zero():
                 break
+            left_wt = next(iter(piece.terms)).row_weight()
             new_wt = tuple(a + b for a, b in zip(left_wt, shift))
             if any(m < 0 for m in new_wt):
                 piece = SchurElement.zero(x.n, x.D)
@@ -324,20 +267,20 @@ def _mul_gen_left(x: SchurElement, kind: str, i: int, k: int) -> SchurElement:
             else:
                 g = phi_f(x.n, x.D, i, left_wt)
             piece = schur_mul(g, piece)
-        out = out + _divide(piece, quantum_factorial(k))
-    return out
+        add_scaled(out, _divide(piece, quantum_factorial(k)).terms)
+    return SchurElement(x.n, x.D, out)
 
 
 def _mul_gen_right(x: SchurElement, kind: str, i: int, k: int) -> SchurElement:
     """Right multiplication by e_i^(k) or f_i^(k)."""
-    out = SchurElement.zero(x.n, x.D)
+    out = {}
     shift = _wshift(x.n, kind, i, 1)
-    for (lam, mu), terms in x.blocks.items():
-        piece = SchurElement(x.n, x.D, {(lam, mu): terms})
+    for terms in x.blocks().values():
+        piece = SchurElement(x.n, x.D, terms)
         for _ in range(k):
-            right_wt = next(iter(piece.blocks))[1].weight() if piece.blocks else None
-            if right_wt is None:
+            if piece.is_zero():
                 break
+            right_wt = next(iter(piece.terms)).col_weight()
             if kind == "e":
                 g = phi_e(x.n, x.D, i, right_wt)
             else:
@@ -348,16 +291,14 @@ def _mul_gen_right(x: SchurElement, kind: str, i: int, k: int) -> SchurElement:
                     break
                 g = phi_f(x.n, x.D, i, new_wt)
             piece = schur_mul(piece, g)
-        out = out + _divide(piece, quantum_factorial(k))
-    return out
+        add_scaled(out, _divide(piece, quantum_factorial(k)).terms)
+    return SchurElement(x.n, x.D, out)
 
 
 def _divide(x: SchurElement, d: LaurentScalar) -> SchurElement:
     if d.is_one():
         return x
-    return SchurElement(x.n, x.D,
-                        {k: {s: divide_exact(c, d) for s, c in t.items()}
-                         for k, t in x.blocks.items()})
+    return SchurElement(x.n, x.D, {s: divide_exact(c, d) for s, c in x.terms.items()})
 
 
 def phi_monomial(m: UdotMonomial, D: int) -> SchurElement:
@@ -392,19 +333,10 @@ def phi_monomial(m: UdotMonomial, D: int) -> SchurElement:
 
 
 def tau_schur(x: SchurElement) -> SchurElement:
-    out = SchurElement.zero(x.n, x.D)
-    for (lam, mu), terms in x.blocks.items():
-        acc = {}
-        for s, c in terms.items():
-            cb = c.bar()
-            for t, d in canonical._tau_schur_terms(s):
-                prev = acc.get(t, LaurentScalar.zero()) + cb * d
-                if prev.is_zero():
-                    acc.pop(t, None)
-                else:
-                    acc[t] = prev
-        out = out + SchurElement(x.n, x.D, {(lam, mu): acc})
-    return out
+    out = {}
+    for s, c in x.terms.items():
+        add_scaled(out, canonical._tau_schur_terms(s), c.bar())
+    return SchurElement(x.n, x.D, out)
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +352,9 @@ def epsilon_sign(x: SchurElement, rho_value: LaurentScalar = ONE) -> LaurentScal
         raise ValueError("the sign character lives at D = n")
     std = FlagSymbol(x.n, x.n, tuple(range(1, x.n + 1)))
     total = LaurentScalar.zero()
-    for (lam, mu), terms in x.blocks.items():
-        if lam != std or mu != std:
-            continue
-        h = _block_to_hecke(terms, lam, mu)
+    terms = x.blocks().get((std, std))
+    if terms:
+        h = _block_to_hecke(terms, std, std)
         for w, c in h.terms.items():
             k, word = w.reduced_word()
             sign = LaurentScalar.const(-1 if len(word) % 2 else 1)
@@ -441,11 +372,11 @@ def _inv_monomial(c: LaurentScalar) -> LaurentScalar:
 
 def psi_twist(x: SchurElement, sign: int = 1) -> SchurElement:
     """Blockwise scalar v^{sign * (sum window(lam) - sum window(mu))}."""
-    blocks = {}
-    for (lam, mu), terms in x.blocks.items():
-        exp = sign * (sum(lam.values) - sum(mu.values))
-        blocks[(lam, mu)] = {s: c.shift(exp) for s, c in terms.items()}
-    return SchurElement(x.n, x.D, blocks)
+    terms = {}
+    for s, c in x.terms.items():
+        lam, mu = canonical.block_of(s)
+        terms[s] = c.shift(sign * (sum(lam.values) - sum(mu.values)))
+    return SchurElement(x.n, x.D, terms)
 
 
 def offset_sum(s: PeriodicMatrix) -> int:
@@ -457,6 +388,5 @@ def offset_sum(s: PeriodicMatrix) -> int:
 def offset_twist(x: SchurElement, sign: int = 1) -> SchurElement:
     """The diagonal twist [s] -> v^{sign * offset_sum(s)} [s]; this is the
     per-symbol-pair reading of the blockwise scalar v^{sum(lam_i - mu_i)}."""
-    return SchurElement.from_terms(
-        x.n, x.D,
-        {s: c.shift(sign * offset_sum(s)) for s, c in x.terms().items()})
+    return SchurElement(x.n, x.D,
+                        {s: c.shift(sign * offset_sum(s)) for s, c in x.terms.items()})

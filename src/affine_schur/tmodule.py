@@ -3,65 +3,46 @@
 Vectors are written in the renormalized basis [p] = v^{x_p} T_p.  The module
 carries a right Hecke action, a left action of the modified quantum algebra
 through the residue operators e_i, f_i, and the antilinear involution tau.
+
+`ModuleVector` is a `vector.SparseVector` over flag symbols and every sum
+here goes through `vector.add_scaled`.  A vector passes to the T_w basis one
+dominant block at a time (`to_hecke_blocks`) and comes back through the one
+coset collapse, `hecke.collapse` over left S_lambda cosets with the shift
+v^{-x_p} (`from_hecke_block`).  `chevalley` is the one Chevalley operator,
+on a dict over either scalar ring; the crystal oracle uses it over Q(v).
 """
 
 from __future__ import annotations
+
+from itertools import combinations, permutations
 
 from . import affine_weyl, flag_comb, hecke
 from .flag_comb import FlagSymbol, x_stat
 from .hecke import HeckeElement
 from .laurent import (LaurentScalar, ONE, divide_exact, quantum_factorial,
                       quantum_integer)
+from .vector import SparseVector, add_scaled
 
 
-class ModuleVector:
+class ModuleVector(SparseVector):
     """A finite A-linear combination of basis vectors [p], p a flag symbol."""
 
-    __slots__ = ("n", "D", "terms")
+    __slots__ = ("n", "D")
 
     def __init__(self, n: int, D: int, terms: dict):
         self.n = n
         self.D = D
-        self.terms = {p: c for p, c in terms.items() if not c.is_zero()}
+        super().__init__(terms)
         for p in self.terms:
             if (p.n, p.D) != (n, D):
                 raise ValueError("symbol shape mismatch")
 
-    @staticmethod
-    def zero(n: int, D: int) -> "ModuleVector":
-        return ModuleVector(n, D, {})
+    def _shape(self) -> tuple:
+        return (self.n, self.D)
 
     @staticmethod
     def basis(p: FlagSymbol) -> "ModuleVector":
         return ModuleVector(p.n, p.D, {p: ONE})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, p: FlagSymbol) -> LaurentScalar:
-        return self.terms.get(p, LaurentScalar.zero())
-
-    def __add__(self, other: "ModuleVector") -> "ModuleVector":
-        if (self.n, self.D) != (other.n, other.D):
-            raise ValueError("shape mismatch")
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            s = out.get(p)
-            out[p] = c if s is None else s + c
-        return ModuleVector(self.n, self.D, out)
-
-    def __sub__(self, other: "ModuleVector") -> "ModuleVector":
-        return self + other.scale(LaurentScalar.const(-1))
-
-    def scale(self, c: LaurentScalar) -> "ModuleVector":
-        return ModuleVector(self.n, self.D, {p: c * x for p, x in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ModuleVector) and (self.n, self.D) == (other.n, other.D)
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.n, self.D, frozenset(self.terms.items())))
 
     def __repr__(self):
         if not self.terms:
@@ -81,11 +62,9 @@ class ModuleVector:
     @staticmethod
     def from_json(obj: dict) -> "ModuleVector":
         n, D = obj["n"], obj["D"]
-        terms = {}
-        for t in obj["terms"]:
-            p = FlagSymbol(n, D, tuple(t["p"]))
-            terms[p] = terms.get(p, LaurentScalar.zero()) + LaurentScalar.from_json(t["coeff"])
-        return ModuleVector(n, D, terms)
+        return ModuleVector(n, D, add_scaled({}, (
+            (FlagSymbol(n, D, tuple(t["p"])), LaurentScalar.from_json(t["coeff"]))
+            for t in obj["terms"])))
 
 
 # ---------------------------------------------------------------------------
@@ -97,42 +76,53 @@ def _check_residue(n: int, i: int):
         raise ValueError(f"residue {i} out of range [0, {n - 1}]")
 
 
+def chevalley(i: int, terms: dict, which: str) -> dict:
+    """e_i (which = "e") or f_i ("f") on a vector {symbol: scalar}.
+
+    e_i turns one value i+1 into i, f_i one value i into i+1.  Moving the
+    value at position k gives the weight v^(a - b): a positions beyond k
+    hold the moving value and b hold the value it becomes, where beyond
+    means right of k for e and left of k for f.
+    """
+    if which not in ("e", "f"):
+        raise ValueError(f"unknown Chevalley operator {which!r}")
+
+    def moved():
+        for p, c in terms.items():
+            lo, up = p.preimage(i), p.preimage(i + 1)
+            if which == "e":
+                main, other, value, beyond = up, lo, i, int.__gt__
+            else:
+                main, other, value, beyond = lo, up, i + 1, int.__lt__
+            for k in main:
+                exp = (sum(1 for l in main if beyond(l, k))
+                       - sum(1 for l in other if beyond(l, k)))
+                yield p.with_value(k, value), c.shift(exp)
+
+    return add_scaled({}, moved())
+
+
 def apply_e(i: int, x: ModuleVector) -> ModuleVector:
     _check_residue(x.n, i)
-    out = ModuleVector.zero(x.n, x.D)
-    for p, c in x.terms.items():
-        up = p.preimage(i + 1)
-        lo = p.preimage(i)
-        for k in up:
-            exp = (sum(1 for l in up if l > k) - sum(1 for l in lo if l > k))
-            q = p.with_value(k, i)
-            out = out + ModuleVector(x.n, x.D, {q: c.shift(exp)})
-    return out
+    return ModuleVector(x.n, x.D, chevalley(i, x.terms, "e"))
 
 
 def apply_f(i: int, x: ModuleVector) -> ModuleVector:
     _check_residue(x.n, i)
-    out = ModuleVector.zero(x.n, x.D)
-    for p, c in x.terms.items():
-        lo = p.preimage(i)
-        up = p.preimage(i + 1)
-        for k in lo:
-            exp = (sum(1 for l in lo if l < k) - sum(1 for l in up if l < k))
-            q = p.with_value(k, i + 1)
-            out = out + ModuleVector(x.n, x.D, {q: c.shift(exp)})
-    return out
+    return ModuleVector(x.n, x.D, chevalley(i, x.terms, "f"))
 
 
 def apply_divided(i: int, k: int, x: ModuleVector, which: str = "f") -> ModuleVector:
     """The divided power e_i^(k) or f_i^(k): k-fold action, exact division by [k]!."""
     if k < 0:
         raise ValueError("negative divided power")
-    op = {"e": apply_e, "f": apply_f}[which]
+    _check_residue(x.n, i)
+    terms = x.terms
     for _ in range(k):
-        x = op(i, x)
+        terms = chevalley(i, terms, which)
     fact = quantum_factorial(k)
     return ModuleVector(x.n, x.D,
-                        {p: divide_exact(c, fact) for p, c in x.terms.items()})
+                        {p: divide_exact(c, fact) for p, c in terms.items()})
 
 
 def apply_idempotent(mu, x: ModuleVector) -> ModuleVector:
@@ -159,9 +149,9 @@ def to_hecke_blocks(x: ModuleVector) -> dict:
     blocks = {}
     for p, c in x.terms.items():
         lam = p.dominant_rep()
-        h = hecke.coset_sum(lam, p).scale(c.shift(x_stat(p)))
-        blocks[lam] = blocks.get(lam, HeckeElement.zero(x.D)) + h
-    return {lam: h for lam, h in blocks.items() if not h.is_zero()}
+        add_scaled(blocks.setdefault(lam, {}), hecke.coset_sum(lam, p).terms,
+                   c.shift(x_stat(p)))
+    return {lam: HeckeElement(x.D, t) for lam, t in blocks.items() if t}
 
 
 def from_hecke_block(lam: FlagSymbol, h: HeckeElement) -> ModuleVector:
@@ -170,66 +160,51 @@ def from_hecke_block(lam: FlagSymbol, h: HeckeElement) -> ModuleVector:
     The coefficients must be constant on left S_lambda cosets; a violation
     means the input was not in the submodule and is a bug upstream.
     """
-    n, D = lam.n, lam.D
-    remaining = dict(h.terms)
-    out = {}
-    while remaining:
-        w = next(iter(remaining))
-        p = lam.act(w)
-        c = remaining[w]
-        for u in affine_weyl.young_subgroup_elements(D, lam.values):
-            uw = u * w
-            c2 = remaining.pop(uw, None)
-            if c2 is None or c2 != c:
-                raise ArithmeticError("coefficients not constant on the coset")
-        out[p] = c.shift(-x_stat(p))
-    return ModuleVector(n, D, out)
-
-
-def from_hecke_blocks(blocks: dict, n: int, D: int) -> ModuleVector:
-    out = ModuleVector.zero(n, D)
-    for lam, h in blocks.items():
-        out = out + from_hecke_block(lam, h)
-    return out
+    young = affine_weyl.young_subgroup_elements(lam.D, lam.values)
+    terms = hecke.collapse(h, lambda w: (lam.act(w), [u * w for u in young]),
+                           x_stat)
+    return ModuleVector(lam.n, lam.D, terms)
 
 
 def right_hecke(x: ModuleVector, h: HeckeElement) -> ModuleVector:
     """The right Hecke action, computed in the T_w basis blockwise."""
     if h.rank != x.D:
         raise ValueError("rank mismatch")
-    out = ModuleVector.zero(x.n, x.D)
+    out = {}
     for lam, block in to_hecke_blocks(x).items():
-        out = out + from_hecke_block(lam, hecke.mul(block, h))
-    return out
+        add_scaled(out, from_hecke_block(lam, hecke.mul(block, h)).terms)
+    return ModuleVector(x.n, x.D, out)
 
 
 def right_simple(x: ModuleVector, j: int) -> ModuleVector:
     """Fast path for x * T_{s_j} using the coset length bookkeeping."""
     sj = affine_weyl.simple(x.D, j)
-    out = ModuleVector.zero(x.n, x.D)
     vm2 = LaurentScalar({-2: 1})
     vm2_m1 = LaurentScalar({-2: 1, 0: -1})
-    for p, c in x.terms.items():
-        q = p.act(sj)
-        if q == p:
-            out = out + ModuleVector(x.n, x.D, {p: c * vm2})
-            continue
-        wp = p.min_coset_rep()
-        shift = x_stat(p) - x_stat(q)
-        if (wp * sj).length() > wp.length():
-            out = out + ModuleVector(x.n, x.D, {q: c.shift(shift)})
-        else:
-            out = out + ModuleVector(x.n, x.D,
-                                     {p: c * vm2_m1, q: (c * vm2).shift(shift)})
-    return out
+
+    def images():
+        for p, c in x.terms.items():
+            q = p.act(sj)
+            if q == p:
+                yield p, c * vm2
+                continue
+            wp = p.min_coset_rep()
+            shift = x_stat(p) - x_stat(q)
+            if (wp * sj).length() > wp.length():
+                yield q, c.shift(shift)
+            else:
+                yield p, c * vm2_m1
+                yield q, (c * vm2).shift(shift)
+
+    return ModuleVector(x.n, x.D, add_scaled({}, images()))
 
 
 def tau(x: ModuleVector) -> ModuleVector:
     """The antilinear involution with tau([p]) = bar([p]), blockwise."""
-    out = ModuleVector.zero(x.n, x.D)
+    out = {}
     for lam, block in to_hecke_blocks(x).items():
-        out = out + from_hecke_block(lam, hecke.bar(block))
-    return out
+        add_scaled(out, from_hecke_block(lam, hecke.bar(block)).terms)
+    return ModuleVector(x.n, x.D, out)
 
 
 # ---------------------------------------------------------------------------
@@ -245,35 +220,30 @@ def angle_vector(p: FlagSymbol, i: int) -> ModuleVector:
     J = part.unpaired
     t = len(part.pairs)
     target = sum(1 for k in J if p(k) == i + 1)
-    out = ModuleVector.zero(p.n, p.D)
-    for A in _subsets_of_size(J, target):
-        aset = set(A)
-        n_A = sum(1 for k in A for l in J if l not in aset and k > l)
-        base = p
-        for k in J:
-            base = base.with_value(k, i + 1 if k in aset else i)
-        for B in _all_subsets(range(t)):
-            q = base
-            for s in B:
-                k, l = part.pairs[s]
-                q = q.with_value(k, i + 1).with_value(l, i)
-            for s in range(t):
-                if s not in B:
+
+    def summands():
+        for A in combinations(J, target):
+            aset = set(A)
+            n_A = sum(1 for k in A for l in J if l not in aset and k > l)
+            base = p
+            for k in J:
+                base = base.with_value(k, i + 1 if k in aset else i)
+            for B in _all_subsets(range(t)):
+                q = base
+                for s in B:
                     k, l = part.pairs[s]
-                    q = q.with_value(k, i).with_value(l, i + 1)
-            coeff = LaurentScalar.monomial(1 if len(B) % 2 == 0 else -1,
-                                           n_A + len(B))
-            out = out + ModuleVector(p.n, p.D, {q: coeff})
-    return out
+                    q = q.with_value(k, i + 1).with_value(l, i)
+                for s in range(t):
+                    if s not in B:
+                        k, l = part.pairs[s]
+                        q = q.with_value(k, i).with_value(l, i + 1)
+                yield q, LaurentScalar.monomial(1 if len(B) % 2 == 0 else -1,
+                                                n_A + len(B))
 
-
-def _subsets_of_size(items, size):
-    from itertools import combinations
-    return combinations(items, size)
+    return ModuleVector(p.n, p.D, add_scaled({}, summands()))
 
 
 def _all_subsets(items):
-    from itertools import combinations
     items = list(items)
     for r in range(len(items) + 1):
         yield from (set(c) for c in combinations(items, r))
@@ -289,7 +259,6 @@ def commutator_form(n: int, D: int, i: int, mu) -> "int | None":
     lam = flag_comb.dominant_from_weight(n, D, mu)
     m_seen = None
     # probe on every symbol of weight mu within one period window
-    from itertools import permutations
     symbols = {FlagSymbol(n, D, perm) for perm in permutations(lam.values)}
     for p in symbols:
         x = ModuleVector.basis(p)

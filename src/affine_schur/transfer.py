@@ -22,6 +22,7 @@ from .laurent import (LaurentScalar, ONE, RationalScalar, divide_exact,
                       quantum_factorial)
 from .schur import (SchurElement, UdotMonomial, phi_e, phi_f,
                     phi_idempotent, phi_monomial)
+from .vector import add_scaled
 
 
 # Convention flags frozen by calibrate_flags(); the calibration test asserts
@@ -36,6 +37,8 @@ PSI_FLAG = ("offset", -1)
 EPS_RHO = ONE
 PSI_CANDIDATES = (("offset", 1), ("offset", -1), ("window", 1),
                   ("window", -1), ("weight", 0))
+# the most search states `MonomialSpan.grow` visits before it gives up
+MAX_STATES = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -177,20 +180,15 @@ def _basis_gen(s: PeriodicMatrix, kind: str, i: int) -> tuple:
         g = phi_f(n, D, i, lam)
     if g.is_zero():
         return ()
-    return tuple(schur.schur_mul(SchurElement.basis(s), g).terms().items())
+    return tuple(schur.schur_mul(SchurElement.basis(s), g).terms.items())
 
 
 def _mul_gen_right_cached(x: SchurElement, kind: str, i: int) -> SchurElement:
     """x * e_i or x * f_i, distributed over basis matrices with caching."""
     out = {}
-    for s, c in x.terms().items():
-        for t, a in _basis_gen(s, kind, i):
-            prev = out.get(t, LaurentScalar.zero()) + c * a
-            if prev.is_zero():
-                out.pop(t, None)
-            else:
-                out[t] = prev
-    return SchurElement.from_terms(x.n, x.D, out)
+    for s, c in x.terms.items():
+        add_scaled(out, _basis_gen(s, kind, i), c)
+    return SchurElement(x.n, x.D, out)
 
 
 def _weight_bump(nu: tuple, r: int, n: int):
@@ -207,25 +205,14 @@ def _omega_step(n: int, terms: dict, kind: str, i: int) -> dict:
     """Right multiplication of a tensor dict by Delta(e_i) or Delta(f_i)."""
     r = i if i >= 1 else n
     out = {}
-
-    def add(key, c):
-        prev = out.get(key)
-        s = c if prev is None else prev + c
-        if s.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = s
-
     for (s1, s2), c in terms.items():
         nu1, nu2 = s1.col_weight(), s2.col_weight()
         if kind == "e":
             c2, c1 = c.shift(nu1[r - 1]), c.shift(-nu2[r - 1])
         else:
             c2, c1 = c.shift(-nu1[r % n]), c.shift(nu2[r % n])
-        for t2, a in _basis_gen(s2, kind, i):
-            add((s1, t2), c2 * a)
-        for t1, a in _basis_gen(s1, kind, i):
-            add((t1, s2), c1 * a)
+        add_scaled(out, (((s1, t2), a) for t2, a in _basis_gen(s2, kind, i)), c2)
+        add_scaled(out, (((t1, s2), a) for t1, a in _basis_gen(s1, kind, i)), c1)
     return out
 
 
@@ -273,17 +260,8 @@ def _eps_of_basis(s: PeriodicMatrix, rho_value: LaurentScalar) -> LaurentScalar:
 def epsilon_collapse(terms: dict, n: int, D2: int,
                      rho_value: LaurentScalar = EPS_RHO) -> SchurElement:
     """Apply the sign character to the rank-n tensor leg."""
-    out = {}
-    for (s1, s2), c in terms.items():
-        e = _eps_of_basis(s1, rho_value)
-        if e.is_zero():
-            continue
-        prev = out.get(s2, LaurentScalar.zero()) + c * e
-        if prev.is_zero():
-            out.pop(s2, None)
-        else:
-            out[s2] = prev
-    return SchurElement.from_terms(n, D2, out)
+    return SchurElement(n, D2, add_scaled({}, (
+        (s2, c * _eps_of_basis(s1, rho_value)) for (s1, s2), c in terms.items())))
 
 
 def _apply_psi(x: SchurElement, psi_flag: tuple) -> SchurElement:
@@ -392,7 +370,6 @@ class MonomialSpan:
     with an exact elimination workspace over the rational function field."""
     n: int
     D: int
-    max_labels: int = 100_000
     monomials: list = field(default_factory=list)
     images: list = field(default_factory=list)
     _rows: list = field(default_factory=list)   # (pivot, vec, combo)
@@ -405,34 +382,24 @@ class MonomialSpan:
         return max(self._grown.values(), default=0)
 
     def _vec_of(self, x: SchurElement) -> dict:
-        return {s: RationalScalar.from_laurent(c) for s, c in x.terms().items()}
+        return {s: RationalScalar.from_laurent(c) for s, c in x.terms.items()}
 
     @staticmethod
     def _state_key(x: SchurElement):
         """Dedup key for search states: the image up to a global scalar
         (scalar multiples generate the same cone of descendants)."""
-        items = sorted(x.terms().items(), key=lambda t: t[0].entries)
+        items = sorted(x.terms.items(), key=lambda t: t[0].entries)
         c0 = RationalScalar.from_laurent(items[0][1])
         return tuple((s, RationalScalar.from_laurent(c) / c0) for s, c in items)
 
     def _reduce(self, vec: dict):
         combo = {}
-        for idx, (pivot, rvec, rcombo) in enumerate(self._rows):
+        for pivot, rvec, rcombo in self._rows:
             c = vec.get(pivot)
-            if c is None or c.is_zero():
+            if c is None:
                 continue
-            for s, a in rvec.items():
-                r = vec.get(s, RationalScalar.zero()) - c * a
-                if r.is_zero():
-                    vec.pop(s, None)
-                else:
-                    vec[s] = r
-            for j, a in rcombo.items():
-                r = combo.get(j, RationalScalar.zero()) + c * a
-                if r.is_zero():
-                    combo.pop(j, None)
-                else:
-                    combo[j] = r
+            add_scaled(vec, rvec, -c)
+            add_scaled(combo, rcombo, c)
         return vec, combo
 
     def _insert(self, mono: UdotMonomial, image: SchurElement) -> bool:
@@ -485,9 +452,9 @@ class MonomialSpan:
                                              mono.letters + ((kind, i, 1),))
                         nxt[key] = (cmono, child)
                         self._insert(cmono, child)
-                        if len(self._seen_images) > self.max_labels:
+                        if len(self._seen_images) > MAX_STATES:
                             raise RuntimeError(
-                                f"span search exceeded {self.max_labels} states")
+                                f"span search exceeded {MAX_STATES} states")
                 self._frontier[wt] = nxt
 
     def solve(self, x: SchurElement):
@@ -509,7 +476,7 @@ def transfer_map(x: SchurElement, span: MonomialSpan,
     D = x.D - n
     if D < 1:
         raise ValueError("target rank must be positive")
-    anchors = {lam.weight() for (lam, _mu) in x.blocks}
+    anchors = {s.row_weight() for s in x.terms}
     combo = span.solve(x)
     grown = 0
     while combo is None and grown < grow_to:
@@ -523,13 +490,8 @@ def transfer_map(x: SchurElement, span: MonomialSpan,
                          f"{sorted(residual, key=lambda s: s.entries)}")
     out = {}
     for m, c in combo.items():
-        img = _phi_of_reduction(m, D)
-        for s, a in img.terms().items():
-            r = out.get(s, RationalScalar.zero()) + c * RationalScalar.from_laurent(a)
-            if r.is_zero():
-                out.pop(s, None)
-            else:
-                out[s] = r
+        add_scaled(out, ((s, RationalScalar.from_laurent(a))
+                         for s, a in _phi_of_reduction(m, D).terms.items()), c)
     terms = {}
     for s, c in out.items():
         if not c.is_laurent():
@@ -537,7 +499,7 @@ def transfer_map(x: SchurElement, span: MonomialSpan,
                 f"transfer produced a non-polynomial coefficient at {s}; "
                 "the solve is preimage-dependent")
         terms[s] = c.as_laurent()
-    return SchurElement.from_terms(n, D, terms)
+    return SchurElement(n, D, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +565,7 @@ def check_leading_term(s: PeriodicMatrix, span: MonomialSpan) -> dict:
         return {"matrix": s, "ok": None, "reason": "outside the computable domain"}
     lead = y.coeff(t)
     lower_ok = True
-    for u in y.terms():
+    for u in y.terms:
         if u == t:
             continue
         if (u.row_weight() != t.row_weight()
@@ -623,7 +585,7 @@ def check_canonical_transfer(s: PeriodicMatrix, span: MonomialSpan,
         raise ValueError("expected an aperiodic matrix")
     n, Dhigh = s.n, s.D
     exp = canonical.canonical_schur(s, system_high)
-    x = SchurElement.from_terms(n, Dhigh, exp.as_dict())
+    x = SchurElement(n, Dhigh, exp.as_dict())
     y = transfer_map(x, span)
     t = matrix_minus_identity(s)
     # aperiodicity is preserved by the identity shift; lower standard terms
@@ -634,7 +596,7 @@ def check_canonical_transfer(s: PeriodicMatrix, span: MonomialSpan,
         expected = None
     else:
         exp_t = canonical.canonical_schur(t, system_low)
-        expected = SchurElement.from_terms(n, Dhigh - n, exp_t.as_dict())
+        expected = SchurElement(n, Dhigh - n, exp_t.as_dict())
         verdict = "matches-(b)" if y == expected else "counterexample"
     return {"matrix": s, "shift": t, "output": y, "expected": expected,
             "verdict": verdict, "shift_aperiodic": shift_aperiodic}

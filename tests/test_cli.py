@@ -1,5 +1,6 @@
 """Command line entry point: exit codes, report schema, determinism."""
 
+import importlib.util
 import json
 import os
 import pathlib
@@ -9,6 +10,8 @@ import sys
 import pytest
 
 from affine_schur import cli
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def test_compute_xstat(capsys):
@@ -108,12 +111,31 @@ def test_canonical_report_same_cold_warm_and_across_hash_seeds(tmp_path):
 
 
 def test_transfer_suite_matches_benchmark_reference():
-    """The benchmark's transfer workload, in process: every case must equal
-    the checked-in reference record."""
-    root = pathlib.Path(__file__).resolve().parent.parent
-    reference = json.loads(
-        (root / "perfbench" / "reference" / "transfer.json").read_text())
-    cfg = cli.RunConfig(suite="transfer", n=2, D=1, band=1, word_len=3)
-    report = cli.run_suite(cfg)
-    assert ([(c["id"], c["status"], c["detail"]) for c in report["cases"]]
-            == [(c["id"], c["status"], c["detail"]) for c in reference["cases"]])
+    """The benchmark's workloads, in process: every case must equal the
+    checked-in reference record."""
+    workloads = {
+        "transfer": dict(n=2, D=1, band=1, word_len=3),
+        "canonical": dict(n=2, D=3, window=5, band=2),
+        "crystal": dict(n=3, D=3, window=6),
+    }
+    for suite, size in workloads.items():
+        reference = json.loads(
+            (ROOT / "perfbench" / "reference" / f"{suite}.json").read_text())
+        report = cli.run_suite(cli.RunConfig(suite=suite, **size))
+        assert ([(c["id"], c["status"], c["detail"]) for c in report["cases"]]
+                == [(c["id"], c["status"], c["detail"]) for c in reference["cases"]]), suite
+
+
+def test_benchmark_span_targets_resolve():
+    """Every function the benchmark traces exists, so a rename fails here
+    and not first in a benchmark run."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for name in spans.TARGETS:
+        mod_name, *attrs = name.split(".")
+        obj = importlib.import_module(f"{spans.PACKAGE}.{mod_name}")
+        for attr in attrs:
+            obj = getattr(obj, attr)
+        assert callable(obj), name

@@ -34,7 +34,7 @@ def test_phi_generator_images():
     # the e-image is the delta matrix with one unit moved up
     lam = fc.dominant_from_weight(2, 2, (1, 1))
     x = schur.phi_e(2, 2, 1, (1, 1))
-    (s, c), = x.terms().items()
+    (s, c), = x.terms.items()
     assert c == ONE
     assert s == PeriodicMatrix.make(2, 2, {(1, 2): 1, (2, 2): 1})
 
@@ -86,9 +86,9 @@ def test_offset_twist_multiplicative():
     # offset_sum is additive along products of basis elements
     a = schur.phi_e(2, 2, 1, (1, 1))
     b = schur.phi_f(2, 2, 1, (1, 1))
-    (sa, _), = a.terms().items()
-    (sb, _), = b.terms().items()
-    for s, _ in schur.schur_mul(a, b).terms().items():
+    (sa, _), = a.terms.items()
+    (sb, _), = b.terms.items()
+    for s, _ in schur.schur_mul(a, b).terms.items():
         assert schur.offset_sum(s) == schur.offset_sum(sa) + schur.offset_sum(sb)
 
 
