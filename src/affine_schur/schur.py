@@ -248,49 +248,31 @@ def _wshift(n: int, kind: str, i: int, k: int) -> tuple:
     return tuple(w)
 
 
-def _mul_gen_left(x: SchurElement, kind: str, i: int, k: int) -> SchurElement:
-    """Left multiplication by e_i^(k) or f_i^(k)."""
+def _mul_gen(x: SchurElement, kind: str, i: int, k: int,
+             left: bool) -> SchurElement:
+    """Left (left=True) or right multiplication by e_i^(k) or f_i^(k)."""
     out = {}
     shift = _wshift(x.n, kind, i, 1)
+    sign = 1 if left else -1
     for terms in x.blocks().values():
         piece = SchurElement(x.n, x.D, terms)
         for _ in range(k):
             if piece.is_zero():
                 break
-            left_wt = next(iter(piece.terms)).row_weight()
-            new_wt = tuple(a + b for a, b in zip(left_wt, shift))
-            if any(m < 0 for m in new_wt):
+            s = next(iter(piece.terms))
+            old_wt = s.row_weight() if left else s.col_weight()
+            new_wt = tuple(a + sign * b for a, b in zip(old_wt, shift))
+            # the left side checks the new weight for e and f, the right
+            # side only for f
+            if (left or kind == "f") and any(m < 0 for m in new_wt):
                 piece = SchurElement.zero(x.n, x.D)
                 break
+            # phi_e takes the letter's left weight, phi_f its right weight
             if kind == "e":
-                g = phi_e(x.n, x.D, i, new_wt)
+                g = phi_e(x.n, x.D, i, new_wt if left else old_wt)
             else:
-                g = phi_f(x.n, x.D, i, left_wt)
-            piece = schur_mul(g, piece)
-        add_scaled(out, _divide(piece, quantum_factorial(k)).terms)
-    return SchurElement(x.n, x.D, out)
-
-
-def _mul_gen_right(x: SchurElement, kind: str, i: int, k: int) -> SchurElement:
-    """Right multiplication by e_i^(k) or f_i^(k)."""
-    out = {}
-    shift = _wshift(x.n, kind, i, 1)
-    for terms in x.blocks().values():
-        piece = SchurElement(x.n, x.D, terms)
-        for _ in range(k):
-            if piece.is_zero():
-                break
-            right_wt = next(iter(piece.terms)).col_weight()
-            if kind == "e":
-                g = phi_e(x.n, x.D, i, right_wt)
-            else:
-                # the letter's a-weight is the new right weight
-                new_wt = tuple(a - b for a, b in zip(right_wt, shift))
-                if any(m < 0 for m in new_wt):
-                    piece = SchurElement.zero(x.n, x.D)
-                    break
-                g = phi_f(x.n, x.D, i, new_wt)
-            piece = schur_mul(piece, g)
+                g = phi_f(x.n, x.D, i, old_wt if left else new_wt)
+            piece = schur_mul(g, piece) if left else schur_mul(piece, g)
         add_scaled(out, _divide(piece, quantum_factorial(k)).terms)
     return SchurElement(x.n, x.D, out)
 
@@ -316,7 +298,7 @@ def phi_monomial(m: UdotMonomial, D: int) -> SchurElement:
         if g[0] == "a":
             x = schur_mul(phi_idempotent(n, D, g[1]), x)
         else:
-            x = _mul_gen_left(x, g[0], g[1], g[2])
+            x = _mul_gen(x, g[0], g[1], g[2], left=True)
     # extend to the right
     for g in m.letters[j + 1:]:
         if x.is_zero():
@@ -324,7 +306,7 @@ def phi_monomial(m: UdotMonomial, D: int) -> SchurElement:
         if g[0] == "a":
             x = schur_mul(x, phi_idempotent(n, D, g[1]))
         else:
-            x = _mul_gen_right(x, g[0], g[1], g[2])
+            x = _mul_gen(x, g[0], g[1], g[2], left=False)
     return x
 
 
@@ -343,23 +325,39 @@ def tau_schur(x: SchurElement) -> SchurElement:
 # The sign character at D = n and the block twist
 
 
-def epsilon_sign(x: SchurElement, rho_value: LaurentScalar = ONE) -> LaurentScalar:
-    """The character on the block lam = mu = (1, ..., n); zero elsewhere.
+def epsilon_degrees(x: SchurElement) -> dict:
+    """The sign character graded by rotation degree: {k: a_k} with
+    epsilon_sign(x, rho) = sum_k a_k rho^k.
 
-    T_{s_i} -> -1 on that block; length-zero rotations go to rho_value
-    (a calibration constant, a Laurent monomial)."""
+    It lives on the block lam = mu = (1, ..., n) and is zero elsewhere.
+    T_w with w = rho^k s_{i_1} ... s_{i_l} adds (-1)^l times its coefficient
+    to a_k.  Every degree that occurs in the block is a key, even when its
+    a_k sums to zero, so an evaluation rejects the same rho as a sum over
+    the T_w would."""
     if x.D != x.n:
         raise ValueError("the sign character lives at D = n")
     std = FlagSymbol(x.n, x.n, tuple(range(1, x.n + 1)))
-    total = LaurentScalar.zero()
+    degrees = {}
     terms = x.blocks().get((std, std))
     if terms:
         h = _block_to_hecke(terms, std, std)
         for w, c in h.terms.items():
             k, word = w.reduced_word()
-            sign = LaurentScalar.const(-1 if len(word) % 2 else 1)
-            total = total + c * sign * (rho_value ** k if k >= 0
-                                        else _inv_monomial(rho_value) ** (-k))
+            if len(word) % 2:
+                c = -c
+            degrees[k] = degrees[k] + c if k in degrees else c
+    return degrees
+
+
+def epsilon_sign(x: SchurElement, rho_value: LaurentScalar = ONE) -> LaurentScalar:
+    """The character on the block lam = mu = (1, ..., n); zero elsewhere.
+
+    T_{s_i} -> -1 on that block; length-zero rotations go to rho_value
+    (a calibration constant, a Laurent monomial)."""
+    total = LaurentScalar.zero()
+    for k, a in epsilon_degrees(x).items():
+        total = total + a * (rho_value ** k if k >= 0
+                             else _inv_monomial(rho_value) ** (-k))
     return total
 
 

@@ -8,6 +8,8 @@ rank-n leg with the sign character, twist blockwise).  Executable checkers
 for the leading-term lemma and the canonical-basis transfer theorem close
 the loop.  Calibration and the composition check walk the words depth first
 (route_pairs), so each word extends its prefix's evaluation by one letter.
+The sign character collapses each tensor once, graded by rotation degree
+(graded_collapse); each calibration candidate rho is an evaluation of it.
 """
 
 from __future__ import annotations
@@ -253,15 +255,43 @@ def omega_route(m: UdotMonomial, D1: int, D2: int) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _eps_of_basis(s: PeriodicMatrix, rho_value: LaurentScalar) -> LaurentScalar:
-    return schur.epsilon_sign(SchurElement.basis(s), rho_value)
+def _eps_of_basis(s: PeriodicMatrix) -> tuple:
+    """The sign character on [s] by rotation degree: (k, a_k) pairs with
+    a_k nonzero."""
+    return tuple((k, a) for k, a in
+                 schur.epsilon_degrees(SchurElement.basis(s)).items()
+                 if not a.is_zero())
+
+
+def graded_collapse(terms: dict) -> dict:
+    """The sign character on the rank-n tensor leg, graded by rotation
+    degree: {k: {matrix at rank D: scalar}}, the part that rho^k scales."""
+    parts = {}
+    for (s1, s2), c in terms.items():
+        for k, a in _eps_of_basis(s1):
+            add_scaled(parts.setdefault(k, {}), ((s2, a),), c)
+    return {k: part for k, part in parts.items() if part}
+
+
+def evaluate_collapse(parts: dict, n: int, D: int,
+                      rho_value: LaurentScalar) -> SchurElement:
+    """sum_k rho^k parts[k] at a Laurent monomial rho = +-v^e: part k is
+    shifted by e * k, and negated when rho = -v^e and k is odd."""
+    (e, a), = rho_value.items()
+    if a * a != 1:
+        raise ArithmeticError("calibration constant must be invertible")
+    out = {}
+    for k, part in parts.items():
+        flip = a == -1 and k % 2
+        add_scaled(out, ((s, -c.shift(e * k) if flip else c.shift(e * k))
+                         for s, c in part.items()))
+    return SchurElement(n, D, out)
 
 
 def epsilon_collapse(terms: dict, n: int, D2: int,
                      rho_value: LaurentScalar = EPS_RHO) -> SchurElement:
     """Apply the sign character to the rank-n tensor leg."""
-    return SchurElement(n, D2, add_scaled({}, (
-        (s2, c * _eps_of_basis(s1, rho_value)) for (s1, s2), c in terms.items())))
+    return evaluate_collapse(graded_collapse(terms), n, D2, rho_value)
 
 
 def _apply_psi(x: SchurElement, psi_flag: tuple) -> SchurElement:
@@ -349,12 +379,20 @@ def calibrate_flags(n: int = 2, Ds=(1, 2), max_len: int = 3):
                   for e in range(-n, n + 1)]
     for D in Ds:
         for _m, tensor, rhs in route_pairs(n, D, max_len):
-            collapsed = {}
-            for _flag, rho in candidates:
-                if rho not in collapsed:
-                    collapsed[rho] = epsilon_collapse(tensor, n, D, rho)
-            candidates = [(flag, rho) for flag, rho in candidates
-                          if _apply_psi(collapsed[rho], flag) == rhs]
+            parts = graded_collapse(tensor)
+            # rho enters only through rho^k: a word with no rotating part
+            # collapses alike for every rho, so each flag is decided once
+            rotating = any(k != 0 for k in parts)
+            collapsed, verdicts, survivors = {}, {}, []
+            for flag, rho in candidates:
+                key = rho if rotating else EPS_RHO
+                if (flag, key) not in verdicts:
+                    if key not in collapsed:
+                        collapsed[key] = evaluate_collapse(parts, n, D, key)
+                    verdicts[flag, key] = _apply_psi(collapsed[key], flag) == rhs
+                if verdicts[flag, key]:
+                    survivors.append((flag, rho))
+            candidates = survivors
             if not candidates:
                 return []
     return candidates

@@ -2,6 +2,9 @@
 
 import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from affine_schur import cli, canonical, flag_comb as fc, schur, tmodule, transfer
 from affine_schur.flag_comb import FlagSymbol, PeriodicMatrix
 from affine_schur.laurent import LaurentScalar, ONE
@@ -80,6 +83,124 @@ def test_epsilon_sign_character():
     # e f on the standard block evaluates through the sign character
     val = schur.epsilon_sign(prod)
     assert val.bar() == val  # symmetric scalar
+
+
+def epsilon_sign_per_term(x, rho_value):
+    """The sign character as a direct sum over the T_w of the standard
+    block, each term scaled by rho^k: the oracle for epsilon_degrees."""
+    if x.D != x.n:
+        raise ValueError("the sign character lives at D = n")
+    std = FlagSymbol(x.n, x.n, tuple(range(1, x.n + 1)))
+    total = LaurentScalar.zero()
+    terms = x.blocks().get((std, std))
+    if terms:
+        h = schur._block_to_hecke(terms, std, std)
+        for w, c in h.terms.items():
+            k, word = w.reduced_word()
+            sign = LaurentScalar.const(-1 if len(word) % 2 else 1)
+            total = total + c * sign * (rho_value ** k if k >= 0
+                                        else schur._inv_monomial(rho_value) ** (-k))
+    return total
+
+
+_EPS_POOL = {n: transfer.band_matrices(n, n, 2) for n in (2, 3)}
+# the standard block lam = mu = (1, ..., n), where the character lives
+_EPS_STD = {n: [s for s in _EPS_POOL[n]
+                if s.row_weight() == s.col_weight() == (1,) * n]
+            for n in (2, 3)}
+_EPS_ROTATING = {n: [s for s in _EPS_STD[n]
+                     if any(k != 0 for k in
+                            schur.epsilon_degrees(SchurElement.basis(s)))]
+                 for n in (2, 3)}
+_coeffs = st.dictionaries(st.integers(-3, 3), st.integers(-3, 3),
+                          max_size=3).map(LaurentScalar)
+
+
+@st.composite
+def sign_block_elements(draw):
+    """Schur elements at D = n: terms of the standard block (some of them
+    rotating, k != 0) and terms of other blocks."""
+    n = draw(st.sampled_from((2, 3)))
+    labels = draw(st.lists(st.one_of(st.sampled_from(_EPS_ROTATING[n]),
+                                     st.sampled_from(_EPS_STD[n]),
+                                     st.sampled_from(_EPS_POOL[n])),
+                           min_size=1, max_size=6))
+    terms = {}
+    for s in labels:
+        terms[s] = terms.get(s, LaurentScalar.zero()) + draw(_coeffs)
+    return SchurElement(n, n, terms)
+
+
+def test_rotating_pool_has_both_signs_of_k():
+    for n in (2, 3):
+        ks = {k for s in _EPS_ROTATING[n]
+              for k in schur.epsilon_degrees(SchurElement.basis(s))}
+        assert any(k > 0 for k in ks) and any(k < 0 for k in ks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sign_block_elements(), st.sampled_from((1, -1)), st.integers(-3, 3))
+def test_epsilon_degrees_evaluate_to_sign(x, a, e):
+    rho = LaurentScalar.monomial(a, e)
+    degrees = schur.epsilon_degrees(x)
+    graded = LaurentScalar.zero()
+    for k, coeff in degrees.items():
+        power = (rho ** k if k >= 0
+                 else LaurentScalar.monomial(a, -e) ** (-k))
+        graded = graded + coeff * power
+    assert schur.epsilon_sign(x, rho) == graded
+    assert graded == epsilon_sign_per_term(x, rho)
+
+
+_NOT_UNITS = (LaurentScalar.zero(), LaurentScalar.const(2),
+              LaurentScalar({0: 1, 1: 1}), LaurentScalar.monomial(-3, 2),
+              LaurentScalar({1: 1, -1: 1}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sign_block_elements(), st.sampled_from(_NOT_UNITS))
+def test_epsilon_sign_rejects_non_units_as_before(x, rho):
+    def outcome(f):
+        try:
+            return f(x, rho)
+        except (ValueError, ArithmeticError) as err:
+            return type(err), str(err)
+
+    assert outcome(schur.epsilon_sign) == outcome(epsilon_sign_per_term)
+
+
+def test_epsilon_sign_rejects_non_unit_on_negative_rotation():
+    x = SchurElement.basis(next(
+        s for s in _EPS_ROTATING[2]
+        if min(schur.epsilon_degrees(SchurElement.basis(s))) < 0))
+    with pytest.raises(ArithmeticError):
+        schur.epsilon_sign(x, LaurentScalar.const(2))
+    with pytest.raises(ValueError):
+        schur.epsilon_sign(x, LaurentScalar({0: 1, 1: 1}))
+
+
+_MUL_POOL = {D: transfer.band_matrices(2, D, 2) for D in (1, 2, 3)}
+
+
+@st.composite
+def composable_basis_triples(draw):
+    """[s1], [s2], [s3] at n = 2, D <= 3 with col(s1) = row(s2) and
+    col(s2) = row(s3)."""
+    pool = _MUL_POOL[draw(st.sampled_from((1, 2, 3)))]
+    s1 = draw(st.sampled_from(pool))
+    s2 = draw(st.sampled_from([s for s in pool
+                               if s.row_weight() == s1.col_weight()]))
+    s3 = draw(st.sampled_from([s for s in pool
+                               if s.row_weight() == s2.col_weight()]))
+    return tuple(SchurElement.basis(s) for s in (s1, s2, s3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(composable_basis_triples())
+def test_schur_mul_associative_on_basis_triples(triple):
+    a, b, c = triple
+    mul = schur.schur_mul
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
 
 
 def test_offset_twist_multiplicative():

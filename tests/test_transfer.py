@@ -1,11 +1,13 @@
 """Rank-lowering transfer: comultiplication route, span solve, checkers."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from affine_schur import canonical, flag_comb as fc, schur, transfer
 from affine_schur.flag_comb import PeriodicMatrix
 from affine_schur.laurent import LaurentScalar, ONE
 from affine_schur.schur import SchurElement, UdotMonomial
+from affine_schur.vector import add_scaled
 
 
 def test_frozen_conventions():
@@ -110,8 +112,19 @@ def test_calibration_unique_psi():
 
 
 def calibrate_flags_per_monomial(n, Ds, max_len):
-    """Calibration that evaluates every word from scratch and collapses once
-    per candidate: the oracle for transfer.calibrate_flags."""
+    """Calibration that evaluates every word from scratch and collapses it
+    term by term through schur.epsilon_sign once per candidate: the oracle
+    for transfer.calibrate_flags."""
+    eps = {}
+
+    def collapse(tensor, D, rho):
+        out = {}
+        for (s1, s2), c in tensor.items():
+            if (s1, rho) not in eps:
+                eps[s1, rho] = schur.epsilon_sign(SchurElement.basis(s1), rho)
+            add_scaled(out, ((s2, c * eps[s1, rho]),))
+        return SchurElement(n, D, out)
+
     candidates = [(flag, LaurentScalar.monomial(a, e))
                   for flag in transfer.PSI_CANDIDATES
                   for a in (1, -1)
@@ -124,7 +137,7 @@ def calibrate_flags_per_monomial(n, Ds, max_len):
                    else schur.phi_monomial(red, D))
             survivors = []
             for flag, rho in candidates:
-                x = transfer.epsilon_collapse(tensor, n, D, rho)
+                x = collapse(tensor, D, rho)
                 if transfer._apply_psi(x, flag) == rhs:
                     survivors.append((flag, rho))
             candidates = survivors
@@ -137,6 +150,104 @@ def test_calibration_matches_per_monomial_route():
     fast = transfer.calibrate_flags(2, (1, 2), 3)
     assert fast == calibrate_flags_per_monomial(2, (1, 2), 3)
     assert fast
+
+
+def test_calibration_matches_per_monomial_route_at_n3():
+    fast = transfer.calibrate_flags(3, (1,), 2)
+    assert fast == calibrate_flags_per_monomial(3, (1,), 2)
+    assert fast
+
+
+def collapse_per_term(tensor, n, D, rho):
+    """The sign character on the rank-n leg, one schur.epsilon_sign per
+    tensor term: the oracle for transfer.epsilon_collapse."""
+    out = {}
+    for (s1, s2), c in tensor.items():
+        add_scaled(out, ((s2, c * schur.epsilon_sign(SchurElement.basis(s1),
+                                                     rho)),))
+    return SchurElement(n, D, out)
+
+
+def _rho_candidates(n):
+    return [LaurentScalar.monomial(a, e) for a in (1, -1)
+            for e in range(-n, n + 1)]
+
+
+# the rank-n legs: the standard block of S_n, where the rotations
+# (k != 0) live, and matrices of other blocks
+_LEGS = {n: [s for s in transfer.band_matrices(n, n, 2)
+             if s.row_weight() == s.col_weight() == (1,) * n]
+         + transfer.band_matrices(n, n, 1) for n in (2, 3)}
+_coeffs = st.dictionaries(st.integers(-3, 3), st.integers(-3, 3),
+                          min_size=1, max_size=3).map(LaurentScalar)
+
+
+@st.composite
+def split_tensors(draw):
+    """(n, D, tensor) with tensor {(leg at rank n, matrix at rank D):
+    scalar}; legs with rotating parts are drawn often."""
+    n, D = draw(st.sampled_from(((2, 1), (2, 2), (3, 1))))
+    rights = transfer.band_matrices(n, D, 1)
+    tensor = {}
+    for _ in range(draw(st.integers(1, 5))):
+        key = (draw(st.sampled_from(_LEGS[n])), draw(st.sampled_from(rights)))
+        tensor[key] = tensor.get(key, LaurentScalar.zero()) + draw(_coeffs)
+    return n, D, {key: c for key, c in tensor.items() if not c.is_zero()}
+
+
+def test_split_tensor_legs_rotate():
+    for n in (2, 3):
+        assert any(k != 0 for s in _LEGS[n]
+                   for k, _a in transfer._eps_of_basis(s))
+
+
+@settings(max_examples=40, deadline=None)
+@given(split_tensors())
+def test_epsilon_collapse_matches_per_term(case):
+    n, D, tensor = case
+    for rho in _rho_candidates(n):
+        assert (transfer.epsilon_collapse(tensor, n, D, rho)
+                == collapse_per_term(tensor, n, D, rho))
+
+
+def test_calibration_filter_separates_rho(monkeypatch):
+    n, D = 2, 1
+    # an odd rotation degree tells every +-v^e apart
+    leg = next(s for s in _LEGS[n]
+               if any(k % 2 for k, _a in transfer._eps_of_basis(s)))
+    tensor = {(leg, transfer.band_matrices(n, D, 1)[0]): ONE}
+    rho = LaurentScalar.v(1)
+    rhs = transfer.epsilon_collapse(tensor, n, D, rho)
+    monkeypatch.setattr(transfer, "route_pairs",
+                        lambda *_args: iter([(None, tensor, rhs)]))
+    flags = transfer.calibrate_flags(n, (D,), 0)
+    # a twist may trade a power of v for another rho; the flat reading
+    # cannot
+    assert [r for f, r in flags if f == ("weight", 0)] == [rho]
+
+
+@settings(max_examples=25, deadline=None)
+@given(split_tensors(), st.data())
+def test_calibration_filter_on_rotating_words(case, data):
+    """calibrate_flags on words whose collapses may depend on rho: each
+    word's target is the collapse at a drawn (flag, rho), so the survivors
+    depend on rho whenever a rotating part is left after summing."""
+    n, D, tensor = case
+    words = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        flag = data.draw(st.sampled_from(transfer.PSI_CANDIDATES))
+        rho = data.draw(st.sampled_from(_rho_candidates(n)))
+        words.append((None, tensor,
+                      transfer._apply_psi(collapse_per_term(tensor, n, D, rho),
+                                          flag)))
+    expected = [(flag, rho) for flag in transfer.PSI_CANDIDATES
+                for rho in _rho_candidates(n)
+                if all(transfer._apply_psi(collapse_per_term(tensor, n, D, rho),
+                                           flag) == rhs
+                       for _m, _t, rhs in words)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transfer, "route_pairs", lambda *_args: iter(words))
+        assert transfer.calibrate_flags(n, (D,), 0) == expected
 
 
 # (2, 1, 4) reaches the word length of the REFERENCE transfer suite
