@@ -512,24 +512,15 @@ def suite_transfer(cfg: RunConfig) -> list:
     n = cfg.n
     cases = []
 
-    flags = transfer.calibrate_flags(n=n, Ds=(1, 2), max_len=3)
+    flags, composition = transfer.walk_checks(n, cfg.word_len)
     psis = sorted({f[0] for f in flags})
     cases.append(_case("transfer/calibration",
                        psis == [transfer.PSI_FLAG],
                        f"surviving psi flags {psis}, rho candidates "
                        f"{len({str(f[1]) for f in flags})}"))
-
-    for D in (1, 2):
-        bad = 0
-        total = 0
-        # both sides come from the depth-first walk; the dual-route case
-        # below and the tests check the walk against phi_monomial
-        for _m, tensor, expected in transfer.route_pairs(n, D, cfg.word_len):
-            total += 1
-            if transfer.collapse_twist(tensor, n, D) != expected:
-                bad += 1
-        cases.append(_case(f"transfer/composition/D{D}", bad == 0,
-                           f"{total - bad}/{total} monomials, length <= {cfg.word_len}"))
+    for D, (passed, total) in composition.items():
+        cases.append(_case(f"transfer/composition/D{D}", passed == total,
+                           f"{passed}/{total} monomials, length <= {cfg.word_len}"))
 
     span = transfer.MonomialSpan(n, cfg.D + n)
     bad = 0

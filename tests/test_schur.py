@@ -203,6 +203,25 @@ def test_schur_mul_associative_on_basis_triples(triple):
     assert mul(mul(a, b), c) == mul(a, mul(b, c))
 
 
+@st.composite
+def schur_combinations(draw):
+    """A Z[v, v^-1] combination of 1 to 4 basis matrices at n = 2, D <= 3."""
+    D = draw(st.sampled_from((1, 2, 3)))
+    mats = draw(st.lists(st.sampled_from(_MUL_POOL[D]), min_size=1,
+                         max_size=4, unique=True))
+    coeffs = st.dictionaries(st.integers(-3, 3), st.integers(-3, 3),
+                             min_size=1, max_size=3).map(LaurentScalar)
+    terms = {s: draw(coeffs) for s in mats}
+    return SchurElement(2, D, {s: c for s, c in terms.items()
+                               if not c.is_zero()})
+
+
+@settings(max_examples=40, deadline=None)
+@given(schur_combinations())
+def test_tau_schur_involution_on_combinations(x):
+    assert schur.tau_schur(schur.tau_schur(x)) == x
+
+
 def test_offset_twist_multiplicative():
     # offset_sum is additive along products of basis elements
     a = schur.phi_e(2, 2, 1, (1, 1))

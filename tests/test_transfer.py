@@ -160,7 +160,8 @@ def test_calibration_matches_per_monomial_route_at_n3():
 
 def collapse_per_term(tensor, n, D, rho):
     """The sign character on the rank-n leg, one schur.epsilon_sign per
-    tensor term: the oracle for transfer.epsilon_collapse."""
+    tensor term: the oracle for transfer.graded_collapse evaluated by
+    transfer.evaluate_collapse."""
     out = {}
     for (s1, s2), c in tensor.items():
         add_scaled(out, ((s2, c * schur.epsilon_sign(SchurElement.basis(s1),
@@ -206,7 +207,8 @@ def test_split_tensor_legs_rotate():
 def test_epsilon_collapse_matches_per_term(case):
     n, D, tensor = case
     for rho in _rho_candidates(n):
-        assert (transfer.epsilon_collapse(tensor, n, D, rho)
+        assert (transfer.evaluate_collapse(transfer.graded_collapse(tensor),
+                                           n, D, rho)
                 == collapse_per_term(tensor, n, D, rho))
 
 
@@ -217,7 +219,7 @@ def test_calibration_filter_separates_rho(monkeypatch):
                if any(k % 2 for k, _a in transfer._eps_of_basis(s)))
     tensor = {(leg, transfer.band_matrices(n, D, 1)[0]): ONE}
     rho = LaurentScalar.v(1)
-    rhs = transfer.epsilon_collapse(tensor, n, D, rho)
+    rhs = collapse_per_term(tensor, n, D, rho)
     monkeypatch.setattr(transfer, "route_pairs",
                         lambda *_args: iter([(None, tensor, rhs)]))
     flags = transfer.calibrate_flags(n, (D,), 0)
@@ -267,19 +269,90 @@ def test_route_pairs_match_word_by_word_routes(n, D, max_len):
                        else schur.phi_monomial(red, D))
 
 
-@pytest.mark.parametrize("D,band", [(3, 2), (4, 1)])
-def test_basis_gen_matches_schur_mul(D, band):
-    n = 2
+def hecke_basis_gen(s, kind, i):
+    """[s] * e_i or [s] * f_i through the Hecke algebra: the oracle for the
+    BLM rule in transfer._basis_gen."""
+    n, D = s.n, s.D
+    x = SchurElement.basis(s)
+    wt = s.col_weight()
+    if kind == "e":
+        return schur.schur_mul(x, schur.phi_e(n, D, i, wt))
+    # f_i a_lam with left weight wt has right weight lam
+    lam = tuple(a - b for a, b in zip(wt, schur._wshift(n, "f", i, 1)))
+    return (SchurElement.zero(n, D) if min(lam) < 0
+            else schur.schur_mul(x, schur.phi_f(n, D, i, lam)))
+
+
+def blm_basis_gen(s, kind, i):
+    return SchurElement(s.n, s.D, dict(transfer._basis_gen(s, kind, i)))
+
+
+@pytest.mark.parametrize("n,D,band", [
+    pytest.param(2, 3, 2, id="3-2"), pytest.param(2, 4, 1, id="4-1"),
+    pytest.param(3, 2, 2, id="n3-2-2"), pytest.param(3, 3, 1, id="n3-3-1")])
+def test_basis_gen_matches_schur_mul(n, D, band):
     for s in transfer.band_matrices(n, D, band):
-        x = SchurElement.basis(s)
-        wt = s.col_weight()
-        for i in range(n):
-            expected = schur.schur_mul(x, schur.phi_e(n, D, i, wt))
-            assert (SchurElement(n, D, dict(transfer._basis_gen(s, "e", i)))
-                    == expected)
-            # f_i a_lam with left weight wt has right weight lam
-            lam = tuple(a - b for a, b in zip(wt, schur._wshift(n, "f", i, 1)))
-            expected = (SchurElement.zero(n, D) if min(lam) < 0
-                        else schur.schur_mul(x, schur.phi_f(n, D, i, lam)))
-            assert (SchurElement(n, D, dict(transfer._basis_gen(s, "f", i)))
-                    == expected)
+        for kind in ("e", "f"):
+            for i in range(n):
+                assert blm_basis_gen(s, kind, i) == hecke_basis_gen(s, kind, i)
+
+
+@st.composite
+def drawn_band_matrices(draw):
+    """A periodic matrix at n = 2..4, D <= 5, its D units placed within
+    band 1 or 2 of the diagonal."""
+    n = draw(st.integers(2, 4))
+    D = draw(st.integers(1, 5))
+    band = draw(st.integers(1, 2))
+    cells = {}
+    for _ in range(D):
+        p = draw(st.integers(1, n))
+        key = (p, p + draw(st.integers(-band, band)))
+        cells[key] = cells.get(key, 0) + 1
+    return PeriodicMatrix.make(n, D, cells)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_band_matrices())
+def test_basis_gen_matches_schur_mul_on_drawn_matrices(s):
+    for kind in ("e", "f"):
+        for i in range(s.n):
+            assert blm_basis_gen(s, kind, i) == hecke_basis_gen(s, kind, i)
+
+
+def separate_walks(n, word_len):
+    """The calibration and the composition check as separate route_pairs
+    walks: the oracle for transfer.walk_checks."""
+    flags = transfer.calibrate_flags(n, (1, 2), 3)
+    composition = {}
+    for D in (1, 2):
+        ok = [transfer.collapse_twist(transfer.graded_collapse(tensor), n, D)
+              == rhs
+              for _m, tensor, rhs in transfer.route_pairs(n, D, word_len)]
+        composition[D] = (sum(ok), len(ok))
+    return flags, composition
+
+
+@pytest.mark.parametrize("word_len", [2, 3, 4])
+@pytest.mark.parametrize("bad_len", [None, 3, 4])
+def test_walk_checks_match_separate_walks(monkeypatch, word_len, bad_len):
+    """One walk gives the separate walks' survivors and counts.  With
+    bad_len set, every word of that length gets a wrong target, so the
+    calibration (bad_len 3) or the composition count (bad_len 4 at
+    word_len 4) tells which words each check may see."""
+    n = 2
+    walk = transfer.route_pairs
+
+    def corrupted(n, D, max_len):
+        wrong = SchurElement.basis(transfer.band_matrices(n, D, 0)[0])
+        for m, tensor, rhs in walk(n, D, max_len):
+            yield m, tensor, (rhs + wrong if len(m.letters) - 1 == bad_len
+                              else rhs)
+
+    monkeypatch.setattr(transfer, "route_pairs", corrupted)
+    got = transfer.walk_checks(n, word_len)
+    assert got == separate_walks(n, word_len)
+    flags, composition = got
+    assert bool(flags) == (bad_len != 3)
+    assert all((passed == total) == (bad_len is None or bad_len > word_len)
+               for passed, total in composition.values())
