@@ -21,9 +21,18 @@ at y and adds labels only below it; the solver checks that d[y] is gone,
 so the loop, which ends when d = 0, cannot revisit a label.
 The labels b_y still to be solved sit on an explicit stack, so the depth of
 the bar-support order is not bounded by Python's recursion limit.  Both
-updates are `vector.add_scaled` on plain {label: scalar} dicts, and tau([s])
-comes back from the T_w basis through `hecke.collapse` over double cosets
-with the shift v^{-y_s} (`hecke_to_matrix_terms`).
+updates are `vector.add_scaled` on plain {label: scalar} dicts.
+
+Tau on the labels.  Neither side bars a whole coset sum.  On the flag
+module, tau([p]) is read from the per-symbol memo of `tmodule`.  On the
+Schur side, [s] = v^{y_s} P_lam * sum of T_{w_q}, the w_q the minimal reps
+of the left S_lam-cosets q inside the double coset of s
+(`flag_comb.left_cosets`).  `hecke.bar_parabolic` bars the T_{w_q} and
+returns bar([s]) on the left-coset sums T_q, and `hecke.collapse` gathers
+the left cosets into double cosets with the shift v^{-y_t}
+(`left_cosets_to_matrix_terms`); it raises ArithmeticError if a left coset
+of some double coset is missing or carries another coefficient.
+`hecke_to_matrix_terms` is the collapse from the T_w basis, for products.
 
 Memos.  `block_of` is memoized per matrix, and tau([s]) on the Schur side
 per matrix s (`_tau_schur_terms`), each in an unbounded `lru_cache` that
@@ -32,7 +41,8 @@ the block is fixed by the row and column weights, and tau([s]) by s and
 the quadratic relation, which `hecke` fixes and nothing else changes.
 `PeriodicMatrix` and `FlagSymbol` are frozen and the cached values are
 tuples, so the memos are safe to share between callers, `BarSystem`s and
-threads; `_tau_schur_label` hands each caller a fresh dict.
+threads; `_tau_schur_label` and `_tau_tmodule_label` hand each caller a
+fresh dict.
 """
 
 from __future__ import annotations
@@ -183,7 +193,7 @@ def _max_label(system: BarSystem, labels):
 
 
 def _tau_tmodule_label(p: FlagSymbol) -> dict:
-    return dict(tmodule.tau(tmodule.ModuleVector.basis(p)).terms)
+    return dict(tmodule._tau_terms(p))
 
 
 def tmodule_system(n: int, D: int) -> BarSystem:
@@ -222,7 +232,18 @@ def hecke_to_matrix_terms(lam: FlagSymbol, mu: FlagSymbol, h: hecke.HeckeElement
         rep = flag_comb.double_coset_min_rep(t, lam, mu)
         return t, affine_weyl.double_coset_elements(lam.D, lam.values, rep, mu.values)
 
-    return hecke.collapse(h, coset, y_stat)
+    return hecke.collapse(h.terms, coset, y_stat)
+
+
+def left_cosets_to_matrix_terms(lam: FlagSymbol, mu: FlagSymbol, coords: dict) -> dict:
+    """Re-collapse coordinates {q: c} on left S_lam-coset sums T_q, q in
+    the orbit of lam, into the [t] basis of the (lam, mu) block."""
+
+    def coset(q):
+        t = flag_comb.matrix_of_pair(q, mu)
+        return t, [r for r, _ in flag_comb.left_cosets(t, lam, mu)]
+
+    return hecke.collapse(coords, coset, y_stat)
 
 
 def _tau_schur_label(s: PeriodicMatrix) -> dict:
@@ -232,13 +253,17 @@ def _tau_schur_label(s: PeriodicMatrix) -> dict:
 
 @lru_cache(maxsize=None)
 def _tau_schur_terms(s: PeriodicMatrix) -> tuple:
-    """tau([s]) as a tuple of (matrix, coeff) pairs, computed once per s."""
+    """tau([s]) = v^{-2 x_mu} bar([s]) as a tuple of (matrix, coeff) pairs,
+    computed once per s.
+
+    [s] = v^{y_s} P_lam * sum of T_{w_q} over the left cosets q in the
+    double coset of s, so one parabolic bar of the minimal reps gives
+    bar([s]) on left-coset sums."""
     lam, mu = block_of(s)
-    h = hecke.double_coset_sum(lam, mu, s).scale(LaurentScalar.v(y_stat(s)))
-    barh = hecke.bar(h)
-    terms = hecke_to_matrix_terms(lam, mu, barh)
-    twist = LaurentScalar.v(-2 * x_stat(mu))
-    return tuple((t, twist * c) for t, c in terms.items())
+    h = hecke.HeckeElement(s.D, {w: ONE for _, w in flag_comb.left_cosets(s, lam, mu)})
+    terms = left_cosets_to_matrix_terms(lam, mu, hecke.bar_parabolic(lam, h))
+    twist = -2 * x_stat(mu) - y_stat(s)
+    return tuple((t, c.shift(twist)) for t, c in terms.items())
 
 
 def schur_system(n: int, D: int) -> BarSystem:

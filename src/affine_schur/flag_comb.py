@@ -333,6 +333,24 @@ def _double_coset_min_rep(s: PeriodicMatrix, lam: FlagSymbol, mu: FlagSymbol) ->
     return affine_weyl.min_double_coset_rep(s.D, lam.values, w, mu.values)
 
 
+@lru_cache(maxsize=None)
+def left_cosets(s: PeriodicMatrix, lam: FlagSymbol, mu: FlagSymbol) -> tuple:
+    """The left S_lam-cosets inside the double coset of s, as pairs (q, w_q)
+    of the symbol q = (lam)w_q and the minimal rep w_q, sorted by (length,
+    window) of w_q; T_s = P_lam * sum of T_{w_q} with lengths adding.
+
+    The symbols are the S_mu-orbit of (lam)d, d = double_coset_min_rep, so
+    the double coset is never enumerated.  Memoized per (s, lam, mu) for
+    the life of the process: the result is a pure function of the key and a
+    tuple of immutable values.
+    """
+    p = lam.act(double_coset_min_rep(s, lam, mu))
+    orbit = {p.act(u) for u in affine_weyl.young_subgroup_elements(s.D, mu.values)}
+    pairs = [(q, q.min_coset_rep()) for q in orbit]
+    pairs.sort(key=lambda t: (t[1].length(), t[1].window))
+    return tuple(pairs)
+
+
 def enumerate_flag_symbols(n: int, D: int, lo: int, hi: int) -> list:
     """All flag symbols with window values in [lo, hi]."""
     out = []

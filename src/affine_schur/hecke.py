@@ -5,9 +5,24 @@ sums underlying the flag module and the Schur algebra.  The quadratic
 relation is (T_i + 1)(T_i - v^-2) = 0 throughout.
 
 `HeckeElement` is a `vector.SparseVector` over permutations, and every sum
-here goes through `vector.add_scaled`.  `collapse` is the one way back from
-the T_w basis to coset labels: `tmodule` uses it for flag symbols (left
-S_lambda cosets) and `canonical` for matrices (double cosets).
+here goes through `vector.add_scaled`.  `collapse` is the one way from a
+finer coset basis to a coarser one: `tmodule` uses it from the T_w basis to
+flag symbols (left S_lambda cosets), and `canonical` from the T_w basis or
+from left cosets to matrices (double cosets).
+
+Parabolic bar.  Write P_lam for the sum of T_u over the Young subgroup
+S_lam and T_q = P_lam T_{w_q} for the left-coset sum of a symbol q in the
+orbit of lam, w_q the minimal coset rep.  The quadratic relation gives
+P_lam T_i = v^-2 P_lam for every generator s_i of S_lam, hence
+
+    bar(P_lam) = v^{2 l(w_lam)} P_lam,                  w_lam longest in S_lam,
+    P_lam T_u = v^{-2 (l(u) - l(w_q))} T_q,             q = (lam)u,
+
+the second because u = u' w_q with u' in S_lam and lengths adding.  So
+bar(P_lam h) = v^{2 l(w_lam)} P_lam bar(h) needs bar(h) alone, and
+`bar_parabolic` returns it on the T_q; tau on the flag module and on the
+Schur algebra bars only minimal coset representatives (Deodhar, J. Algebra
+111, 1987).
 
 Memo.  `bar` keeps bar(T_w) for every w it has met, in the module-level
 dict `_BAR_T`, keyed by the permutation w (its rank included) and held for
@@ -210,27 +225,47 @@ def double_coset_sum(lam: flag_comb.FlagSymbol, mu: flag_comb.FlagSymbol,
     return HeckeElement(D, {w: ONE for w in elems})
 
 
-def collapse(h: HeckeElement, coset, stat) -> dict:
-    """The coordinates {x: c} of h in a coset basis [x] = v^{stat(x)} T_x,
-    T_x the sum of T_w over the coset of x: the inverse of expanding into
-    coset sums.
+def collapse(terms: dict, coset, stat) -> dict:
+    """The coordinates {x: c} of sum of c_k T_k over terms {k: c_k} in a
+    coarser coset basis [x] = v^{stat(x)} T_x, T_x the sum of the T_k over
+    the finer labels k (permutations or left cosets) inside the coset of x:
+    the inverse of expanding into coset sums.
 
-    coset(w) returns the label x of the coset that holds w and all of that
-    coset's elements.  Raises ArithmeticError when the coefficients of h are
-    not constant on a coset, that is when h is not in the span of the T_x.
+    coset(k) returns the label x of the coset that holds k and all of that
+    coset's finer labels.  Raises ArithmeticError when the coefficients are
+    not constant on a coset, that is when the sum is not in the span of the
+    T_x.
     """
-    remaining = dict(h.terms)
+    remaining = dict(terms)
     out = {}
     while remaining:
-        w = next(iter(remaining))
-        c = remaining[w]
-        x, elems = coset(w)
+        k = next(iter(remaining))
+        c = remaining[k]
+        x, elems = coset(k)
         for u in elems:
             c2 = remaining.pop(u, None)
             if c2 is None or c2 != c:
                 raise ArithmeticError(f"coefficients not constant on the coset of {x}")
         out[x] = c.shift(-stat(x))
     return out
+
+
+def bar_parabolic(lam: flag_comb.FlagSymbol, h: HeckeElement) -> dict:
+    """bar(P_lam h) as coordinates {q: c} on the left-coset sums T_q, from
+    bar(h) alone (the identities in the module docstring).
+
+    For a term T_u of bar(h), l(w_lam) - (l(u) - l(w_q)) counts the pairs of
+    positions a < b in one block of lam with u^-1(a) < u^-1(b)."""
+    vals = lam.values
+    pairs = [(a, b) for a in range(lam.D) for b in range(a + 1, lam.D)
+             if vals[a] == vals[b]]
+
+    def coords():
+        for u, c in bar(h).terms.items():
+            inv = u.inverse().window
+            yield lam.act(u), c.shift(2 * sum(1 for a, b in pairs if inv[a] < inv[b]))
+
+    return add_scaled({}, coords())
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,7 @@ D = n, and the block twist psi.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from . import affine_weyl, canonical, flag_comb, hecke
+from . import canonical, flag_comb, hecke
 from .canonical import hecke_to_matrix_terms
 from .flag_comb import FlagSymbol, PeriodicMatrix, x_stat, y_stat
 from .hecke import HeckeElement
@@ -92,21 +90,6 @@ def _block_to_hecke(terms: dict, lam: FlagSymbol, mu: FlagSymbol) -> HeckeElemen
     return HeckeElement(lam.D, out)
 
 
-@lru_cache(maxsize=None)
-def _left_coset_min_reps(s: PeriodicMatrix, mu: FlagSymbol, nu: FlagSymbol) -> tuple:
-    """Minimal reps w' of the left S_mu-cosets inside the double coset of s,
-    so that T_s = T_mu * sum_w' T_w' with lengths adding."""
-    rep = flag_comb.double_coset_min_rep(s, mu, nu)
-    elems = affine_weyl.double_coset_elements(s.D, mu.values, rep, nu.values)
-    reps = {}
-    for w in elems:
-        p = mu.act(w)
-        best = reps.get(p)
-        if best is None or w.length() < best.length():
-            reps[p] = w
-    return tuple(reps.values())
-
-
 def schur_mul(a: SchurElement, b: SchurElement) -> SchurElement:
     """Product via the endomorphism action: T_s in H_{lam,mu} sends
     T_mu h -> T_s h."""
@@ -121,7 +104,7 @@ def schur_mul(a: SchurElement, b: SchurElement) -> SchurElement:
                 continue
             for t, c in bterms.items():
                 prod = {}
-                for w in _left_coset_min_reps(t, mu, nu):
+                for _, w in flag_comb.left_cosets(t, mu, nu):
                     add_scaled(prod, hecke.mul(ah, HeckeElement.t(w)).terms,
                                c.shift(y_stat(t)))
                 add_scaled(out, hecke_to_matrix_terms(lam, nu, HeckeElement(a.D, prod)))

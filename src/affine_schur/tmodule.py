@@ -10,10 +10,21 @@ dominant block at a time (`to_hecke_blocks`) and comes back through the one
 coset collapse, `hecke.collapse` over left S_lambda cosets with the shift
 v^{-x_p} (`from_hecke_block`).  `chevalley` is the one Chevalley operator,
 on a dict over either scalar ring; the crystal oracle uses it over Q(v).
+
+Tau.  [p] = v^{x_p} P_lambda T_{w_p}, w_p the minimal coset rep, so
+tau([p]) = v^{-x_p} bar(P_lambda T_{w_p}) comes from `hecke.bar_parabolic`,
+which bars T_{w_p} alone.  `tau` is the antilinear sum of these images.
+They are memoized in `_tau_terms`, an unbounded `lru_cache` keyed by the
+symbol p (its n and D included) that lives as long as the process; the
+canonical-basis solver reads the same memo.  An entry is a pure function of
+p and the quadratic relation, which `hecke` fixes and nothing else changes,
+and it is a tuple of (symbol, scalar) pairs of frozen values, so the memo
+is safe to share between callers and threads.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from . import affine_weyl, flag_comb, hecke
@@ -161,7 +172,7 @@ def from_hecke_block(lam: FlagSymbol, h: HeckeElement) -> ModuleVector:
     means the input was not in the submodule and is a bug upstream.
     """
     young = affine_weyl.young_subgroup_elements(lam.D, lam.values)
-    terms = hecke.collapse(h, lambda w: (lam.act(w), [u * w for u in young]),
+    terms = hecke.collapse(h.terms, lambda w: (lam.act(w), [u * w for u in young]),
                            x_stat)
     return ModuleVector(lam.n, lam.D, terms)
 
@@ -200,11 +211,23 @@ def right_simple(x: ModuleVector, j: int) -> ModuleVector:
 
 
 def tau(x: ModuleVector) -> ModuleVector:
-    """The antilinear involution with tau([p]) = bar([p]), blockwise."""
+    """The antilinear involution with tau([p]) = bar([p]), summed from the
+    per-symbol memo."""
     out = {}
-    for lam, block in to_hecke_blocks(x).items():
-        add_scaled(out, from_hecke_block(lam, hecke.bar(block)).terms)
+    for p, c in x.terms.items():
+        add_scaled(out, _tau_terms(p), c.bar())
     return ModuleVector(x.n, x.D, out)
+
+
+@lru_cache(maxsize=None)
+def _tau_terms(p: FlagSymbol) -> tuple:
+    """tau([p]) as a tuple of (symbol, coeff) pairs, computed once per p:
+    [p] = v^{x_p} P_lam T_{w_p}, so tau([p]) = v^{-x_p} bar(P_lam T_{w_p}),
+    and [q] = v^{x_q} T_q."""
+    lam = p.dominant_rep()
+    coords = hecke.bar_parabolic(lam, HeckeElement.t(p.min_coset_rep()))
+    xp = x_stat(p)
+    return tuple((q, c.shift(-xp - x_stat(q))) for q, c in coords.items())
 
 
 # ---------------------------------------------------------------------------

@@ -227,14 +227,39 @@ def test_solver_chain_deeper_than_recursion_limit():
     assert system._canon[0] == {0: ONE}
 
 
+def tau_schur_by_double_cosets(s: PeriodicMatrix) -> dict:
+    """The route that the parabolic bar replaced: bar the whole double-coset
+    sum of [s] and collapse the T_w basis back onto double cosets."""
+    lam, mu = canonical.block_of(s)
+    h = hecke.bar(hecke.double_coset_sum(lam, mu, s).scale(
+        LaurentScalar.v(fc.y_stat(s))))
+    twist = LaurentScalar.v(-2 * fc.x_stat(mu))
+    return {t: twist * c for t, c in canonical.hecke_to_matrix_terms(lam, mu, h).items()}
+
+
+# every band matrix at these (n, D, band) is checked against the Hecke routes
+BAND_SIZES = [(2, 2, 2), (2, 3, 2), (2, 4, 1), (3, 3, 2), (3, 4, 1)]
+
+
+@pytest.mark.parametrize("n, D, band", BAND_SIZES)
+def test_tau_schur_matches_double_coset_route(n, D, band):
+    for s in transfer.band_matrices(n, D, band):
+        assert canonical._tau_schur_label(s) == tau_schur_by_double_cosets(s)
+
+
+def test_tau_tmodule_label_reads_memo_and_hands_out_copies():
+    for p in fc.enumerate_flag_symbols(2, 3, 1, 4):
+        fresh = dict(tmodule.tau(tmodule.ModuleVector.basis(p)).terms)
+        got = canonical._tau_tmodule_label(p)
+        assert got == fresh
+        got.clear()
+        got[p] = LaurentScalar.v(5)
+        assert canonical._tau_tmodule_label(p) == fresh
+
+
 def test_tau_schur_memo_matches_fresh_and_hands_out_copies():
     for s in transfer.band_matrices(2, 3, 2):
-        lam, mu = canonical.block_of(s)
-        h = hecke.bar(hecke.double_coset_sum(lam, mu, s).scale(
-            LaurentScalar.v(fc.y_stat(s))))
-        twist = LaurentScalar.v(-2 * fc.x_stat(mu))
-        fresh = {t: twist * c
-                 for t, c in canonical.hecke_to_matrix_terms(lam, mu, h).items()}
+        fresh = tau_schur_by_double_cosets(s)
         got = canonical._tau_schur_label(s)
         assert got == fresh
         assert list(got) == list(fresh)

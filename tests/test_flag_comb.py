@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from affine_schur import flag_comb as fc
+from affine_schur import affine_weyl as aw, canonical, flag_comb as fc, transfer
 from affine_schur.flag_comb import FlagSymbol, PeriodicMatrix
 
 
@@ -92,3 +92,23 @@ def test_order_hint_consistency():
     # standard order used for triangularity reports
     assert fc.order_hint(d, d) == "equal"
     assert fc.order_hint(e_mat, e_mat) == "equal"
+
+
+def left_cosets_by_enumeration(s, lam, mu) -> tuple:
+    """The route that the S_mu-orbit replaced: enumerate the whole double
+    coset and keep the shortest element of each left S_lam-coset, in the
+    (length, window) order of the enumeration."""
+    rep = fc.double_coset_min_rep(s, lam, mu)
+    reps = {}
+    for w in aw.double_coset_elements(s.D, lam.values, rep, mu.values):
+        q = lam.act(w)
+        if q not in reps or w.length() < reps[q].length():
+            reps[q] = w
+    return tuple(reps.items())
+
+
+@pytest.mark.parametrize("n, D, band", [(2, 2, 2), (2, 3, 2), (2, 4, 1), (3, 3, 2), (3, 4, 1)])
+def test_left_cosets_match_enumeration(n, D, band):
+    for s in transfer.band_matrices(n, D, band):
+        lam, mu = canonical.block_of(s)
+        assert fc.left_cosets(s, lam, mu) == left_cosets_by_enumeration(s, lam, mu)

@@ -117,3 +117,53 @@ def hecke_elements(draw):
 def test_memoized_bar_matches_letter_route(h):
     assert hecke.bar(h) == bar_by_letters(h)
     assert hecke.bar(hecke.bar(h)) == h
+
+
+def test_bar_of_young_sum():
+    # bar(P_lam) = v^{2 l(w_lam)} P_lam, P_lam the sum of T_u over S_lam and
+    # w_lam its longest element; S_lam depends on lam through its blocks only
+    for D in range(1, 6):
+        seen = set()
+        for n in range(1, D + 1):
+            for lam in fc.all_dominant(n, D):
+                gens = tuple(aw.young_generators(lam.values))
+                if gens in seen:
+                    continue
+                seen.add(gens)
+                young = aw.young_subgroup_elements(D, lam.values)
+                p_lam = HeckeElement(D, {u: ONE for u in young})
+                top = max(u.length() for u in young)
+                assert hecke.bar(p_lam) == p_lam.scale(LaurentScalar.v(2 * top))
+        assert len(seen) == 2 ** (D - 1)
+
+
+def dominant_symbols(D):
+    return [lam for n in (1, 2, 3) for lam in fc.all_dominant(n, D)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_young_sum_times_t_u(data):
+    # P_lam T_u = v^{-2 (l(u) - l(w_q))} T_q, q = (lam)u and T_q the left-coset sum
+    D = data.draw(st.sampled_from((2, 3, 4)))
+    lam = data.draw(st.sampled_from(dominant_symbols(D)))
+    u = aw.from_word(D, data.draw(st.integers(-2, 2)),
+                     data.draw(st.lists(st.integers(0, D - 1), max_size=6)))
+    q = lam.act(u)
+    gap = u.length() - q.min_coset_rep().length()
+    assert (hecke.mul(hecke.coset_sum(lam, lam), HeckeElement.t(u))
+            == hecke.coset_sum(lam, q).scale(LaurentScalar.v(-2 * gap)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(hecke_elements(), st.data())
+def test_bar_parabolic_matches_bar_of_product(h, data):
+    # bar(P_lam h) by the full route: multiply, bar every term, collapse
+    # onto left cosets
+    D = h.rank
+    lam = data.draw(st.sampled_from(dominant_symbols(D)))
+    full = hecke.bar(hecke.mul(hecke.coset_sum(lam, lam), h))
+    young = aw.young_subgroup_elements(D, lam.values)
+    expected = hecke.collapse(full.terms, lambda w: (lam.act(w), [u * w for u in young]),
+                              lambda q: 0)
+    assert hecke.bar_parabolic(lam, h) == expected

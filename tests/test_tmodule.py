@@ -1,11 +1,13 @@
 """The periodic flag module: action formulas, involution, relation suite."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from affine_schur import affine_weyl as aw, cli, flag_comb as fc, hecke, tmodule
 from affine_schur.flag_comb import FlagSymbol
 from affine_schur.laurent import LaurentScalar, ONE, quantum_integer
 from affine_schur.tmodule import ModuleVector
+from affine_schur.vector import add_scaled
 
 
 def test_action_example():
@@ -58,6 +60,47 @@ def test_tau_involution():
     for vals in ((1, 2), (2, 1), (2, 2), (1, 4)):
         x = ModuleVector.basis(FlagSymbol(2, 2, vals))
         assert tmodule.tau(tmodule.tau(x)) == x
+
+
+def tau_by_hecke_blocks(x: ModuleVector) -> ModuleVector:
+    """The blockwise Hecke route that the per-symbol memo replaced: expand
+    each dominant block into coset sums, bar the whole of it and collapse
+    back onto symbols."""
+    out = {}
+    for lam, block in tmodule.to_hecke_blocks(x).items():
+        add_scaled(out, tmodule.from_hecke_block(lam, hecke.bar(block)).terms)
+    return ModuleVector(x.n, x.D, out)
+
+
+@pytest.mark.parametrize("n, D", [(2, 2), (2, 3), (2, 4), (3, 3), (3, 4)])
+def test_tau_matches_hecke_block_route(n, D):
+    for p in fc.enumerate_flag_symbols(n, D, 1, 2 * n):
+        x = ModuleVector.basis(p)
+        assert tmodule.tau(x) == tau_by_hecke_blocks(x)
+
+
+_COMBO_SYMBOLS = {(n, D): fc.enumerate_flag_symbols(n, D, 0, n + 2)
+                  for n, D in ((2, 2), (2, 3), (3, 3))}
+_COEFFS = st.dictionaries(st.integers(-3, 3), st.integers(-3, 3),
+                          min_size=1, max_size=3).map(LaurentScalar)
+
+
+def _combination(draw, shape):
+    syms = draw(st.lists(st.sampled_from(_COMBO_SYMBOLS[shape]), min_size=1,
+                         max_size=4, unique=True))
+    return ModuleVector(*shape, {p: draw(_COEFFS) for p in syms})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_tau_antilinear_involution_on_combinations(data):
+    shape = data.draw(st.sampled_from(sorted(_COMBO_SYMBOLS)))
+    x, y = _combination(data.draw, shape), _combination(data.draw, shape)
+    a, b = data.draw(_COEFFS), data.draw(_COEFFS)
+    tau = tmodule.tau
+    assert tau(x.scale(a) + y.scale(b)) == tau(x).scale(a.bar()) + tau(y).scale(b.bar())
+    assert tau(tau(x)) == x
+    assert tau(x) == tau_by_hecke_blocks(x)
 
 
 def test_right_action_consistency():

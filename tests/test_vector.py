@@ -101,3 +101,30 @@ def test_matrix_collapse_inverts_expansion():
         lam, mu = canonical.block_of(s)
         h = schur._block_to_hecke({s: COEFF}, lam, mu)
         assert canonical.hecke_to_matrix_terms(lam, mu, h) == {s: COEFF}
+
+
+def test_left_coset_collapse_inverts_expansion():
+    for s in transfer.band_matrices(2, 3, 2):
+        lam, mu = canonical.block_of(s)
+        coords = {q: COEFF for q, _ in fc.left_cosets(s, lam, mu)}
+        assert canonical.left_cosets_to_matrix_terms(lam, mu, coords) == \
+            {s: COEFF.shift(-fc.y_stat(s))}
+
+
+# a double coset of (lam, mu) = ((1, 2, 2), (1, 1, 1)) made of three left cosets
+S_WIDE = fc.PeriodicMatrix.make(2, 3, {(1, 3): 1, (2, 3): 2})
+
+
+@pytest.mark.parametrize("spoil", ["changed", "dropped"])
+@pytest.mark.parametrize("at", [0, -1])
+def test_left_coset_collapse_rejects_non_constant_double_coset(spoil, at):
+    lam, mu = canonical.block_of(S_WIDE)
+    qs = [q for q, _ in fc.left_cosets(S_WIDE, lam, mu)]
+    assert len(qs) == 3
+    coords = {q: COEFF for q in qs}
+    if spoil == "changed":
+        coords[qs[at]] = COEFF.shift(1)
+    else:
+        del coords[qs[at]]
+    with pytest.raises(ArithmeticError, match="not constant"):
+        canonical.left_cosets_to_matrix_terms(lam, mu, coords)
