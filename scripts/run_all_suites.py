@@ -4,7 +4,7 @@
 Writes one JSON report per suite into --out-dir (default ./reports) and
 prints a one-line verdict per suite. Exit status is nonzero if any suite
 has a failing case. The transfer suite sweeps roughly 500 matrices and
-took 56 s at its reference size on a shared 2-core x86-64 VM (Python 3.11,
+took 17 s at its reference size on a shared 2-core x86-64 VM (Python 3.11,
 median of three runs); pass --quick to shrink the bounds.
 """
 

@@ -60,7 +60,7 @@ from .flag_comb import FlagSymbol, PeriodicMatrix, x_stat, y_stat
 from .laurent import LaurentScalar, ONE
 from .vector import add_scaled
 
-# the largest bar-support cone `BarSystem.closure` explores before it gives up
+# the largest bar-support cone `BarSystem.lower_labels` walks before it gives up
 MAX_LABELS = 10_000
 
 
@@ -87,23 +87,6 @@ class BarSystem:
             self._tau_cache[label] = out
         return out
 
-    def closure(self, label) -> list:
-        """All labels reachable from label through bar supports (inclusive)."""
-        seen = {label}
-        frontier = [label]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in self.tau_expand(x):
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-                        if len(seen) > MAX_LABELS:
-                            raise RuntimeError(
-                                f"support cone exceeded {MAX_LABELS} labels")
-            frontier = nxt
-        return sorted(seen, key=self.sort_key)
-
     def lower_labels(self, label) -> set:
         """Strictly lower labels (transitive bar-support order)."""
         out = self._below.get(label)
@@ -115,6 +98,9 @@ class BarSystem:
                 if x in out:
                     continue
                 out.add(x)
+                if len(out) > MAX_LABELS:
+                    raise RuntimeError(
+                        f"support cone exceeded {MAX_LABELS} labels")
                 if x == label:
                     raise ArithmeticError(f"bar-support order has a cycle at {label}")
                 frontier.extend(y for y in self.tau_expand(x) if y != x)

@@ -144,7 +144,7 @@ def _module_cases(cfg: RunConfig):
     for p in symbols:
         x = ModuleVector.basis(p)
         for i in range(n):
-            shift = tmodule.weight_of_e(n, i)
+            shift = schur._wshift(n, "e", i, 1)
             up = tuple(m + s for m, s in zip(p.weight(), shift))
             y = tmodule.apply_e(i, x)
             if not y.is_zero() and set(y.weights()) != {up}:
@@ -415,7 +415,7 @@ def suite_schur(cfg: RunConfig) -> list:
     bad = []
     for mu in _weights(n, D):
         for i in range(n):
-            shift = tmodule.weight_of_e(n, i)
+            shift = schur._wshift(n, "e", i, 1)
             up = tuple(m + s for m, s in zip(mu, shift))
             if any(m < 0 for m in up):
                 continue

@@ -143,14 +143,6 @@ def apply_idempotent(mu, x: ModuleVector) -> ModuleVector:
                         {p: c for p, c in x.terms.items() if p.weight() == mu})
 
 
-def weight_of_e(n: int, i: int) -> tuple:
-    """The weight shift of e_i: +omega_i - omega_{i+1} (indices mod n)."""
-    w = [0] * n
-    w[(i - 1) % n] += 1
-    w[i % n] -= 1
-    return tuple(w)
-
-
 # ---------------------------------------------------------------------------
 # Hecke realization and the right action
 

@@ -60,8 +60,8 @@ PSI_FLAG = ("offset", -1)
 EPS_RHO = ONE
 PSI_CANDIDATES = (("offset", 1), ("offset", -1), ("window", 1),
                   ("window", -1), ("weight", 0))
-# the most search states `MonomialSpan.grow` visits before it gives up
-MAX_STATES = 100_000
+# the most elimination rows `MonomialSpan` stores before it gives up
+MAX_ROWS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -469,14 +469,27 @@ def walk_checks(n: int, word_len: int):
 @dataclass
 class MonomialSpan:
     """An incrementally grown spanning set of monomial images at rank D,
-    with an exact elimination workspace over the rational function field."""
+    with an exact elimination workspace over the rational function field.
+
+    Each anchor weight wt is searched breadth first from the idempotent
+    1_wt, one right factor e_i or f_i per depth.  A child image is kept,
+    and later extended, only when it adds an elimination row; the frontier
+    at depth d is the list of the anchor's rows of depth d.  This spans
+    every word image of depth <= d, by induction on d: each word image of
+    depth d is a combination of rows of depth <= d, so its children are
+    combinations of the children of those rows; each such child was tried
+    and is either a row or a combination of earlier rows.  Every depth
+    therefore adds as many rows as a search over all distinct images would.
+    All terms of an image share the anchor's row weight (right factors
+    change only the column weight), so a row never reduces an image of
+    another anchor.
+    """
     n: int
     D: int
     monomials: list = field(default_factory=list)
     images: list = field(default_factory=list)
     _rows: list = field(default_factory=list)   # (pivot, vec, combo)
-    _frontier: dict = field(default_factory=dict)  # anchor -> search states
-    _seen_images: set = field(default_factory=set)
+    _frontier: dict = field(default_factory=dict)  # anchor -> last rows
     _grown: dict = field(default_factory=dict)  # anchor -> word length
 
     @property
@@ -485,14 +498,6 @@ class MonomialSpan:
 
     def _vec_of(self, x: SchurElement) -> dict:
         return {s: RationalScalar.from_laurent(c) for s, c in x.terms.items()}
-
-    @staticmethod
-    def _state_key(x: SchurElement):
-        """Dedup key for search states: the image up to a global scalar
-        (scalar multiples generate the same cone of descendants)."""
-        items = sorted(x.terms.items(), key=lambda t: t[0].entries)
-        c0 = RationalScalar.from_laurent(items[0][1])
-        return tuple((s, RationalScalar.from_laurent(c) / c0) for s, c in items)
 
     def _reduce(self, vec: dict):
         combo = {}
@@ -505,10 +510,13 @@ class MonomialSpan:
         return vec, combo
 
     def _insert(self, mono: UdotMonomial, image: SchurElement) -> bool:
+        """Add image as a row unless it reduces to 0; True if it did."""
         vec = self._vec_of(image)
         vec, combo = self._reduce(vec)
         if not vec:
             return False
+        if len(self._rows) >= MAX_ROWS:
+            raise RuntimeError(f"span search exceeded {MAX_ROWS} rows")
         idx = len(self.monomials)
         self.monomials.append(mono)
         self.images.append(image)
@@ -532,31 +540,20 @@ class MonomialSpan:
                 self._grown[wt] = 0
                 mono = UdotMonomial(self.n, (("a", wt),))
                 image = phi_idempotent(self.n, self.D, wt)
-                key = self._state_key(image)
-                self._frontier[wt] = {}
-                if key not in self._seen_images:
-                    self._seen_images.add(key)
-                    self._frontier[wt][key] = (mono, image)
-                    self._insert(mono, image)
+                self._insert(mono, image)
+                self._frontier[wt] = [(mono, image)]
             while self._grown[wt] < max_len:
                 self._grown[wt] += 1
-                nxt = {}
-                for mono, image in self._frontier[wt].values():
+                nxt = []
+                for mono, image in self._frontier[wt]:
                     for kind, i in gens:
                         child = _mul_gen_right_cached(image, kind, i)
                         if child.is_zero():
                             continue
-                        key = self._state_key(child)
-                        if key in self._seen_images:
-                            continue
-                        self._seen_images.add(key)
                         cmono = UdotMonomial(self.n,
                                              mono.letters + ((kind, i, 1),))
-                        nxt[key] = (cmono, child)
-                        self._insert(cmono, child)
-                        if len(self._seen_images) > MAX_STATES:
-                            raise RuntimeError(
-                                f"span search exceeded {MAX_STATES} states")
+                        if self._insert(cmono, child):
+                            nxt.append((cmono, child))
                 self._frontier[wt] = nxt
 
     def solve(self, x: SchurElement):

@@ -78,6 +78,17 @@ def test_unitriangularity_violation_detected():
         bad.tau_expand("a")
 
 
+def test_support_cone_bound(monkeypatch):
+    # tau([k]) = [k] + [k-1]: the cone below k holds the k labels 0..k-1
+    chain = canonical.BarSystem(
+        tau_fn=lambda k: {k: ONE, k - 1: ONE} if k else {0: ONE},
+        sort_key=lambda k: k)
+    monkeypatch.setattr(canonical, "MAX_LABELS", 5)
+    assert chain.lower_labels(5) == set(range(5))
+    with pytest.raises(RuntimeError, match="5 labels"):
+        chain.lower_labels(6)
+
+
 def test_export_and_cache(tmp_path):
     exp = canonical.canonical_tmodule(FlagSymbol(2, 2, (2, 1)))
     payload = canonical.expansion_to_json(exp)

@@ -1,11 +1,13 @@
 """Rank-lowering transfer: comultiplication route, span solve, checkers."""
 
+from dataclasses import dataclass, field
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from affine_schur import canonical, flag_comb as fc, schur, transfer
 from affine_schur.flag_comb import PeriodicMatrix
-from affine_schur.laurent import LaurentScalar, ONE
+from affine_schur.laurent import LaurentScalar, ONE, RationalScalar
 from affine_schur.schur import SchurElement, UdotMonomial
 from affine_schur.vector import add_scaled
 
@@ -356,3 +358,112 @@ def test_walk_checks_match_separate_walks(monkeypatch, word_len, bad_len):
     assert bool(flags) == (bad_len != 3)
     assert all((passed == total) == (bad_len is None or bad_len > word_len)
                for passed, total in composition.values())
+
+
+@dataclass
+class ScalarKeyedSpan(transfer.MonomialSpan):
+    """The search that the row-pruned MonomialSpan.grow replaced: extend
+    every child image that is new up to a global scalar, whether or not it
+    adds a row.  The oracle for the pruned search."""
+    _seen: set = field(default_factory=set)
+
+    @staticmethod
+    def _key(x: SchurElement):
+        items = sorted(x.terms.items(), key=lambda t: t[0].entries)
+        c0 = RationalScalar.from_laurent(items[0][1])
+        return tuple((s, RationalScalar.from_laurent(c) / c0) for s, c in items)
+
+    def grow(self, anchors, max_len: int):
+        gens = [(kind, i) for kind in ("e", "f") for i in range(self.n)]
+        for wt in map(tuple, anchors):
+            if wt not in self._grown:
+                self._grown[wt] = 0
+                mono = UdotMonomial(self.n, (("a", wt),))
+                image = schur.phi_idempotent(self.n, self.D, wt)
+                self._seen.add(self._key(image))
+                self._frontier[wt] = [(mono, image)]
+                self._insert(mono, image)
+            while self._grown[wt] < max_len:
+                self._grown[wt] += 1
+                nxt = []
+                for mono, image in self._frontier[wt]:
+                    for kind, i in gens:
+                        child = transfer._mul_gen_right_cached(image, kind, i)
+                        if child.is_zero():
+                            continue
+                        key = self._key(child)
+                        if key in self._seen:
+                            continue
+                        self._seen.add(key)
+                        cmono = UdotMonomial(self.n,
+                                             mono.letters + ((kind, i, 1),))
+                        nxt.append((cmono, child))
+                        self._insert(cmono, child)
+                self._frontier[wt] = nxt
+
+
+def _transfer_or_error(x, span):
+    try:
+        return transfer.transfer_map(x, span, grow_to=0)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("n,D,depth", [(2, 3, 6), (2, 4, 5), (3, 3, 3), (3, 4, 3)])
+def test_pruned_span_matches_scalar_keyed_search(n, D, depth):
+    anchors = list(transfer._compositions(D, n))
+    pruned, oracle = transfer.MonomialSpan(n, D), ScalarKeyedSpan(n, D)
+    for d in range(1, depth + 1):
+        pruned.grow(anchors, d)
+        oracle.grow(anchors, d)
+        assert len(pruned.monomials) == len(oracle.monomials), d
+    solved = 0
+    for s in transfer.band_matrices(n, D, 1):
+        x = SchurElement.basis(s)
+        assert (pruned.solve(x) is None) == (oracle.solve(x) is None), s
+        if D > n and pruned.solve(x) is not None:
+            solved += 1
+            assert _transfer_or_error(x, pruned) == _transfer_or_error(x, oracle)
+    assert solved or D <= n
+
+
+def test_pruned_span_grows_incrementally():
+    anchors = list(transfer._compositions(3, 2))
+    stepped, at_once = transfer.MonomialSpan(2, 3), transfer.MonomialSpan(2, 3)
+    stepped.grow(anchors, 2)
+    stepped.grow(anchors, 5)
+    at_once.grow(anchors, 5)
+
+    def by_anchor(span):
+        out = {}
+        for m in span.monomials:
+            out.setdefault(m.letters[0], []).append(m)
+        return out
+
+    assert by_anchor(stepped) == by_anchor(at_once)
+    assert stepped._grown == at_once._grown == {wt: 5 for wt in anchors}
+
+
+def test_span_row_bound(monkeypatch):
+    anchors = list(transfer._compositions(3, 2))
+    monkeypatch.setattr(transfer, "MAX_ROWS", 16)
+    span = transfer.MonomialSpan(2, 3)
+    span.grow(anchors, 1)
+    assert len(span.monomials) == 16
+    with pytest.raises(RuntimeError, match="16 rows"):
+        span.grow(anchors, 2)
+
+
+def test_leading_term_verdicts_with_outside_matrices():
+    """n = 2, D + n = 3, band 2: the span leaves 4 of the 10 matrices
+    undecided up to word length 8, the depth transfer_map grows to."""
+    span = transfer.MonomialSpan(2, 3)
+    diag = [s for s in transfer.band_matrices(2, 3, 2)
+            if all(s.lookup(i, i) >= 1 for i in (1, 2))]
+    results = [transfer.check_leading_term(s, span) for s in diag]
+    assert len(results) == 10
+    assert [r["ok"] for r in results].count(True) == 6
+    # the diagonal plus one entry two steps off it, in either row
+    outside = {r["matrix"] for r in results if r["ok"] is None}
+    assert outside == {PeriodicMatrix.make(2, 3, {(1, 1): 1, (2, 2): 1, cell: 1})
+                       for cell in ((1, -1), (1, 3), (2, 0), (2, 4))}
