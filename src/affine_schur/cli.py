@@ -50,6 +50,9 @@ class RunConfig:
             raise ValueError("bounds must be positive")
         if self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}")
+        if self.suite == "crystal" and self.n < 2:
+            # e_i is never nilpotent at n = 1, so no sl2-string exists
+            raise ValueError("the crystal suite's sl2-string oracle needs n >= 2")
         if self.fmt not in FORMATS:
             raise ValueError(f"unknown format {self.fmt!r}")
 

@@ -3,7 +3,8 @@
 The combinatorial rule comes from the bracketing partition (unpaired
 positions J plus matched pairs K_1..K_t of the i/(i+1)-valued positions);
 the oracle recomputes the same operators from the sl_2-string decomposition
-of a basis vector.  Their agreement is a core test.
+of a basis vector over Q(v), built from the one-pass divided powers
+`tmodule.divided`, and needs n >= 2.  Their agreement is a core test.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from dataclasses import dataclass
 
 from . import tmodule
 from .flag_comb import FlagSymbol
-from .laurent import RationalScalar, quantum_binomial, quantum_factorial
-from .tmodule import ModuleVector, chevalley
+from .laurent import RationalScalar, quantum_binomial
+from .tmodule import ModuleVector, divided
 from .vector import add_scaled
 
 _R_MINUS_ONE = -RationalScalar.one()
@@ -94,48 +95,37 @@ def _iweight(terms: dict, i: int) -> int:
     return len(p.preimage(i)) - len(p.preimage(i + 1))
 
 
-def _r_divided(i: int, k: int, terms: dict, which: str) -> dict:
-    for _ in range(k):
-        terms = chevalley(i, terms, which)
-    return _over_factorial(terms, k)
-
-
-def _over_factorial(terms: dict, k: int) -> dict:
-    """terms / [k]!"""
-    fact = RationalScalar.from_laurent(quantum_factorial(k))
-    return {p: c / fact for p, c in terms.items()}
-
-
 def string_decomposition(x: ModuleVector, i: int) -> list:
     """Write x = sum_k f_i^{(k)} u_k with e_i u_k = 0.
 
     Returns the list of (k, u_k) with u_k nonzero; the u_k have coefficients
     in the rational function field, as dicts {symbol: RationalScalar}.
+    Each pass takes the top degree K, the largest k with e_i^(k) x != 0,
+    searching down from the largest #p^{-1}(i+1), beyond which e_i^(k)
+    vanishes term by term; u_K is e_i^(K) x over [m choose K], m its
+    i-weight.  Needs n >= 2: at n = 1 every class holds both i and i+1,
+    so e_i^k [p] != 0 for every k (its coefficients are sums of powers of
+    v, which cannot cancel) and no finite string exists.
     """
+    if x.n < 2:
+        raise ValueError("the sl2-string oracle needs n >= 2")
     terms = {p: RationalScalar.from_laurent(c) for p, c in x.terms.items()}
     out = []
     while terms:
-        # largest K with e^{(K)} x != 0, and y = e^K x
-        k = 0
-        y = terms
-        while True:
-            y_next = chevalley(i, y, "e")
-            if not y_next:
-                break
-            y = y_next
-            k += 1
+        k = max(len(p.preimage(i + 1)) for p in terms)
+        while not (top := divided(i, k, terms, "e")):
+            k -= 1
         # a correct pass leaves e_i^(K) x = 0, so K falls strictly; a pass
         # that does not lower it would repeat forever
         if out and k >= out[-1][0]:
             raise ArithmeticError(
                 f"string decomposition along i={i} does not terminate: "
                 f"top degrees K = {[kk for kk, _ in out] + [k]}")
-        top = _over_factorial(y, k)
         m_top = _iweight(top, i)
         binom = RationalScalar.from_laurent(quantum_binomial(m_top, k))
         u = {p: c / binom for p, c in top.items()}
         out.append((k, u))
-        add_scaled(terms, _r_divided(i, k, u, "f"), _R_MINUS_ONE)
+        add_scaled(terms, divided(i, k, u, "f"), _R_MINUS_ONE)
     out.reverse()
     return out
 
@@ -152,7 +142,7 @@ def _reduce_mod_v(parts: list, i: int, shift: int):
     out = {}
     for k, u in parts:
         if k + shift >= 0:
-            add_scaled(out, _r_divided(i, k + shift, u, "f"))
+            add_scaled(out, divided(i, k + shift, u, "f"))
     # the crystal lattice is the span over rational functions regular at
     # v = 0; reduce by evaluating each coefficient at v = 0
     consts = {}

@@ -8,8 +8,20 @@ through the residue operators e_i, f_i, and the antilinear involution tau.
 here goes through `vector.add_scaled`.  A vector passes to the T_w basis one
 dominant block at a time (`to_hecke_blocks`) and comes back through the one
 coset collapse, `hecke.collapse` over left S_lambda cosets with the shift
-v^{-x_p} (`from_hecke_block`).  `chevalley` is the one Chevalley operator,
-on a dict over either scalar ring; the crystal oracle uses it over Q(v).
+v^{-x_p} (`from_hecke_block`).
+
+Divided powers.  `divided` computes e_i^(k) and f_i^(k) in one pass, on a
+dict over either scalar ring (it needs only `shift` and `add_scaled`); the
+Chevalley operators are its k = 1 case and the crystal oracle runs it over
+Q(v).  For f_i, let main = p^{-1}(i), other = p^{-1}(i+1) and, for s in
+main, b(s) = #{l in main, l < s} - #{l in other, l < s}; then
+
+    f_i^(k) [p] = sum over S in main, |S| = k, of
+                  v^{sum_{s in S} b(s) - k(k-1)/2} [p_S],
+
+p_S flipping every position of S to i+1.  e_i^(k) is the same with main =
+p^{-1}(i+1), other = p^{-1}(i), "l > s" for "l < s" and flips to i.  This
+needs n >= 2, where a flip changes the value class of no other position.
 
 Tau.  [p] = v^{x_p} P_lambda T_{w_p}, w_p the minimal coset rep, so
 tau([p]) = v^{-x_p} bar(P_lambda T_{w_p}) comes from `hecke.bar_parabolic`,
@@ -25,13 +37,12 @@ is safe to share between callers and threads.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations
 
-from . import affine_weyl, flag_comb, hecke
+from . import affine_weyl, hecke
 from .flag_comb import FlagSymbol, x_stat
 from .hecke import HeckeElement
-from .laurent import (LaurentScalar, ONE, divide_exact, quantum_factorial,
-                      quantum_integer)
+from .laurent import LaurentScalar, ONE
 from .vector import SparseVector, add_scaled
 
 
@@ -87,16 +98,31 @@ def _check_residue(n: int, i: int):
         raise ValueError(f"residue {i} out of range [0, {n - 1}]")
 
 
-def chevalley(i: int, terms: dict, which: str) -> dict:
-    """e_i (which = "e") or f_i ("f") on a vector {symbol: scalar}.
+def divided(i: int, k: int, terms: dict, which: str) -> dict:
+    """The divided power e_i^(k) (which = "e") or f_i^(k) ("f") on a vector
+    {symbol: scalar}, summed over the k-subsets S of flipped positions with
+    no product and no division.
 
-    e_i turns one value i+1 into i, f_i one value i into i+1.  Moving the
-    value at position k gives the weight v^(a - b): a positions beyond k
-    hold the moving value and b hold the value it becomes, where beyond
-    means right of k for e and left of k for f.
+    A single flip of s carries v^(b(s)): b(s) is the number of positions
+    beyond s holding the moving value minus the number holding the value it
+    becomes, where beyond means right of s for e and left of s for f.  In
+    the k-fold product, each earlier flip beyond s has moved from the first
+    count to the second and lowers the exponent of s by 2, so an order of S
+    with inv such inversions carries v^(sum b - 2 inv).  Summed over the k!
+    orders this is v^(sum b) v^(-k(k-1)/2) [k]!, and the [k]! of the divided
+    power cancels.
+
+    The argument needs n >= 2: at n = 1 every class holds both values, a
+    flip moves the neighbouring positions of its class between main and
+    other, and k >= 2 raises ArithmeticError on a nonzero vector.
     """
     if which not in ("e", "f"):
         raise ValueError(f"unknown Chevalley operator {which!r}")
+    if k < 0:
+        raise ValueError("negative divided power")
+    if k >= 2 and terms and next(iter(terms)).n == 1:
+        raise ArithmeticError(f"divided power of order {k} needs n >= 2")
+    half = k * (k - 1) // 2
 
     def moved():
         for p, c in terms.items():
@@ -105,35 +131,33 @@ def chevalley(i: int, terms: dict, which: str) -> dict:
                 main, other, value, beyond = up, lo, i, int.__gt__
             else:
                 main, other, value, beyond = lo, up, i + 1, int.__lt__
-            for k in main:
-                exp = (sum(1 for l in main if beyond(l, k))
-                       - sum(1 for l in other if beyond(l, k)))
-                yield p.with_value(k, value), c.shift(exp)
+            flips = [(s, sum(1 for l in main if beyond(l, s))
+                      - sum(1 for l in other if beyond(l, s))) for s in main]
+            for S in combinations(flips, k):
+                q = p
+                for s, _ in S:
+                    q = q.with_value(s, value)
+                yield q, c.shift(sum(b for _, b in S) - half)
 
     return add_scaled({}, moved())
 
 
 def apply_e(i: int, x: ModuleVector) -> ModuleVector:
+    """e_i: turns one value i+1 into i."""
     _check_residue(x.n, i)
-    return ModuleVector(x.n, x.D, chevalley(i, x.terms, "e"))
+    return ModuleVector(x.n, x.D, divided(i, 1, x.terms, "e"))
 
 
 def apply_f(i: int, x: ModuleVector) -> ModuleVector:
+    """f_i: turns one value i into i+1."""
     _check_residue(x.n, i)
-    return ModuleVector(x.n, x.D, chevalley(i, x.terms, "f"))
+    return ModuleVector(x.n, x.D, divided(i, 1, x.terms, "f"))
 
 
 def apply_divided(i: int, k: int, x: ModuleVector, which: str = "f") -> ModuleVector:
-    """The divided power e_i^(k) or f_i^(k): k-fold action, exact division by [k]!."""
-    if k < 0:
-        raise ValueError("negative divided power")
+    """The divided power e_i^(k) or f_i^(k)."""
     _check_residue(x.n, i)
-    terms = x.terms
-    for _ in range(k):
-        terms = chevalley(i, terms, which)
-    fact = quantum_factorial(k)
-    return ModuleVector(x.n, x.D,
-                        {p: divide_exact(c, fact) for p, c in terms.items()})
+    return ModuleVector(x.n, x.D, divided(i, k, x.terms, which))
 
 
 def apply_idempotent(mu, x: ModuleVector) -> ModuleVector:
@@ -262,46 +286,3 @@ def _all_subsets(items):
     items = list(items)
     for r in range(len(items) + 1):
         yield from (set(c) for c in combinations(items, r))
-
-
-# ---------------------------------------------------------------------------
-# Commutator probe: determines the scalar of [e_i, f_i] on a weight space
-
-
-def commutator_form(n: int, D: int, i: int, mu) -> "int | None":
-    """The integer m with [e_i, f_i] = [m] on the weight-mu component,
-    or None if the action is not scalar there."""
-    lam = flag_comb.dominant_from_weight(n, D, mu)
-    m_seen = None
-    # probe on every symbol of weight mu within one period window
-    symbols = {FlagSymbol(n, D, perm) for perm in permutations(lam.values)}
-    for p in symbols:
-        x = ModuleVector.basis(p)
-        diff = apply_e(i, apply_f(i, x)) - apply_f(i, apply_e(i, x))
-        if diff.is_zero():
-            c = LaurentScalar.zero()
-        else:
-            if set(diff.terms) != {p}:
-                return None
-            c = diff.terms[p]
-        m = _as_quantum_integer(c)
-        if m is None:
-            return None
-        if m_seen is None:
-            m_seen = m
-        elif m_seen != m:
-            return None
-    return m_seen
-
-
-def _as_quantum_integer(c: LaurentScalar) -> "int | None":
-    """m with c = [m] under the convention [-m] = -[m], [0] = 0.
-
-    [m] has coefficient 1 at the exponents -(m-1), -(m-3), ..., m-1, so m
-    is fixed by the number of terms and the sign of the top coefficient.
-    """
-    if c.is_zero():
-        return 0
-    m = len(c.items())
-    m *= c.coeff(m - 1)
-    return m if m and c == quantum_integer(m) else None

@@ -139,3 +139,24 @@ def test_benchmark_span_targets_resolve():
         for attr in attrs:
             obj = getattr(obj, attr)
         assert callable(obj), name
+
+
+def test_transfer_suite_at_rank_three(tmp_path):
+    """The transfer theorems at n = 3: every verdict count of
+    `run-suite transfer --n 3 --D 1 --band 1 --word-len 2` is pinned."""
+    out = tmp_path / "transfer-n3.json"
+    assert cli.main(["run-suite", "transfer", "--n", "3", "--D", "1",
+                     "--band", "1", "--word-len", "2", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert {c["id"]: (c["status"], c["detail"]) for c in report["cases"]} == {
+        "transfer/calibration":
+            ("pass", "surviving psi flags [('offset', -1)], rho candidates 14"),
+        "transfer/canonical-sweep":
+            ("pass", "477 aperiodic matrices, verdicts "
+                     "{'matches-(a)': 468, 'matches-(b)': 9}"),
+        "transfer/composition/D1": ("pass", "645/645 monomials, length <= 2"),
+        "transfer/composition/D2": ("pass", "903/903 monomials, length <= 2"),
+        "transfer/dual-route": ("pass", "339/339"),
+        "transfer/leading-term":
+            ("pass", "9/9 matrices ok, 0 outside the computable domain; failures []"),
+    }

@@ -3,6 +3,8 @@
 import json
 import signal
 
+import pytest
+
 from affine_schur import cli, crystal, flag_comb as fc, tmodule
 from affine_schur.flag_comb import FlagSymbol
 from affine_schur.laurent import (LaurentScalar, RationalScalar,
@@ -61,7 +63,7 @@ def test_string_decomposition_reconstructs():
         parts = crystal.string_decomposition(x, i)
         total = {}
         for k, u in parts:
-            back = crystal._r_divided(i, k, u, "f")
+            back = tmodule.divided(i, k, u, "f")
             for q, c in back.items():
                 total[q] = total.get(q, crystal.RationalScalar.zero()) + c
         assert {q for q, c in total.items() if not c.is_zero()} == set(x.terms)
@@ -118,29 +120,34 @@ def string_decomposition_recompute(x, i):
 
 
 def test_string_decomposition_matches_recompute_route():
-    for p in fc.enumerate_flag_symbols(2, 3, 1, 4):
-        x = tmodule.ModuleVector.basis(p)
-        for i in range(2):
-            fast = crystal.string_decomposition(x, i)
-            slow = string_decomposition_recompute(x, i)
-            assert [k for k, _ in fast] == [k for k, _ in slow]
-            for (_, u), (_, w) in zip(fast, slow):
-                assert ({q: (c.num, c.den) for q, c in u.items()}
-                        == {q: (c.num, c.den) for q, c in w.items()})
+    for n in (2, 3):
+        for p in fc.enumerate_flag_symbols(n, 3, 1, 4):
+            x = tmodule.ModuleVector.basis(p)
+            for i in range(n):
+                fast = crystal.string_decomposition(x, i)
+                slow = string_decomposition_recompute(x, i)
+                assert [k for k, _ in fast] == [k for k, _ in slow]
+                for (_, u), (_, w) in zip(fast, slow):
+                    assert ({q: (c.num, c.den) for q, c in u.items()}
+                            == {q: (c.num, c.den) for q, c in w.items()})
 
 
 def test_string_decomposition_raises_when_top_degree_repeats(monkeypatch):
-    # dividing the top vector by [1]! instead of [K]! leaves e_i^(K) x != 0
-    # after a pass with K >= 2, so K repeats; the decomposition must raise
-    # instead of spinning (the alarm turns a spin into a failure)
-    def over_one_factorial(terms, k):
-        fact = RationalScalar.from_laurent(quantum_factorial(1))
-        return {p: c / fact for p, c in terms.items()}
+    # a top vector [K]! e_i^(K) x in place of e_i^(K) x, as if the division
+    # by [K]! were skipped, leaves e_i^(K) x != 0 after a pass with K >= 2,
+    # so K repeats; the decomposition must raise instead of spinning (the
+    # alarm turns a spin into a failure)
+    def undivided_top(i, k, terms, which):
+        out = tmodule.divided(i, k, terms, which)
+        if which == "e":
+            fact = RationalScalar.from_laurent(quantum_factorial(k))
+            out = {p: c * fact for p, c in out.items()}
+        return out
 
     def spinning(signum, frame):
         raise TimeoutError("string decomposition still running after 10 s")
 
-    monkeypatch.setattr(crystal, "_over_factorial", over_one_factorial)
+    monkeypatch.setattr(crystal, "divided", undivided_top)
     previous = signal.signal(signal.SIGALRM, spinning)
     signal.alarm(10)
     raised = 0
@@ -156,6 +163,28 @@ def test_string_decomposition_raises_when_top_degree_repeats(monkeypatch):
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
     assert raised
+
+
+def test_oracle_at_rank_one_ends_at_once(capsys):
+    # at n = 1 e_i is never nilpotent, so the string decomposition does not
+    # exist; the oracle and the suite must say so instead of chaining e_i
+    # forever (the alarm turns a spin into a failure)
+    def spinning(signum, frame):
+        raise TimeoutError("rank-one oracle still running after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, spinning)
+    signal.alarm(10)
+    try:
+        for D in (1, 2, 3):
+            for p in fc.enumerate_flag_symbols(1, D, 1, 2):
+                with pytest.raises(ValueError, match="needs n >= 2"):
+                    crystal.kashiwara_oracle(p, 0)
+        status = cli.main(["run-suite", "crystal", "--n", "1", "--D", "2"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert status == 2
+    assert "sl2-string oracle needs n >= 2" in capsys.readouterr().err
 
 
 def test_graph_exports():
