@@ -60,9 +60,6 @@ class AffinePermutation:
             inv[r] = j - q * D
         return _trusted(D, tuple(inv))
 
-    def is_identity(self) -> bool:
-        return all(w == i for i, w in enumerate(self.window, start=1))
-
     # -- length and descents -----------------------------------------------
 
     def length(self) -> int:
@@ -177,39 +174,6 @@ def from_word(D: int, rot: int, word) -> AffinePermutation:
     for i in word:
         w = w * simple(D, i)
     return w
-
-
-# ---------------------------------------------------------------------------
-# Bruhat order (diagnostic only; the canonical solver does not use it)
-
-
-class IncomparableRotationClasses(Exception):
-    """Raised when comparing elements in different cosets of <rho>."""
-
-
-def bruhat_leq(x: AffinePermutation, y: AffinePermutation) -> bool:
-    if x.rank != y.rank:
-        raise ValueError("rank mismatch")
-    kx, wx = x.reduced_word()
-    ky, wy = y.reduced_word()
-    if kx != ky:
-        raise IncomparableRotationClasses(x, y)
-    # compare the Coxeter parts rho^-k x and rho^-k y
-    u = from_word(x.rank, 0, wx)
-    return _coxeter_leq(u, tuple(wy), x.rank)
-
-
-def _coxeter_leq(x: AffinePermutation, word_y: tuple, D: int) -> bool:
-    if x.length() > len(word_y):
-        return False
-    if not word_y:
-        return x.is_identity()
-    j = word_y[-1]
-    y_short = word_y[:-1]
-    if x.has_right_descent(j):
-        return _coxeter_leq(x * simple(D, j), y_short, D)
-    # standard lifting: x <= y iff x <= ys_j when xs_j > x
-    return _coxeter_leq(x, y_short, D)
 
 
 # ---------------------------------------------------------------------------

@@ -43,12 +43,15 @@ the quadratic relation, which `hecke` fixes and nothing else changes.
 tuples, so the memos are safe to share between callers, `BarSystem`s and
 threads; `_tau_schur_label` and `_tau_tmodule_label` hand each caller a
 fresh dict.
+
+Output.  `kl_coefficients` reads the stalk dimensions off one coefficient
+of an expansion; the canonical suite checks that each is nonnegative
+(`cli._expansion_checks`).  `compute` writes an expansion as JSON
+(`expansion_to_json`), optionally kept per block in a `CanonicalCache`.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 import tempfile
@@ -279,15 +282,6 @@ def kl_coefficients(expansion: CanonicalExpansion, q_label, stat=None) -> list:
     return [(d - e, a) for e, a in sorted(c.items())]
 
 
-def ic_consistent(expansion: CanonicalExpansion, stat=None) -> bool:
-    """True iff every reported stalk dimension is a nonnegative integer."""
-    for q, _ in expansion.terms:
-        for _, dim in kl_coefficients(expansion, q, stat):
-            if dim < 0:
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Export and cache
 
@@ -300,24 +294,6 @@ def expansion_to_json(exp: CanonicalExpansion) -> dict:
     return {"leading": enc(exp.leading),
             "terms": [{"label": enc(x), "coeff": c.to_json()}
                       for x, c in exp.terms]}
-
-
-def expansion_to_csv(expansions: list, stat=None) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["leading", "term", "coeff", "kl_pairs"])
-    for exp in expansions:
-        for q, c in exp.terms:
-            pairs = kl_coefficients(exp, q, stat)
-            w.writerow([_label_str(exp.leading), _label_str(q),
-                        json.dumps(c.to_json()), json.dumps(pairs)])
-    return buf.getvalue()
-
-
-def _label_str(x) -> str:
-    if isinstance(x, FlagSymbol):
-        return ",".join(str(v) for v in x.values)
-    return ";".join(f"{i},{j},{v}" for (i, j), v in x.entries)
 
 
 class CanonicalCache:

@@ -16,7 +16,7 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 from . import canonical, crystal, flag_comb, hecke, schur, tmodule, transfer
 from . import affine_weyl
@@ -29,7 +29,7 @@ from .tmodule import ModuleVector
 CACHE_ENV = "AFFINE_SCHUR_CACHE"
 
 SUITES = ("relations", "crystal", "canonical", "schur", "transfer")
-FORMATS = ("json", "csv", "dot")
+FORMATS = ("json", "csv")
 COMMUTATOR = "upper"  # [mu_i - mu_{i+1}] acts on weight mu
 
 
@@ -155,7 +155,7 @@ def _module_cases(cfg: RunConfig):
     yield _case(f"module/weight-shifts/n{n}D{D}", bad == 0, f"{len(symbols)} vectors")
 
     bad = 0
-    forms = {}
+    forms = set()
     for p in symbols:
         x = ModuleVector.basis(p)
         wt = p.weight()
@@ -167,11 +167,10 @@ def _module_cases(cfg: RunConfig):
                 if i == j:
                     m = wt[(i - 1) % n] - wt[i % n]
                     expect = x.scale(quantum_integer(m))
-                    forms.setdefault((i, wt), set()).add(m)
+                    forms.add((i, wt))
                 if diff != expect:
                     bad += 1
-    constant = all(len(v) == 1 for v in forms.values())
-    yield _case(f"module/commutator/n{n}D{D}", bad == 0 and constant,
+    yield _case(f"module/commutator/n{n}D{D}", bad == 0,
                 f"scalar form [mu_i - mu_{{i+1}}] on {len(forms)} weight spaces")
 
     bad = 0
@@ -384,10 +383,6 @@ def _weights(n: int, D: int) -> list:
     return [lam.weight() for lam in flag_comb.all_dominant(n, D)]
 
 
-def _mono(n: int, letters) -> UdotMonomial:
-    return UdotMonomial(n, letters)
-
-
 def _cartan(n: int, i: int, j: int) -> int:
     if n == 2:
         return 2 if i == j else -2
@@ -403,7 +398,7 @@ def suite_schur(cfg: RunConfig) -> list:
     zero = SchurElement.zero(n, D)
 
     def img(letters):
-        return schur.phi_monomial(_mono(n, letters), D)
+        return schur.phi_monomial(UdotMonomial(n, letters), D)
 
     # idempotents and weight shifts
     bad = []
@@ -704,7 +699,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rs.add_argument("--window", type=int, default=4)
     rs.add_argument("--band", type=int, default=2)
     rs.add_argument("--word-len", type=int, default=4)
-    rs.add_argument("--format", choices=("json", "csv"), default="json")
+    rs.add_argument("--format", choices=FORMATS, default="json")
     rs.add_argument("--seed", type=int, default=0)
     rs.add_argument("--out", default="", help="report path (default stdout)")
 

@@ -77,15 +77,6 @@ def kashiwara_e(b: FlagSymbol, i: int):
     return b.with_value(max(highs), i)
 
 
-def epsilon(b: FlagSymbol, i: int) -> int:
-    return bracket(b, i)._split
-
-
-def phi(b: FlagSymbol, i: int) -> int:
-    part = bracket(b, i)
-    return len(part.unpaired) - part._split
-
-
 # ---------------------------------------------------------------------------
 # The sl_2-string oracle
 

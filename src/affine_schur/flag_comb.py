@@ -275,8 +275,13 @@ def is_aperiodic(s: PeriodicMatrix) -> bool:
 
 
 def order_hint(t: PeriodicMatrix, s: PeriodicMatrix) -> str:
-    """Diagnostic for the closure order: 'equal', 'definitely-not-leq', or
-    'consistent' (the diagonal condition t_ii >= s_ii is only necessary)."""
+    """Diagnostic for the closure order: 'equal', 'definitely-not-leq' when
+    some diagonal entry t_ii < s_ii, or 'consistent'.
+
+    The diagonal test is a heuristic, not a criterion: it is not sufficient
+    for t below s, and in the affine case it is not necessary either, since
+    tau([s]) can have a lower term t with t_ii < s_ii (tests/test_flag_comb.py
+    gives one at n = 2, D = 3)."""
     if (t.n, t.D) != (s.n, s.D):
         raise ValueError("shape mismatch")
     if t.row_weight() != s.row_weight() or t.col_weight() != s.col_weight():

@@ -1,13 +1,14 @@
 """The affine Hecke algebra H_D of type GL_D in the T_w basis.
 
-Products, inverses, the bar involution, and the finite coset and double-coset
-sums underlying the flag module and the Schur algebra.  The quadratic
-relation is (T_i + 1)(T_i - v^-2) = 0 throughout.
+Products, inverses, the bar involution, and the double-coset sums
+underlying the Schur algebra.  The quadratic relation is
+(T_i + 1)(T_i - v^-2) = 0 throughout.
 
 `HeckeElement` is a `vector.SparseVector` over permutations, and every sum
 here goes through `vector.add_scaled`.  `collapse` is the one way from a
-finer coset basis to a coarser one: `tmodule` uses it from the T_w basis to
-flag symbols (left S_lambda cosets), and `canonical` from the T_w basis or
+finer coset basis to a coarser one: `tmodule.from_hecke_block` uses it from
+the T_w basis to flag symbols (left S_lambda cosets), for the Schur
+algebra's action on the flag module, and `canonical` from the T_w basis or
 from left cosets to matrices (double cosets).
 
 Parabolic bar.  Write P_lam for the sum of T_u over the Young subgroup
@@ -200,18 +201,7 @@ def bar(h: HeckeElement) -> HeckeElement:
 
 
 # ---------------------------------------------------------------------------
-# Coset sums
-
-
-def coset_sum(lam: flag_comb.FlagSymbol, p: flag_comb.FlagSymbol) -> HeckeElement:
-    """T_p = sum of T_w over the left coset S_lam w_p, w_p the minimal rep."""
-    if p.dominant_rep() != lam:
-        raise ValueError("p is not in the orbit of lam")
-    D = p.D
-    wp = p.min_coset_rep()
-    terms = {u * wp: ONE
-             for u in affine_weyl.young_subgroup_elements(D, lam.values)}
-    return HeckeElement(D, terms)
+# Double-coset sums and the coset collapse
 
 
 def double_coset_sum(lam: flag_comb.FlagSymbol, mu: flag_comb.FlagSymbol,

@@ -6,7 +6,6 @@ structural and values are hashable.  The bar involution sends v to v^-1.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd as int_gcd
 
 
@@ -186,12 +185,6 @@ class LaurentScalar:
     def positive_part(self) -> "LaurentScalar":
         """The vZ[v] part: terms with exponent >= 1."""
         return _raw({e: a for e, a in self._c.items() if e >= 1})
-
-    def evaluate(self, value: Fraction) -> Fraction:
-        """Specialize v to a nonzero rational (test utility only)."""
-        if value == 0:
-            raise ValueError("cannot specialize at v=0")
-        return sum((Fraction(a) * value ** e for e, a in self._c.items()), Fraction(0))
 
     # -- serialization -----------------------------------------------------
 

@@ -111,15 +111,6 @@ def schur_mul(a: SchurElement, b: SchurElement) -> SchurElement:
     return SchurElement(a.n, a.D, out)
 
 
-def unit_on_weights(n: int, D: int, weights) -> SchurElement:
-    """Sum of the idempotents [delta lam] over the given weights."""
-    terms = {}
-    for wt in weights:
-        lam = flag_comb.dominant_from_weight(n, D, wt)
-        terms[flag_comb.delta_matrix(lam)] = ONE
-    return SchurElement(n, D, terms)
-
-
 def act_on_module(x: SchurElement, vec) -> "tmodule.ModuleVector":
     """The left action on the flag module: [s] in H_{lam,mu} maps the
     mu-block of vec through the Hecke realization.
@@ -309,8 +300,9 @@ def tau_schur(x: SchurElement) -> SchurElement:
 
 
 def epsilon_degrees(x: SchurElement) -> dict:
-    """The sign character graded by rotation degree: {k: a_k} with
-    epsilon_sign(x, rho) = sum_k a_k rho^k.
+    """The sign character graded by rotation degree: {k: a_k}, so that the
+    character with T_{s_i} -> -1 and the rotation rho -> rho_value sends x
+    to sum_k a_k rho_value^k (`transfer.evaluate_collapse`).
 
     It lives on the block lam = mu = (1, ..., n) and is zero elsewhere.
     T_w with w = rho^k s_{i_1} ... s_{i_l} adds (-1)^l times its coefficient
@@ -330,25 +322,6 @@ def epsilon_degrees(x: SchurElement) -> dict:
                 c = -c
             degrees[k] = degrees[k] + c if k in degrees else c
     return degrees
-
-
-def epsilon_sign(x: SchurElement, rho_value: LaurentScalar = ONE) -> LaurentScalar:
-    """The character on the block lam = mu = (1, ..., n); zero elsewhere.
-
-    T_{s_i} -> -1 on that block; length-zero rotations go to rho_value
-    (a calibration constant, a Laurent monomial)."""
-    total = LaurentScalar.zero()
-    for k, a in epsilon_degrees(x).items():
-        total = total + a * (rho_value ** k if k >= 0
-                             else _inv_monomial(rho_value) ** (-k))
-    return total
-
-
-def _inv_monomial(c: LaurentScalar) -> LaurentScalar:
-    (e, a), = c.items()
-    if a * a != 1:
-        raise ArithmeticError("calibration constant must be invertible")
-    return LaurentScalar({-e: a})
 
 
 def psi_twist(x: SchurElement, sign: int = 1) -> SchurElement:

@@ -1,13 +1,14 @@
 """The periodic flag module T_D = sum_lambda T_lambda H_D.
 
 Vectors are written in the renormalized basis [p] = v^{x_p} T_p.  The module
-carries a right Hecke action, a left action of the modified quantum algebra
-through the residue operators e_i, f_i, and the antilinear involution tau.
+carries a left action of the modified quantum algebra through the residue
+operators e_i, f_i, and the antilinear involution tau.
 
 `ModuleVector` is a `vector.SparseVector` over flag symbols and every sum
-here goes through `vector.add_scaled`.  A vector passes to the T_w basis one
-dominant block at a time (`to_hecke_blocks`) and comes back through the one
-coset collapse, `hecke.collapse` over left S_lambda cosets with the shift
+here goes through `vector.add_scaled`.  An element of a block T_lambda H_D
+in the T_w basis, such as the image of the Schur algebra's action
+(`schur.act_on_module`), comes back to symbols through the one coset
+collapse, `hecke.collapse` over left S_lambda cosets with the shift
 v^{-x_p} (`from_hecke_block`).
 
 Divided powers.  `divided` computes e_i^(k) and f_i^(k) in one pass, on a
@@ -168,17 +169,7 @@ def apply_idempotent(mu, x: ModuleVector) -> ModuleVector:
 
 
 # ---------------------------------------------------------------------------
-# Hecke realization and the right action
-
-
-def to_hecke_blocks(x: ModuleVector) -> dict:
-    """Expand into the T_w basis, one Hecke element per dominant block."""
-    blocks = {}
-    for p, c in x.terms.items():
-        lam = p.dominant_rep()
-        add_scaled(blocks.setdefault(lam, {}), hecke.coset_sum(lam, p).terms,
-                   c.shift(x_stat(p)))
-    return {lam: HeckeElement(x.D, t) for lam, t in blocks.items() if t}
+# Back from the Hecke realization
 
 
 def from_hecke_block(lam: FlagSymbol, h: HeckeElement) -> ModuleVector:
@@ -191,39 +182,6 @@ def from_hecke_block(lam: FlagSymbol, h: HeckeElement) -> ModuleVector:
     terms = hecke.collapse(h.terms, lambda w: (lam.act(w), [u * w for u in young]),
                            x_stat)
     return ModuleVector(lam.n, lam.D, terms)
-
-
-def right_hecke(x: ModuleVector, h: HeckeElement) -> ModuleVector:
-    """The right Hecke action, computed in the T_w basis blockwise."""
-    if h.rank != x.D:
-        raise ValueError("rank mismatch")
-    out = {}
-    for lam, block in to_hecke_blocks(x).items():
-        add_scaled(out, from_hecke_block(lam, hecke.mul(block, h)).terms)
-    return ModuleVector(x.n, x.D, out)
-
-
-def right_simple(x: ModuleVector, j: int) -> ModuleVector:
-    """Fast path for x * T_{s_j} using the coset length bookkeeping."""
-    sj = affine_weyl.simple(x.D, j)
-    vm2 = LaurentScalar({-2: 1})
-    vm2_m1 = LaurentScalar({-2: 1, 0: -1})
-
-    def images():
-        for p, c in x.terms.items():
-            q = p.act(sj)
-            if q == p:
-                yield p, c * vm2
-                continue
-            wp = p.min_coset_rep()
-            shift = x_stat(p) - x_stat(q)
-            if (wp * sj).length() > wp.length():
-                yield q, c.shift(shift)
-            else:
-                yield p, c * vm2_m1
-                yield q, (c * vm2).shift(shift)
-
-    return ModuleVector(x.n, x.D, add_scaled({}, images()))
 
 
 def tau(x: ModuleVector) -> ModuleVector:

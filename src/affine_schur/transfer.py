@@ -10,7 +10,10 @@ the loop.  Calibration and the composition check walk the words depth first
 (route_pairs), so each word extends its prefix's evaluation by one letter,
 and they share one walk per rank (walk_checks).  The sign character
 collapses each tensor once, graded by rotation degree (graded_collapse);
-each calibration candidate rho is an evaluation of it.
+each calibration candidate rho is an evaluation of it.  The calibration
+runs only inside walk_checks; tests/test_transfer.py keeps a calibration
+that walks each rank on its own, and a per-term sign character, as its
+oracles.
 
 The walk, the tensor steps and the monomial span multiply a basis element
 on the right by a Chevalley generator with the BLM rule on the periodic
@@ -48,8 +51,9 @@ from .schur import SchurElement, UdotMonomial, phi_idempotent, phi_monomial
 from .vector import add_scaled
 
 
-# Convention flags frozen by calibrate_flags(); the calibration test asserts
-# these are the unique settings satisfying the composite-identity check.
+# Convention flags frozen by the calibration (walk_checks); the calibration
+# tests assert these are the unique settings satisfying the
+# composite-identity check.
 # psi flag: ("offset", sign) scales [s] by v^{sign * offset_sum(s)};
 # ("window", sign) is the blockwise window-sum reading; ("weight", 0) is the
 # flat reading (trivial twist).
@@ -124,51 +128,8 @@ def reduce_monomial(m: UdotMonomial):
     return UdotMonomial(m.n, letters)
 
 
-def phi_twist(m: UdotMonomial):
-    """The endomorphism sending a_lam to a_{lam - (1,..,1)}, e_i to v e_i
-    and f_i to v^{-1} f_i; returns (reduced monomial or None, v-power)."""
-    exp = sum(g[2] if g[0] == "e" else -g[2]
-              for g in m.letters if g[0] != "a")
-    return reduce_monomial(m), LaurentScalar.v(exp)
-
-
 # ---------------------------------------------------------------------------
 # The comultiplication route: tensor-leg evaluation of monomials
-
-
-def delta_generator(kind: str, lam: tuple, i: int = None):
-    """The comultiplication of a generator, as (coeff, left, right) monomial
-    legs.  kind 'a': idempotent splits; 'e': a_lam e_i; 'f': f_i a_lam (lam
-    is then the right weight)."""
-    n = len(lam)
-    legs = []
-    if kind == "a":
-        for w1, w2 in _all_splits(lam):
-            legs.append((ONE,
-                         UdotMonomial(n, (("a", w1),)),
-                         UdotMonomial(n, (("a", w2),))))
-        return legs
-    r = i if i >= 1 else n
-    if kind == "e":
-        for w1, w2 in _all_splits(lam):
-            legs.append((LaurentScalar.v(w1[r - 1]),
-                         UdotMonomial(n, (("a", w1),)),
-                         UdotMonomial(n, (("a", w2), ("e", i, 1)))))
-            legs.append((LaurentScalar.v(-w2[r - 1]),
-                         UdotMonomial(n, (("a", w1), ("e", i, 1))),
-                         UdotMonomial(n, (("a", w2),))))
-        return legs
-    if kind == "f":
-        i1 = r % n  # component of the residue below the moved one
-        for w1, w2 in _all_splits(lam):
-            legs.append((LaurentScalar.v(-w1[i1]),
-                         UdotMonomial(n, (("a", w1),)),
-                         UdotMonomial(n, (("f", i, 1), ("a", w2)))))
-            legs.append((LaurentScalar.v(w2[i1]),
-                         UdotMonomial(n, (("f", i, 1), ("a", w1))),
-                         UdotMonomial(n, (("a", w2),))))
-        return legs
-    raise ValueError(f"unknown generator kind {kind!r}")
 
 
 def _all_splits(wt: tuple):
@@ -416,36 +377,24 @@ def calibration_step(candidates: list, n: int, D: int, parts: dict,
     return survivors
 
 
-def calibrate_flags(n: int = 2, Ds=(1, 2), max_len: int = 3):
-    """All (psi_flag, rho_value) settings under which the comultiplication
-    route reproduces the rank-lowered evaluation on every test monomial.
-
-    This pins the psi flag but not rho: at every size checked (n = 2 at
-    D = 1 and 2, n = 3 at D = 1, words up to length 3) the rotating terms
-    of each word's tensor cancel in its collapse, so every rho candidate
-    survives, and transfer/calibration reports "rho candidates 10" at
-    n = 2 whatever EPS_RHO is."""
-    candidates = calibration_candidates(n)
-    for D in Ds:
-        for _m, tensor, rhs in route_pairs(n, D, max_len):
-            candidates = calibration_step(candidates, n, D,
-                                          graded_collapse(tensor), rhs)
-            if not candidates:
-                return []
-    return candidates
-
-
 def walk_checks(n: int, word_len: int):
     """Calibration and composition check from one route_pairs walk per
     D in (1, 2).
 
-    Each word of length <= 3 filters the calibration candidates, as in
-    calibrate_flags(n, (1, 2), 3); each word of length <= word_len is
-    checked for psi o (epsilon x 1) o omega = phi of its reduction.  The
-    walk is streamed, never stored.  Returns (surviving candidates,
-    {D: (words passed, words checked)}).  Both sides of the composition
-    check come from the walk; the dual-route case and the tests check the
-    walk against phi_monomial."""
+    Each word of length <= 3 filters the calibration candidates: the
+    (psi_flag, rho_value) settings under which the comultiplication route
+    reproduces the rank-lowered evaluation on every word so far.  Each word
+    of length <= word_len is checked for psi o (epsilon x 1) o omega = phi
+    of its reduction.  The walk is streamed, never stored.  Returns
+    (surviving candidates, {D: (words passed, words checked)}).  Both sides
+    of the composition check come from the walk; the dual-route case and
+    the tests check the walk against phi_monomial.
+
+    The calibration pins the psi flag but not rho: at every size checked
+    (n = 2 at D = 1 and 2, n = 3 at D = 1, words up to length 3) the
+    rotating terms of each word's tensor cancel in its collapse, so every
+    rho candidate survives, and transfer/calibration reports "rho
+    candidates 10" at n = 2 whatever EPS_RHO is."""
     candidates = calibration_candidates(n)
     composition = {}
     for D in (1, 2):

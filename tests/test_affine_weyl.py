@@ -16,11 +16,11 @@ def random_elements(D, max_word=6):
 
 def test_simple_and_rotation():
     s1 = aw.simple(3, 1)
-    assert s1.length() == 1 and (s1 * s1).is_identity()
+    assert s1.length() == 1 and s1 * s1 == aw.identity(3)
     rho = aw.rotation(3)
     assert rho.length() == 0
     assert rho.rotation_power() == 1
-    assert (rho * rho.inverse()).is_identity()
+    assert rho * rho.inverse() == aw.identity(3)
     s0 = aw.simple(3, 0)
     assert s0.length() == 1
     # rho conjugates the simple reflections cyclically
@@ -53,16 +53,6 @@ def test_length_subadditive(x, y):
 def test_inverse_length(w):
     assert w.inverse().length() == w.length()
     assert aw.AffinePermutation.from_text(w.to_text()) == w
-
-
-def test_bruhat_order():
-    e = aw.identity(3)
-    s1 = aw.simple(3, 1)
-    w = s1 * aw.simple(3, 2)
-    assert aw.bruhat_leq(e, w)
-    assert aw.bruhat_leq(s1, w)
-    assert not aw.bruhat_leq(w, s1)
-    assert aw.bruhat_leq(w, w)
 
 
 def test_young_subgroup():
@@ -158,4 +148,4 @@ def test_trusted_product_and_inverse_match_validating_route(data):
     inv = aw.AffinePermutation(D, tuple(k + j - a(k) for j in range(1, D + 1)
                                         for k in range(1, D + 1) if (a(k) - j) % D == 0))
     assert a.inverse() == inv and hash(a.inverse()) == hash(inv)
-    assert (a * inv).is_identity() and (inv * a).is_identity()
+    assert a * inv == aw.identity(D) == inv * a

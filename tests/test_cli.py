@@ -31,6 +31,12 @@ def test_invalid_config_exits_2(capsys):
     assert "invalid config" in capsys.readouterr().err
 
 
+def test_validate_rejects_format_run_suite_cannot_write():
+    # report_to_text writes json or csv; "dot" is a format of compute only
+    with pytest.raises(ValueError, match="unknown format 'dot'"):
+        cli.RunConfig(fmt="dot").validate()
+
+
 def test_run_suite_report_schema(capsys):
     assert cli.main(["run-suite", "relations", "--n", "2", "--D", "2",
                      "--word-len", "2"]) == 0

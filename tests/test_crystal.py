@@ -36,11 +36,12 @@ def test_epsilon_phi_string_lengths():
             k, b = 0, p
             while (b2 := crystal.kashiwara_e(b, i)) is not None:
                 b, k = b2, k + 1
-            assert crystal.epsilon(p, i) == k
+            part = crystal.bracket(p, i)
+            assert part.epsilon() == k
             k, b = 0, p
             while (b2 := crystal.kashiwara_f(b, i)) is not None:
                 b, k = b2, k + 1
-            assert crystal.phi(p, i) == k
+            assert len(part.unpaired) - part.epsilon() == k
 
 
 def test_oracle_agreement_suite():

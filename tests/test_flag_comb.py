@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from affine_schur import affine_weyl as aw, canonical, flag_comb as fc, transfer
 from affine_schur.flag_comb import FlagSymbol, PeriodicMatrix
+from affine_schur.laurent import LaurentScalar
 
 
 symbols = st.tuples(st.integers(2, 3), st.integers(1, 4)).flatmap(
@@ -92,6 +93,17 @@ def test_order_hint_consistency():
     # standard order used for triangularity reports
     assert fc.order_hint(d, d) == "equal"
     assert fc.order_hint(e_mat, e_mat) == "equal"
+
+
+def test_order_hint_rejects_a_true_lower_term():
+    # u is in the bar cone of t, and tau([t]) has coefficient v - v^-1 at
+    # u, yet u_22 = 0 < t_22 = 1: the diagonal test is not necessary
+    t = PeriodicMatrix.make(2, 3, {(1, 3): 1, (2, 2): 1, (2, 4): 1})
+    u = PeriodicMatrix.make(2, 3, {(1, 2): 1, (2, 3): 1, (2, 4): 1})
+    assert canonical._tau_schur_label(t)[u] == LaurentScalar({1: 1, -1: -1})
+    assert u in canonical.schur_system(2, 3).lower_labels(t)
+    assert u.lookup(2, 2) < t.lookup(2, 2)
+    assert fc.order_hint(u, t) == "definitely-not-leq"
 
 
 def left_cosets_by_enumeration(s, lam, mu) -> tuple:

@@ -6,6 +6,8 @@ from affine_schur import affine_weyl as aw, flag_comb as fc, hecke
 from affine_schur.hecke import HeckeElement
 from affine_schur.laurent import LaurentScalar, ONE, ZERO
 
+from oracles import coset_sum
+
 
 def t(D, i):
     return HeckeElement.t(aw.simple(D, i))
@@ -66,7 +68,7 @@ def test_bar_antihomomorphic_on_products(u, w):
 def test_bar_fixes_normalized_coset_sum():
     # bar(T_lambda) = v^{2 x_lambda} T_lambda, i.e. [lambda] is bar-fixed
     lam = fc.dominant_from_weight(2, 3, (2, 1))
-    h = hecke.coset_sum(lam, lam)
+    h = coset_sum(lam, lam)
     assert hecke.bar(h) == h.scale(LaurentScalar.v(2 * fc.x_stat(lam)))
 
 
@@ -151,8 +153,8 @@ def test_young_sum_times_t_u(data):
                      data.draw(st.lists(st.integers(0, D - 1), max_size=6)))
     q = lam.act(u)
     gap = u.length() - q.min_coset_rep().length()
-    assert (hecke.mul(hecke.coset_sum(lam, lam), HeckeElement.t(u))
-            == hecke.coset_sum(lam, q).scale(LaurentScalar.v(-2 * gap)))
+    assert (hecke.mul(coset_sum(lam, lam), HeckeElement.t(u))
+            == coset_sum(lam, q).scale(LaurentScalar.v(-2 * gap)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -162,7 +164,7 @@ def test_bar_parabolic_matches_bar_of_product(h, data):
     # onto left cosets
     D = h.rank
     lam = data.draw(st.sampled_from(dominant_symbols(D)))
-    full = hecke.bar(hecke.mul(hecke.coset_sum(lam, lam), h))
+    full = hecke.bar(hecke.mul(coset_sum(lam, lam), h))
     young = aw.young_subgroup_elements(D, lam.values)
     expected = hecke.collapse(full.terms, lambda w: (lam.act(w), [u * w for u in young]),
                               lambda q: 0)

@@ -1,7 +1,5 @@
 """Exact scalar arithmetic: ring axioms, bar, quantum combinatorics."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -87,11 +85,6 @@ def test_rational_laurent_roundtrip(a):
 @given(scalars)
 def test_json_roundtrip(a):
     assert LaurentScalar.from_json(a.to_json()) == a
-
-
-def test_evaluate():
-    # [3](v=2) = 4 + 1 + 1/4
-    assert quantum_integer(3).evaluate(Fraction(2)) == Fraction(21, 4)
 
 
 # ---------------------------------------------------------------------------
