@@ -112,18 +112,6 @@ class AffinePermutation:
     def __repr__(self):
         return f"AffinePermutation(D={self.rank}, {list(self.window)})"
 
-    def to_text(self) -> str:
-        return f"D={self.rank};[{','.join(str(w) for w in self.window)}]"
-
-    @staticmethod
-    def from_text(text: str) -> "AffinePermutation":
-        head, _, body = text.partition(";")
-        if not head.startswith("D=") or not body.startswith("[") or not body.endswith("]"):
-            raise ValueError(f"bad permutation text {text!r}")
-        D = int(head[2:])
-        window = tuple(int(x) for x in body[1:-1].split(","))
-        return AffinePermutation(D, window)
-
 
 _SET_RANK = AffinePermutation.rank.__set__
 _SET_WINDOW = AffinePermutation.window.__set__

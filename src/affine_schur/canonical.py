@@ -6,19 +6,30 @@ x carries a unique tau-fixed element b_x = [x] + (coefficients in vZ[v]).
 Specializations: b_p in the flag module and b_s in the Schur algebra (with
 the twisted involution on double-coset sums).
 
+Grade.  The order is the dimension of the orbit that a label indexes: x_stat
+on the flag module and y_stat on the Schur algebra (`BarSystem.grade`).
+With lam the dominant symbol of p and w_p its minimal coset rep,
+x_stat(p) = x_stat(lam) + l(w_p), the length of the longest element of the
+coset S_lam w_p; and y_stat(s) = l(w) - l(w_mu), w the longest element of
+the double coset of s and w_mu that of S_mu.  bar(T_w) is supported on
+u <= w in the Bruhat order, so every label u != x of tau([x]) has a
+strictly smaller grade.  `BarSystem.tau_expand` checks this on every label
+it expands and raises ArithmeticError otherwise.
+
 Discrepancy.  `solve_canonical` builds b_x as b = [x] + sum of p_y b_y and
 keeps d = tau(b) - b beside it, starting from d = tau([x]) - [x].  A step
-picks a maximal label y of the support of d, splits gamma = d[y] as
-p - bar(p) with p in vZ[v], and sets b <- b + p b_y.  Since b_y is
-tau-fixed and tau is antilinear,
+picks the label y of largest grade in the support of d (the first by
+sort_key among equals), splits gamma = d[y] as p - bar(p) with p in vZ[v],
+and sets b <- b + p b_y.  Since b_y is tau-fixed and tau is antilinear,
 
     tau(b + p b_y) - (b + p b_y) = d + bar(p) b_y - p b_y = d - gamma b_y,
 
 so d is updated by subtracting gamma b_y and tau is never applied to b.
-Every y lies strictly below x, so b keeps coefficient 1 at x, and b_y has
-coefficient 1 at y and is supported at and below y, so the update clears d
-at y and adds labels only below it; the solver checks that d[y] is gone,
-so the loop, which ends when d = 0, cannot revisit a label.
+Every y has a smaller grade than x, so b keeps coefficient 1 at x, and b_y
+has coefficient 1 at y and is otherwise supported on smaller grades, so the
+update clears d at y and adds labels only of smaller grade; the solver
+checks that d[y] is gone, so the loop, which ends when d = 0, cannot
+revisit a label.
 The labels b_y still to be solved sit on an explicit stack, so the depth of
 the bar-support order is not bounded by Python's recursion limit.  Both
 updates are `vector.add_scaled` on plain {label: scalar} dicts.
@@ -41,13 +52,15 @@ the block is fixed by the row and column weights, and tau([s]) by s and
 the quadratic relation, which `hecke` fixes and nothing else changes.
 `PeriodicMatrix` and `FlagSymbol` are frozen and the cached values are
 tuples, so the memos are safe to share between callers, `BarSystem`s and
-threads; `_tau_schur_label` and `_tau_tmodule_label` hand each caller a
-fresh dict.
+threads.  The systems pass `_tau_schur_terms` and `tmodule._tau_terms`
+themselves as tau_fn; `BarSystem.tau_expand` makes the one copy that the
+solver changes, and a `BarSystem` keeps nothing but its solved b_x.
 
 Output.  `kl_coefficients` reads the stalk dimensions off one coefficient
-of an expansion; the canonical suite checks that each is nonnegative
-(`cli._expansion_checks`).  `compute` writes an expansion as JSON
-(`expansion_to_json`), optionally kept per block in a `CanonicalCache`.
+of an expansion, given the grade of its system as the statistic; the
+canonical suite checks that each is nonnegative (`cli._expansion_checks`).
+`compute` writes an expansion as JSON (`expansion_to_json`), optionally
+kept per block in a `CanonicalCache`.
 """
 
 from __future__ import annotations
@@ -63,53 +76,33 @@ from .flag_comb import FlagSymbol, PeriodicMatrix, x_stat, y_stat
 from .laurent import LaurentScalar, ONE
 from .vector import add_scaled
 
-# the largest bar-support cone `BarSystem.lower_labels` walks before it gives up
-MAX_LABELS = 10_000
-
 
 @dataclass
 class BarSystem:
-    """Bar data over a label set, discovered lazily from a tau callback.
+    """Bar data over a label set, read from a tau callback.
 
-    tau_fn(label) returns the expansion of tau([label]) as {label: scalar};
-    it must be unitriangular: the diagonal coefficient is exactly 1 and all
-    other support labels are strictly lower in the derived order.
+    tau_fn(label) returns tau([label]) as (label, scalar) pairs.  It must be
+    unitriangular for the grade: the coefficient at label is exactly 1 and
+    every other label of the support has a grade below grade(label).
+    `tau_expand` checks both on every call, so the bar-support order is
+    acyclic on every label the solver reaches.  sort_key breaks ties of the
+    grade and orders the terms of an expansion.
     """
     tau_fn: object
+    grade: object
     sort_key: object
-    _tau_cache: dict = field(default_factory=dict)
-    _below: dict = field(default_factory=dict)
     _canon: dict = field(default_factory=dict)
 
     def tau_expand(self, label) -> dict:
-        out = self._tau_cache.get(label)
-        if out is None:
-            out = self.tau_fn(label)
-            if out.get(label) != ONE:
-                raise ArithmeticError(f"bar matrix not unitriangular at {label}")
-            self._tau_cache[label] = out
-        return out
-
-    def lower_labels(self, label) -> set:
-        """Strictly lower labels (transitive bar-support order)."""
-        out = self._below.get(label)
-        if out is None:
-            out = set()
-            frontier = [y for y in self.tau_expand(label) if y != label]
-            while frontier:
-                x = frontier.pop()
-                if x in out:
-                    continue
-                out.add(x)
-                if len(out) > MAX_LABELS:
-                    raise RuntimeError(
-                        f"support cone exceeded {MAX_LABELS} labels")
-                if x == label:
-                    raise ArithmeticError(f"bar-support order has a cycle at {label}")
-                frontier.extend(y for y in self.tau_expand(x) if y != x)
-            if label in out:
-                raise ArithmeticError(f"bar-support order has a cycle at {label}")
-            self._below[label] = out
+        """A fresh {label: scalar} dict of tau([label])."""
+        out = dict(self.tau_fn(label))
+        if out.get(label) != ONE:
+            raise ArithmeticError(f"bar matrix not unitriangular at {label}")
+        top = self.grade(label)
+        for y in out:
+            if y != label and self.grade(y) >= top:
+                raise ArithmeticError(
+                    f"tau([{label}]) has {y} of grade {self.grade(y)} >= {top}")
         return out
 
 
@@ -130,7 +123,6 @@ class CanonicalExpansion:
 
 def solve_canonical(system: BarSystem, label) -> CanonicalExpansion:
     """The unique tau-fixed b = [label] + sum of vZ[v]-corrections."""
-    system.lower_labels(label)  # forces acyclicity check
     canon = system._canon
     # frames (x, b, d) with d = tau(b) - b; a frame waits while the b_y
     # its next step needs is solved on top of it
@@ -164,29 +156,23 @@ def solve_canonical(system: BarSystem, label) -> CanonicalExpansion:
 
 def _frame(system: BarSystem, x) -> tuple:
     """A new solver frame for x: b = [x] and d = tau([x]) - [x]."""
-    d = dict(system.tau_expand(x))
+    d = system.tau_expand(x)
     del d[x]
     return x, {x: ONE}, d
 
 
 def _max_label(system: BarSystem, labels):
-    """A label of the set maximal for the bar-support order (deterministic)."""
-    for y in sorted(labels, key=system.sort_key):
-        if not any(y in system.lower_labels(z) for z in labels if z != y):
-            return y
-    raise ArithmeticError("no maximal label; order is cyclic")
+    """The label of largest grade, the first by sort_key among equals."""
+    return min(labels, key=lambda y: (-system.grade(y), system.sort_key(y)))
 
 
 # ---------------------------------------------------------------------------
 # Specialization to the flag module
 
 
-def _tau_tmodule_label(p: FlagSymbol) -> dict:
-    return dict(tmodule._tau_terms(p))
-
-
 def tmodule_system(n: int, D: int) -> BarSystem:
-    return BarSystem(tau_fn=_tau_tmodule_label, sort_key=lambda p: p.values)
+    return BarSystem(tau_fn=tmodule._tau_terms, grade=x_stat,
+                     sort_key=lambda p: p.values)
 
 
 def canonical_tmodule(p: FlagSymbol, system: BarSystem = None) -> CanonicalExpansion:
@@ -235,11 +221,6 @@ def left_cosets_to_matrix_terms(lam: FlagSymbol, mu: FlagSymbol, coords: dict) -
     return hecke.collapse(coords, coset, y_stat)
 
 
-def _tau_schur_label(s: PeriodicMatrix) -> dict:
-    """tau([s]) = v^{-2 x_mu} bar([s]) expanded in the [t] basis."""
-    return dict(_tau_schur_terms(s))
-
-
 @lru_cache(maxsize=None)
 def _tau_schur_terms(s: PeriodicMatrix) -> tuple:
     """tau([s]) = v^{-2 x_mu} bar([s]) as a tuple of (matrix, coeff) pairs,
@@ -256,7 +237,8 @@ def _tau_schur_terms(s: PeriodicMatrix) -> tuple:
 
 
 def schur_system(n: int, D: int) -> BarSystem:
-    return BarSystem(tau_fn=_tau_schur_label, sort_key=lambda s: s.entries)
+    return BarSystem(tau_fn=_tau_schur_terms, grade=y_stat,
+                     sort_key=lambda s: s.entries)
 
 
 def canonical_schur(s: PeriodicMatrix, system: BarSystem = None) -> CanonicalExpansion:
@@ -269,14 +251,13 @@ def canonical_schur(s: PeriodicMatrix, system: BarSystem = None) -> CanonicalExp
 # KL-type coefficient extraction
 
 
-def kl_coefficients(expansion: CanonicalExpansion, q_label, stat=None) -> list:
+def kl_coefficients(expansion: CanonicalExpansion, q_label, stat) -> list:
     """Decompose the coefficient of q_label as sum_i dim_i v^{-i + s_p - s_q}.
 
-    stat maps a label to its dimension statistic (x_stat for symbols, y_stat
-    for matrices); returns the nonzero (i, dim_i) pairs.
+    stat maps a label to its dimension statistic, the grade of its
+    `BarSystem` (x_stat for symbols, y_stat for matrices); returns the
+    nonzero (i, dim_i) pairs.
     """
-    if stat is None:
-        stat = x_stat if isinstance(expansion.leading, FlagSymbol) else y_stat
     d = stat(expansion.leading) - stat(q_label)
     c = expansion.coeff(q_label)
     return [(d - e, a) for e, a in sorted(c.items())]

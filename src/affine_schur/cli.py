@@ -333,7 +333,7 @@ def suite_canonical(cfg: RunConfig) -> list:
     tsys = canonical.tmodule_system(n, D)
     for p in flag_comb.enumerate_flag_symbols(n, D, 1, cfg.window):
         exp = canonical.canonical_tmodule(p, tsys)
-        err = _expansion_checks(exp, x_stat)
+        err = _expansion_checks(exp, tsys.grade)
         vec = canonical.canonical_tmodule_vector(p, tsys)
         if not err and tmodule.tau(vec) != vec:
             err = "not tau-fixed"
@@ -345,7 +345,7 @@ def suite_canonical(cfg: RunConfig) -> list:
     for s in mats:
         exp = canonical.canonical_schur(s, ssys)
         sexp[s] = exp
-        err = _expansion_checks(exp, y_stat)
+        err = _expansion_checks(exp, ssys.grade)
         if not err:
             el = SchurElement(n, D, exp.as_dict())
             if schur.tau_schur(el) != el:

@@ -93,13 +93,6 @@ class FlagSymbol:
         return FlagSymbol(int(parts[0][2:]), int(parts[1][2:]),
                           tuple(int(x) for x in body.strip("[]").split(",")))
 
-    def to_json(self) -> dict:
-        return {"n": self.n, "D": self.D, "values": list(self.values)}
-
-    @staticmethod
-    def from_json(obj: dict) -> "FlagSymbol":
-        return FlagSymbol(obj["n"], obj["D"], tuple(obj["values"]))
-
 
 def dominant_from_weight(n: int, D: int, weight) -> FlagSymbol:
     """Inverse of FlagSymbol.weight on dominant symbols."""
@@ -203,11 +196,6 @@ class PeriodicMatrix:
     def to_json(self) -> dict:
         return {"n": self.n, "D": self.D,
                 "entries": [[i, j, v] for (i, j), v in self.entries]}
-
-    @staticmethod
-    def from_json(obj: dict) -> "PeriodicMatrix":
-        return PeriodicMatrix.make(obj["n"], obj["D"],
-                                   {(i, j): v for i, j, v in obj["entries"]})
 
 
 def y_stat(s: PeriodicMatrix) -> int:

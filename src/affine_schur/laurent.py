@@ -214,9 +214,7 @@ def _coerce(x) -> LaurentScalar:
 _ZERO = _raw({})
 _ONE = _raw({0: 1})
 
-ZERO = _ZERO
 ONE = _ONE
-V = LaurentScalar.v()
 
 
 def divide_exact(num: LaurentScalar, den: LaurentScalar) -> LaurentScalar:

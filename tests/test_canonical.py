@@ -7,7 +7,8 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from affine_schur import canonical, cli, flag_comb as fc, hecke, schur, tmodule, transfer
+from affine_schur import (affine_weyl as aw, canonical, cli, flag_comb as fc, hecke,
+                          schur, tmodule, transfer)
 from affine_schur.flag_comb import FlagSymbol, PeriodicMatrix
 from affine_schur.laurent import LaurentScalar, ONE
 from affine_schur.schur import SchurElement
@@ -48,7 +49,7 @@ def test_kl_coefficients_nonnegative(sys22):
     for s in transfer.band_matrices(2, 2, 2):
         exp = canonical.canonical_schur(s, sys22)
         for q, _ in exp.terms:
-            for i, dim in canonical.kl_coefficients(exp, q):
+            for i, dim in canonical.kl_coefficients(exp, q, sys22.grade):
                 assert dim > 0 and isinstance(i, int)
 
 
@@ -72,20 +73,23 @@ def test_solver_order_independent():
 
 def test_unitriangularity_violation_detected():
     bad = canonical.BarSystem(
-        tau_fn=lambda x: {x: LaurentScalar.v(1)}, sort_key=lambda x: x)
+        tau_fn=lambda x: {x: LaurentScalar.v(1)}, grade=len, sort_key=lambda x: x)
     with pytest.raises(ArithmeticError):
         bad.tau_expand("a")
 
 
-def test_support_cone_bound(monkeypatch):
-    # tau([k]) = [k] + [k-1]: the cone below k holds the k labels 0..k-1
-    chain = canonical.BarSystem(
-        tau_fn=lambda k: {k: ONE, k - 1: ONE} if k else {0: ONE},
-        sort_key=lambda k: k)
-    monkeypatch.setattr(canonical, "MAX_LABELS", 5)
-    assert chain.lower_labels(5) == set(range(5))
-    with pytest.raises(RuntimeError, match="5 labels"):
-        chain.lower_labels(6)
+def test_off_diagonal_term_of_equal_grade_detected():
+    # tau([ab]) = [ab] + (v - v^-1)[ba]: both labels have grade 2, so the
+    # term at "ba" is not lower, even though the diagonal coefficient is 1
+    gamma = LaurentScalar({1: 1, -1: -1})
+    bad = canonical.BarSystem(
+        tau_fn=lambda x: {x: ONE, x[::-1]: gamma} if x == "ab" else {x: ONE},
+        grade=len, sort_key=lambda x: x)
+    with pytest.raises(ArithmeticError, match="grade 2 >= 2"):
+        bad.tau_expand("ab")
+    with pytest.raises(ArithmeticError):
+        canonical.solve_canonical(bad, "ab")
+    assert bad.tau_expand("ba") == {"ba": ONE}
 
 
 def test_export_and_cache(tmp_path):
@@ -220,7 +224,8 @@ def test_solver_chain_deeper_than_recursion_limit():
         t[k - 1] = t[k - 1] + v
         t[k] = ONE
         taus[k] = t
-    system = canonical.BarSystem(tau_fn=lambda k: dict(taus[k]), sort_key=lambda k: -k)
+    system = canonical.BarSystem(tau_fn=lambda k: taus[k], grade=lambda k: k,
+                                 sort_key=lambda k: -k)
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(limit)
     try:
@@ -252,28 +257,30 @@ BAND_SIZES = [(2, 2, 2), (2, 3, 2), (2, 4, 1), (3, 3, 2), (3, 4, 1)]
 @pytest.mark.parametrize("n, D, band", BAND_SIZES)
 def test_tau_schur_matches_double_coset_route(n, D, band):
     for s in transfer.band_matrices(n, D, band):
-        assert canonical._tau_schur_label(s) == tau_schur_by_double_cosets(s)
+        assert dict(canonical._tau_schur_terms(s)) == tau_schur_by_double_cosets(s)
 
 
 def test_tau_tmodule_label_reads_memo_and_hands_out_copies():
+    system = canonical.tmodule_system(2, 3)
     for p in fc.enumerate_flag_symbols(2, 3, 1, 4):
         fresh = dict(tmodule.tau(tmodule.ModuleVector.basis(p)).terms)
-        got = canonical._tau_tmodule_label(p)
+        got = system.tau_expand(p)
         assert got == fresh
         got.clear()
         got[p] = LaurentScalar.v(5)
-        assert canonical._tau_tmodule_label(p) == fresh
+        assert system.tau_expand(p) == fresh
 
 
 def test_tau_schur_memo_matches_fresh_and_hands_out_copies():
+    system = canonical.schur_system(2, 3)
     for s in transfer.band_matrices(2, 3, 2):
         fresh = tau_schur_by_double_cosets(s)
-        got = canonical._tau_schur_label(s)
+        got = system.tau_expand(s)
         assert got == fresh
         assert list(got) == list(fresh)
         got.clear()
         got[s] = LaurentScalar.v(5)
-        assert canonical._tau_schur_label(s) == fresh
+        assert system.tau_expand(s) == fresh
 
 
 def test_block_of_memo_matches_fresh_computation():
@@ -282,3 +289,53 @@ def test_block_of_memo_matches_fresh_computation():
                  fc.dominant_from_weight(2, 3, s.col_weight()))
         assert canonical.block_of(s) == fresh
         assert canonical.block_of(s) is canonical.block_of(s)
+
+
+# every symbol with window values in [1, 2n] at these (n, D) is checked
+SYMBOL_SIZES = [(n, D) for n in (2, 3) for D in range(1, 5)]
+
+
+def _longest_length(elements) -> int:
+    return max(w.length() for w in elements)
+
+
+@pytest.mark.parametrize("n, D", SYMBOL_SIZES)
+def test_x_stat_is_coset_length(n, D):
+    # x_stat(p) = x_stat(lam) + l(w_p), and x_stat(lam) is the length of
+    # the longest element of S_lam
+    for p in fc.enumerate_flag_symbols(n, D, 1, 2 * n):
+        lam = p.dominant_rep()
+        assert fc.x_stat(lam) == _longest_length(
+            aw.young_subgroup_elements(D, lam.values))
+        assert fc.x_stat(p) == fc.x_stat(lam) + p.min_coset_rep().length()
+
+
+@pytest.mark.parametrize("n, D, band", BAND_SIZES)
+def test_y_stat_is_double_coset_length(n, D, band):
+    # y_stat(s) = l(longest element of the double coset of s) - l(w_mu)
+    for s in transfer.band_matrices(n, D, band):
+        lam, mu = canonical.block_of(s)
+        rep = fc.double_coset_min_rep(s, lam, mu)
+        coset = aw.double_coset_elements(D, lam.values, rep, mu.values)
+        l_w_mu = _longest_length(aw.young_subgroup_elements(D, mu.values))
+        assert fc.y_stat(s) == _longest_length(coset) - l_w_mu
+
+
+def _assert_tau_lowers_grade(system, x):
+    top = system.grade(x)
+    for y, _ in system.tau_fn(x):
+        assert y == x or system.grade(y) < top, (x, y)
+
+
+@pytest.mark.parametrize("n, D", SYMBOL_SIZES)
+def test_tau_tmodule_lowers_x_stat(n, D):
+    system = canonical.tmodule_system(n, D)
+    for p in fc.enumerate_flag_symbols(n, D, 1, 2 * n):
+        _assert_tau_lowers_grade(system, p)
+
+
+@pytest.mark.parametrize("n, D, band", BAND_SIZES)
+def test_tau_schur_lowers_y_stat(n, D, band):
+    system = canonical.schur_system(n, D)
+    for s in transfer.band_matrices(n, D, band):
+        _assert_tau_lowers_grade(system, s)

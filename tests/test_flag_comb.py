@@ -31,7 +31,6 @@ def test_dominant_xstat_longest_element():
 @given(symbols)
 def test_symbol_roundtrips(p):
     assert FlagSymbol.from_text(p.to_text()) == p
-    assert FlagSymbol.from_json(p.to_json()) == p
     assert sum(p.weight()) == p.D
 
 
@@ -73,7 +72,6 @@ def test_matrix_normalization():
     a = PeriodicMatrix.make(2, 2, {(1, 1): 1, (2, 2): 1})
     b = PeriodicMatrix.make(2, 2, {(3, 3): 1, (4, 4): 1})
     assert a == b
-    assert PeriodicMatrix.from_json(a.to_json()) == a
     with pytest.raises(ValueError):
         PeriodicMatrix.make(2, 2, {(1, 1): 1})  # mass 1 != D
 
@@ -96,12 +94,12 @@ def test_order_hint_consistency():
 
 
 def test_order_hint_rejects_a_true_lower_term():
-    # u is in the bar cone of t, and tau([t]) has coefficient v - v^-1 at
-    # u, yet u_22 = 0 < t_22 = 1: the diagonal test is not necessary
+    # u is a lower term of tau([t]), with coefficient v - v^-1, yet
+    # u_22 = 0 < t_22 = 1: the diagonal test is not necessary
     t = PeriodicMatrix.make(2, 3, {(1, 3): 1, (2, 2): 1, (2, 4): 1})
     u = PeriodicMatrix.make(2, 3, {(1, 2): 1, (2, 3): 1, (2, 4): 1})
-    assert canonical._tau_schur_label(t)[u] == LaurentScalar({1: 1, -1: -1})
-    assert u in canonical.schur_system(2, 3).lower_labels(t)
+    tau_t = dict(canonical._tau_schur_terms(t))
+    assert u != t and tau_t[u] == LaurentScalar({1: 1, -1: -1})
     assert u.lookup(2, 2) < t.lookup(2, 2)
     assert fc.order_hint(u, t) == "definitely-not-leq"
 

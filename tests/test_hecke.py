@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from affine_schur import affine_weyl as aw, flag_comb as fc, hecke
 from affine_schur.hecke import HeckeElement
-from affine_schur.laurent import LaurentScalar, ONE, ZERO
+from affine_schur.laurent import LaurentScalar, ONE
 
 from oracles import coset_sum
 
@@ -110,7 +110,7 @@ def hecke_elements(draw):
     for _ in range(draw(st.integers(0, 4))):
         w = aw.from_word(D, draw(st.integers(-2, 2)),
                          draw(st.lists(st.integers(0, D - 1), max_size=7)))
-        terms[w] = terms.get(w, ZERO) + draw(laurent_scalars)
+        terms[w] = terms.get(w, LaurentScalar.zero()) + draw(laurent_scalars)
     return HeckeElement(D, terms)
 
 

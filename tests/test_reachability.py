@@ -1,15 +1,16 @@
 """Every name that src/affine_schur defines is reached by the program.
 
-A module-level function or class, or a public method of a module-level
-class, must be referenced from some file under src/, scripts/ or
-perfbench/.  Tests do not count: a helper that only tests call belongs in
-the test that uses it.  A reference inside the name's own definition (a
-recursive call) does not count; a reference from elsewhere in the same
-file does, so private helpers called by their module pass.  References
-are matched by name: a bare name, an attribute, or a component of a
-dotted string constant such as perfbench's "transfer.MonomialSpan.grow";
-an import alone is not a reference.  Private methods, the dunders that the
-interpreter calls among them, are not checked.
+A module-level function or class, a public module-level constant, or a
+public method of a module-level class, must be referenced from some file
+under src/, scripts/ or perfbench/.  Tests do not count: a helper that
+only tests call belongs in the test that uses it.  A reference inside the
+name's own definition (a recursive call) does not count; a reference from
+elsewhere in the same file does, so private helpers called by their
+module pass.  References are matched by name: a bare name, an attribute,
+or a component of a dotted string constant such as perfbench's
+"transfer.MonomialSpan.grow"; an import alone is not a reference, and
+neither is an assignment.  Private methods and private constants, the
+dunders that the interpreter reads among them, are not checked.
 """
 
 import ast
@@ -27,6 +28,11 @@ def _definitions(tree: ast.Module) -> list:
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             out.append((node.name, node.name, node))
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            if isinstance(target, ast.Name) and not target.id.startswith("_"):
+                out.append((target.id, target.id, node))
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if (isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -55,7 +61,8 @@ class _References(ast.NodeVisitor):
         self.names.setdefault(name, []).append(self._inside)
 
     def visit_Name(self, node):
-        self._add(node.id)
+        if not isinstance(node.ctx, ast.Store):
+            self._add(node.id)
 
     def visit_Attribute(self, node):
         self._add(node.attr)
@@ -103,3 +110,11 @@ def test_own_definition_does_not_count():
     f, g, _ = tree.body
     assert all(f in inside for inside in refs.names["f"])
     assert refs.names["h"] == [(g,)]
+
+
+def test_constants_are_checked():
+    tree = ast.parse("A = 1\nB: int = A\n_C = 2\n__all__ = ()\nA = 3\n")
+    assert [qual for qual, _, _ in _definitions(tree)] == ["A", "B", "A"]
+    refs = _References()
+    refs.visit(tree)
+    assert set(refs.names) == {"A", "int"}
