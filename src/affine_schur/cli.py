@@ -379,10 +379,6 @@ def suite_canonical(cfg: RunConfig) -> list:
 # schur suite: the homomorphism annihilates the defining relations
 
 
-def _weights(n: int, D: int) -> list:
-    return [lam.weight() for lam in flag_comb.all_dominant(n, D)]
-
-
 def _cartan(n: int, i: int, j: int) -> int:
     if n == 2:
         return 2 if i == j else -2
@@ -396,22 +392,23 @@ def suite_schur(cfg: RunConfig) -> list:
     n, D = cfg.n, cfg.D
     cases = []
     zero = SchurElement.zero(n, D)
+    weights = list(flag_comb.weights(n, D))
 
     def img(letters):
         return schur.phi_monomial(UdotMonomial(n, letters), D)
 
     # idempotents and weight shifts
     bad = []
-    for mu in _weights(n, D):
+    for mu in weights:
         if img((("a", mu), ("a", mu))) != img((("a", mu),)):
             bad.append(("aa", mu))
-        for nu in _weights(n, D):
+        for nu in weights:
             if nu != mu and not img((("a", nu), ("a", mu))).is_zero():
                 bad.append(("orth", nu, mu))
     cases.append(_case("phi/idempotents", not bad, f"violations: {bad}"))
 
     bad = []
-    for mu in _weights(n, D):
+    for mu in weights:
         for i in range(n):
             shift = schur._wshift(n, "e", i, 1)
             up = tuple(m + s for m, s in zip(mu, shift))
@@ -425,7 +422,7 @@ def suite_schur(cfg: RunConfig) -> list:
 
     # commutator [e_i, f_j] a_mu = delta_ij [mu_i - mu_{i+1}] a_mu
     bad = []
-    for mu in _weights(n, D):
+    for mu in weights:
         for i in range(n):
             for j in range(n):
                 lhs = (img((("e", i, 1), ("f", j, 1), ("a", mu)))
@@ -442,7 +439,7 @@ def suite_schur(cfg: RunConfig) -> list:
 
     # Serre relations (affine Cartan matrix of the cyclic quiver)
     bad = []
-    for mu in _weights(n, D):
+    for mu in weights:
         for i in range(n):
             for j in range(n):
                 if i == j:
@@ -461,7 +458,7 @@ def suite_schur(cfg: RunConfig) -> list:
 
     # tau equivariance on generators and random monomials
     bad = []
-    for mu in _weights(n, D):
+    for mu in weights:
         for letters in [(("a", mu),)] + [((g, i, 1), ("a", mu))
                                          for g in "ef" for i in range(n)]:
             x = img(letters)
@@ -470,7 +467,7 @@ def suite_schur(cfg: RunConfig) -> list:
     rng = random.Random(cfg.seed)
     checked = 0
     while checked < 200:
-        mu = rng.choice(_weights(n, D))
+        mu = rng.choice(weights)
         length = rng.randint(0, cfg.word_len)
         letters = tuple((rng.choice("ef"), rng.randrange(n), 1)
                         for _ in range(length)) + (("a", mu),)

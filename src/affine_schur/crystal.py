@@ -203,15 +203,14 @@ def _valid_J(p, i, J, pairs) -> bool:
 # Crystal graph
 
 
-def crystal_graph(n: int, D: int, lo: int, hi: int, weight=None) -> dict:
+def crystal_graph(n: int, D: int, lo: int, hi: int) -> dict:
     """Edges b ->_i f~_i(b) over all symbols with window values in [lo, hi].
 
     Returns {"vertices": [...], "edges": [(b, i, b')], "boundary": [...]}
     where boundary lists edges whose target leaves the window.
     """
     from . import flag_comb
-    vertices = [p for p in flag_comb.enumerate_flag_symbols(n, D, lo, hi)
-                if weight is None or p.weight() == tuple(weight)]
+    vertices = flag_comb.enumerate_flag_symbols(n, D, lo, hi)
     vset = set(vertices)
     edges, boundary = [], []
     for b in vertices:

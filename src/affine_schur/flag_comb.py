@@ -104,20 +104,20 @@ def dominant_from_weight(n: int, D: int, weight) -> FlagSymbol:
     return FlagSymbol(n, D, tuple(vals))
 
 
+def weights(n: int, D: int):
+    """Every weight in N^n summing to D, in lexicographic order."""
+    if n == 1:
+        yield (D,)
+        return
+    for a in range(D + 1):
+        for rest in weights(n - 1, D - a):
+            yield (a,) + rest
+
+
 def all_dominant(n: int, D: int) -> list:
-    """All dominant symbols in C_D (one per weight)."""
-    out = []
-
-    def rec(i, remaining, prefix):
-        if i == n:
-            if remaining == 0:
-                out.append(dominant_from_weight(n, D, tuple(prefix)))
-            return
-        for m in range(remaining + 1) if i < n - 1 else [remaining]:
-            rec(i + 1, remaining - m, prefix + [m])
-
-    rec(0, D, [])
-    return out
+    """All dominant symbols in C_D, one per weight, in the order of
+    `weights`."""
+    return [dominant_from_weight(n, D, wt) for wt in weights(n, D)]
 
 
 def x_stat(p: FlagSymbol) -> int:

@@ -1,12 +1,15 @@
 """Transfer maps between affine q-Schur algebras of adjacent ranks.
 
-The rank-lowering map S_{D+n} -> S_D is realized two independent ways: a
-linear-solve route (write x as a combination of monomial images at rank D+n
-and push the reduced monomials through rank D) and a comultiplication route
-(split each monomial across a rank-n / rank-D tensor factor, collapse the
-rank-n leg with the sign character, twist blockwise).  Executable checkers
-for the leading-term lemma and the canonical-basis transfer theorem close
-the loop.  Calibration and the composition check walk the words depth first
+The rank-lowering map S_{D+n} -> S_D is linear, and it sends the image of
+a word a_wt g_1 ... g_k at rank D + n to the image of
+1_{wt - (1, ..., 1)} g_1 ... g_k at rank D (0 when wt has a zero part).
+It is realized two independent ways: a linear-solve route (eliminate x
+against word images at rank D + n whose elimination rows carry their
+transfers, MonomialSpan) and a comultiplication route (split each word
+across a rank-n / rank-D tensor factor, collapse the rank-n leg with the
+sign character, twist blockwise).  Executable checkers for the
+leading-term lemma and the canonical-basis transfer theorem close the
+loop.  Calibration and the composition check walk the words depth first
 (route_pairs), so each word extends its prefix's evaluation by one letter,
 and they share one walk per rank (walk_checks).  The sign character
 collapses each tensor once, graded by rotation degree (graded_collapse);
@@ -15,11 +18,12 @@ runs only inside walk_checks; tests/test_transfer.py keeps a calibration
 that walks each rank on its own, and a per-term sign character, as its
 oracles.
 
-The walk, the tensor steps and the monomial span multiply a basis element
-on the right by a Chevalley generator with the BLM rule on the periodic
-matrix (_basis_gen), not through the Hecke algebra.  With [m] the balanced
-quantum integer, E_{p,c} the periodic unit matrix and row sums over all
-integer rows l:
+Every word is evaluated by one fold of right factors over its letters.
+The walk, the tensor steps and the monomial span (its images and their
+transfers) multiply a basis element on the right by a Chevalley generator
+with the BLM rule on the periodic matrix (_basis_gen), not through the
+Hecke algebra.  With [m] the balanced quantum integer, E_{p,c} the
+periodic unit matrix and row sums over all integer rows l:
 
     [s] e_i = sum of v^beta [t_{p,c+1}] [t] over the cells (p, c) with
               p in [1, n], c = i mod n and s_pc >= 1, where
@@ -45,9 +49,8 @@ from itertools import product as iter_product
 
 from . import canonical, flag_comb, schur
 from .flag_comb import PeriodicMatrix, is_aperiodic, order_hint
-from .laurent import (LaurentScalar, ONE, RationalScalar, divide_exact,
-                      quantum_factorial, quantum_integer)
-from .schur import SchurElement, UdotMonomial, phi_idempotent, phi_monomial
+from .laurent import LaurentScalar, ONE, RationalScalar, quantum_integer
+from .schur import SchurElement, UdotMonomial, phi_idempotent
 from .vector import add_scaled
 
 
@@ -66,66 +69,8 @@ PSI_CANDIDATES = (("offset", 1), ("offset", -1), ("window", 1),
                   ("window", -1), ("weight", 0))
 # the most elimination rows `MonomialSpan` stores before it gives up
 MAX_ROWS = 100_000
-
-
-# ---------------------------------------------------------------------------
-# Weight bookkeeping on monomials
-
-
-def _letter_right_weight(n: int, wt: tuple, kind: str, i: int, k: int):
-    """Right weight of e_i^(k)/f_i^(k) given its left weight; None if it
-    leaves N^n."""
-    shift = schur._wshift(n, kind, i, k)  # left minus right
-    out = tuple(a - b for a, b in zip(wt, shift))
-    return None if any(m < 0 for m in out) else out
-
-
-def resolve_weights(m: UdotMonomial):
-    """The weight profile (gens, weights) of a monomial: weights[t] sits
-    between gens[t-1] and gens[t].  None when an idempotent letter clashes
-    or a weight leaves N^n (the monomial is zero)."""
-    n = m.n
-    anchors = [j for j, g in enumerate(m.letters) if g[0] == "a"]
-    if not anchors:
-        raise ValueError("monomial has no weight letter to anchor at")
-    j = anchors[0]
-    wt = m.letters[j][1]
-    # walk left from the anchor to find the leftmost weight
-    for g in reversed(m.letters[:j]):
-        if g[0] == "a":
-            if g[1] != wt:
-                return None
-        else:
-            shift = schur._wshift(n, g[0], g[1], g[2])
-            wt = tuple(a + b for a, b in zip(wt, shift))
-            if any(x < 0 for x in wt):
-                return None
-    gens, weights = [], [wt]
-    for g in m.letters:
-        if g[0] == "a":
-            if g[1] != wt:
-                return None
-        else:
-            wt = _letter_right_weight(n, wt, g[0], g[1], g[2])
-            if wt is None:
-                return None
-            gens.append(g)
-            weights.append(wt)
-    return gens, weights
-
-
-def reduce_monomial(m: UdotMonomial):
-    """Subtract (1, ..., 1) from every weight letter; None if some weight
-    has a zero component."""
-    letters = []
-    for g in m.letters:
-        if g[0] == "a":
-            if any(x < 1 for x in g[1]):
-                return None
-            letters.append(("a", tuple(x - 1 for x in g[1])))
-        else:
-            letters.append(g)
-    return UdotMonomial(m.n, letters)
+# the word length to which `transfer_map` grows a span before it gives up
+MAX_WORD_LEN = 8
 
 
 # ---------------------------------------------------------------------------
@@ -216,25 +161,20 @@ def _split_tensor(n: int, D1: int, D2: int, wt: tuple) -> dict:
 
 
 def omega_route(m: UdotMonomial, D1: int, D2: int) -> dict:
-    """Evaluate the monomial across the rank split, as a tensor dict
-    {(matrix at D1, matrix at D2): scalar}."""
-    n = m.n
-    res = resolve_weights(m)
-    if res is None:
+    """Evaluate a word a_wt g_1 ... g_k of single Chevalley letters across
+    the rank split, as a tensor dict {(matrix at D1, matrix at D2): scalar}:
+    the split idempotent, multiplied on the right by each Delta(g_t)."""
+    head, letters = m.letters[:1], m.letters[1:]
+    if (not head or head[0][0] != "a"
+            or any(g[0] == "a" or g[2] != 1 for g in letters)):
+        raise ValueError(f"expected a word a_wt g_1 ... g_k of single "
+                         f"Chevalley letters, got {m}")
+    wt = head[0][1]
+    if sum(wt) != D1 + D2:
         return {}
-    gens, weights = res
-    if sum(weights[0]) != D1 + D2:
-        return {}
-    terms = _split_tensor(n, D1, D2, weights[0])
-    divisor = ONE
-    for kind, i, k in gens:
-        divisor = divisor * quantum_factorial(k)
-        for _ in range(k):
-            terms = _omega_step(n, terms, kind, i)
-        if not terms:
-            return {}
-    if not divisor.is_one():
-        terms = {key: divide_exact(c, divisor) for key, c in terms.items()}
+    terms = _split_tensor(m.n, D1, D2, wt)
+    for kind, i, _k in letters:
+        terms = _omega_step(m.n, terms, kind, i)
     return terms
 
 
@@ -302,50 +242,39 @@ def collapse_twist(parts: dict, n: int, D: int) -> SchurElement:
 def enumerate_monomials(n: int, total: int, max_len: int):
     """All words a_lam g_1 ... g_k (k <= max_len, single powers)."""
     gens = [(kind, i, 1) for kind in ("e", "f") for i in range(n)]
-    for lam in _compositions(total, n):
+    for lam in flag_comb.weights(n, total):
         for length in range(max_len + 1):
             for word in iter_product(gens, repeat=length):
                 yield UdotMonomial(n, (("a", lam),) + word)
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for a in range(total + 1):
-        for rest in _compositions(total - a, parts - 1):
-            yield (a,) + rest
-
-
-@lru_cache(maxsize=None)
-def _phi_of_reduction(m: UdotMonomial, D: int) -> SchurElement:
-    """phi at rank D of the weight-reduced monomial; zero when it has none."""
-    m2 = reduce_monomial(m)
-    if m2 is None:
-        return SchurElement.zero(m.n, D)
-    return phi_monomial(m2, D)
+def _lowered_idempotent(n: int, D: int, wt: tuple) -> SchurElement:
+    """The transfer of 1_wt to rank D: 1_{wt - (1, ..., 1)}, or 0 when wt
+    has a zero part or D < 1.  A word a_wt g_1 ... g_k transfers to this
+    times g_1 ... g_k."""
+    if D < 1 or min(wt) < 1:
+        return SchurElement.zero(n, D)
+    return phi_idempotent(n, D, tuple(x - 1 for x in wt))
 
 
 def route_pairs(n: int, D: int, max_len: int):
-    """Yield (m, omega_route(m, n, D), _phi_of_reduction(m, D)) for every
+    """Yield (m, omega_route(m, n, D), transfer of m to rank D) for every
     word m of enumerate_monomials(n, D + n, max_len), depth first: each
-    word extends its prefix's tensor and phi image by one letter."""
+    word extends its prefix's tensor and transfer by one letter."""
     gens = [(kind, i) for kind in ("e", "f") for i in range(n)]
-    zero = SchurElement.zero(n, D)
 
-    def walk(letters, tensor, phi):
-        yield UdotMonomial(n, letters), tensor, phi
+    def walk(letters, tensor, low):
+        yield UdotMonomial(n, letters), tensor, low
         if len(letters) > max_len:
             return
         for kind, i in gens:
-            yield from walk(
-                letters + ((kind, i, 1),), _omega_step(n, tensor, kind, i),
-                zero if phi.is_zero() else _mul_gen_right_cached(phi, kind, i))
+            yield from walk(letters + ((kind, i, 1),),
+                            _omega_step(n, tensor, kind, i),
+                            _mul_gen_right_cached(low, kind, i))
 
-    for lam in _compositions(D + n, n):
-        reduced = tuple(x - 1 for x in lam)
-        phi = zero if min(reduced) < 0 else phi_idempotent(n, D, reduced)
-        yield from walk((("a", lam),), _split_tensor(n, n, D, lam), phi)
+    for lam in flag_comb.weights(n, D + n):
+        yield from walk((("a", lam),), _split_tensor(n, n, D, lam),
+                        _lowered_idempotent(n, D, lam))
 
 
 def calibration_candidates(n: int) -> list:
@@ -432,13 +361,22 @@ class MonomialSpan:
     All terms of an image share the anchor's row weight (right factors
     change only the column weight), so a row never reduces an image of
     another anchor.
+
+    A row (pivot, vec, low) carries low, the transfer of vec to rank
+    D - n: if vec is a combination of word images, low is the same
+    combination of the words' transfers (`_lowered_idempotent` times the
+    word's right factors; 0 when D <= n).  A word's transfer folds the same
+    right factors as its image.  `_reduce` subtracts c vec and adds c low,
+    and `_insert` scales (the image's transfer minus the added lows) by the
+    pivot's inverse, as it scales vec, so every row keeps this invariant
+    and `solve` returns the transfer of x.
     """
     n: int
     D: int
     monomials: list = field(default_factory=list)
     images: list = field(default_factory=list)
-    _rows: list = field(default_factory=list)   # (pivot, vec, combo)
-    _frontier: dict = field(default_factory=dict)  # anchor -> last rows
+    _rows: list = field(default_factory=list)   # (pivot, vec, low)
+    _frontier: dict = field(default_factory=dict)  # anchor -> last words
     _grown: dict = field(default_factory=dict)  # anchor -> word length
 
     @property
@@ -449,75 +387,74 @@ class MonomialSpan:
         return {s: RationalScalar.from_laurent(c) for s, c in x.terms.items()}
 
     def _reduce(self, vec: dict):
-        combo = {}
-        for pivot, rvec, rcombo in self._rows:
+        low = {}
+        for pivot, rvec, rlow in self._rows:
             c = vec.get(pivot)
             if c is None:
                 continue
             add_scaled(vec, rvec, -c)
-            add_scaled(combo, rcombo, c)
-        return vec, combo
+            add_scaled(low, rlow, c)
+        return vec, low
 
-    def _insert(self, mono: UdotMonomial, image: SchurElement) -> bool:
-        """Add image as a row unless it reduces to 0; True if it did."""
-        vec = self._vec_of(image)
-        vec, combo = self._reduce(vec)
+    def _insert(self, mono: UdotMonomial, image: SchurElement,
+                low_image: SchurElement) -> bool:
+        """Add image, whose transfer is low_image, as a row unless it
+        reduces to 0; True if it did."""
+        vec, low = self._reduce(self._vec_of(image))
         if not vec:
             return False
         if len(self._rows) >= MAX_ROWS:
             raise RuntimeError(f"span search exceeded {MAX_ROWS} rows")
-        idx = len(self.monomials)
         self.monomials.append(mono)
         self.images.append(image)
         pivot = min(vec, key=lambda s: s.entries)
         inv = RationalScalar.one() / vec[pivot]
-        vec = {s: inv * c for s, c in vec.items()}
-        combo = {j: (RationalScalar.zero() - inv * c) for j, c in combo.items()}
-        combo[idx] = inv
-        self._rows.append((pivot, vec, combo))
+        low = add_scaled(self._vec_of(low_image), low, -RationalScalar.one())
+        self._rows.append((pivot, {s: inv * c for s, c in vec.items()},
+                           {s: inv * c for s, c in low.items()}))
         return True
 
     def grow(self, anchors, max_len: int):
         """Extend each anchor's breadth-first search to the given word
         length (incremental and idempotent per anchor)."""
-        gens = [(kind, i) for kind in ("e", "f") for i in range(self.n)]
+        n = self.n
+        gens = [(kind, i) for kind in ("e", "f") for i in range(n)]
         for wt in anchors:
             wt = tuple(wt)
             if wt not in self._grown:
                 if sum(wt) != self.D:
                     raise ValueError("anchor weight must sum to the rank")
                 self._grown[wt] = 0
-                mono = UdotMonomial(self.n, (("a", wt),))
-                image = phi_idempotent(self.n, self.D, wt)
-                self._insert(mono, image)
-                self._frontier[wt] = [(mono, image)]
+                word = (UdotMonomial(n, (("a", wt),)),
+                        phi_idempotent(n, self.D, wt),
+                        _lowered_idempotent(n, self.D - n, wt))
+                self._insert(*word)
+                self._frontier[wt] = [word]
             while self._grown[wt] < max_len:
                 self._grown[wt] += 1
                 nxt = []
-                for mono, image in self._frontier[wt]:
+                for mono, image, low in self._frontier[wt]:
                     for kind, i in gens:
                         child = _mul_gen_right_cached(image, kind, i)
                         if child.is_zero():
                             continue
-                        cmono = UdotMonomial(self.n,
-                                             mono.letters + ((kind, i, 1),))
-                        if self._insert(cmono, child):
-                            nxt.append((cmono, child))
+                        word = (UdotMonomial(n, mono.letters + ((kind, i, 1),)),
+                                child, _mul_gen_right_cached(low, kind, i))
+                        if self._insert(*word):
+                            nxt.append(word)
                 self._frontier[wt] = nxt
 
     def solve(self, x: SchurElement):
-        """Exact coefficients {monomial: scalar} with x = sum of images, or
+        """The transfer of x to rank D - n, {matrix: scalar} over Q(v), or
         None if x is outside the current span."""
-        vec, combo = self._reduce(self._vec_of(x))
-        if vec:
-            return None
-        return {self.monomials[j]: c for j, c in combo.items()}
+        vec, low = self._reduce(self._vec_of(x))
+        return None if vec else low
 
 
-def transfer_map(x: SchurElement, span: MonomialSpan,
-                 grow_to: int = 8) -> SchurElement:
-    """The rank-lowering map: solve x as a combination of monomial images at
-    rank D + n and evaluate the weight-reduced combination at rank D."""
+def transfer_map(x: SchurElement, span: MonomialSpan) -> SchurElement:
+    """The rank-lowering map: solve x in the span at rank D + n, whose rows
+    carry their transfers to rank D, growing the span's search from x's row
+    weights up to MAX_WORD_LEN."""
     n = x.n
     if span.D != x.D or span.n != n:
         raise ValueError("span rank mismatch")
@@ -525,29 +462,23 @@ def transfer_map(x: SchurElement, span: MonomialSpan,
     if D < 1:
         raise ValueError("target rank must be positive")
     anchors = {s.row_weight() for s in x.terms}
-    combo = span.solve(x)
+    low = span.solve(x)
     grown = 0
-    while combo is None and grown < grow_to:
+    while low is None and grown < MAX_WORD_LEN:
         grown += 1
         span.grow(anchors, grown)
-        combo = span.solve(x)
-    if combo is None:
+        low = span.solve(x)
+    if low is None:
         residual, _ = span._reduce(span._vec_of(x))
         raise ValueError(f"element outside the monomial span up to word "
                          f"length {grown}; residual support "
                          f"{sorted(residual, key=lambda s: s.entries)}")
-    out = {}
-    for m, c in combo.items():
-        add_scaled(out, ((s, RationalScalar.from_laurent(a))
-                         for s, a in _phi_of_reduction(m, D).terms.items()), c)
-    terms = {}
-    for s, c in out.items():
+    for s, c in low.items():
         if not c.is_laurent():
             raise ArithmeticError(
                 f"transfer produced a non-polynomial coefficient at {s}; "
                 "the solve is preimage-dependent")
-        terms[s] = c.as_laurent()
-    return SchurElement(n, D, terms)
+    return SchurElement(n, D, {s: c.as_laurent() for s, c in low.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
-"""Slow routes that more than one test file compares the package against.
+"""Slow routes that the tests compare the package against.
 
 Each was a function of the package until a faster route replaced it on
 every path a command runs; here it serves only as a reference.
 """
 
-from affine_schur import affine_weyl
+from dataclasses import dataclass, field
+from functools import lru_cache
+
+from affine_schur import affine_weyl, schur, transfer
 from affine_schur.flag_comb import FlagSymbol, x_stat
 from affine_schur.hecke import HeckeElement
-from affine_schur.laurent import LaurentScalar, ONE
-from affine_schur.schur import SchurElement, epsilon_degrees
+from affine_schur.laurent import (LaurentScalar, ONE, RationalScalar,
+                                  divide_exact, quantum_factorial)
+from affine_schur.schur import (SchurElement, UdotMonomial, epsilon_degrees,
+                                phi_idempotent, phi_monomial)
 from affine_schur.tmodule import ModuleVector
 from affine_schur.vector import add_scaled
 
@@ -54,3 +59,220 @@ def inv_monomial(c: LaurentScalar) -> LaurentScalar:
     if a * a != 1:
         raise ArithmeticError("calibration constant must be invertible")
     return LaurentScalar({-e: a})
+
+
+# ---------------------------------------------------------------------------
+# Word evaluation by weight profile: the oracles for the transfer folds
+
+
+def _letter_right_weight(n: int, wt: tuple, kind: str, i: int, k: int):
+    """Right weight of e_i^(k)/f_i^(k) given its left weight; None if it
+    leaves N^n."""
+    shift = schur._wshift(n, kind, i, k)  # left minus right
+    out = tuple(a - b for a, b in zip(wt, shift))
+    return None if any(m < 0 for m in out) else out
+
+
+def resolve_weights(m: UdotMonomial):
+    """The weight profile (gens, weights) of a monomial: weights[t] sits
+    between gens[t-1] and gens[t].  None when an idempotent letter clashes
+    or a weight leaves N^n (the monomial is zero)."""
+    n = m.n
+    anchors = [j for j, g in enumerate(m.letters) if g[0] == "a"]
+    if not anchors:
+        raise ValueError("monomial has no weight letter to anchor at")
+    j = anchors[0]
+    wt = m.letters[j][1]
+    # walk left from the anchor to find the leftmost weight
+    for g in reversed(m.letters[:j]):
+        if g[0] == "a":
+            if g[1] != wt:
+                return None
+        else:
+            shift = schur._wshift(n, g[0], g[1], g[2])
+            wt = tuple(a + b for a, b in zip(wt, shift))
+            if any(x < 0 for x in wt):
+                return None
+    gens, weights = [], [wt]
+    for g in m.letters:
+        if g[0] == "a":
+            if g[1] != wt:
+                return None
+        else:
+            wt = _letter_right_weight(n, wt, g[0], g[1], g[2])
+            if wt is None:
+                return None
+            gens.append(g)
+            weights.append(wt)
+    return gens, weights
+
+
+def reduce_monomial(m: UdotMonomial):
+    """Subtract (1, ..., 1) from every weight letter; None if some weight
+    has a zero component."""
+    letters = []
+    for g in m.letters:
+        if g[0] == "a":
+            if any(x < 1 for x in g[1]):
+                return None
+            letters.append(("a", tuple(x - 1 for x in g[1])))
+        else:
+            letters.append(g)
+    return UdotMonomial(m.n, letters)
+
+
+def omega_route(m: UdotMonomial, D1: int, D2: int) -> dict:
+    """Evaluate the monomial across the rank split, as a tensor dict
+    {(matrix at D1, matrix at D2): scalar}: any word with an anchor, its
+    letters resolved by weight profile, divided powers as k single steps
+    over [k]!.  The oracle for transfer.omega_route."""
+    n = m.n
+    res = resolve_weights(m)
+    if res is None:
+        return {}
+    gens, weights = res
+    if sum(weights[0]) != D1 + D2:
+        return {}
+    terms = transfer._split_tensor(n, D1, D2, weights[0])
+    divisor = ONE
+    for kind, i, k in gens:
+        divisor = divisor * quantum_factorial(k)
+        for _ in range(k):
+            terms = transfer._omega_step(n, terms, kind, i)
+        if not terms:
+            return {}
+    if not divisor.is_one():
+        terms = {key: divide_exact(c, divisor) for key, c in terms.items()}
+    return terms
+
+
+@lru_cache(maxsize=None)
+def phi_of_reduction(m: UdotMonomial, D: int) -> SchurElement:
+    """phi at rank D of the weight-reduced monomial, through the Hecke
+    route; zero when it has none."""
+    m2 = reduce_monomial(m)
+    if m2 is None:
+        return SchurElement.zero(m.n, D)
+    return phi_monomial(m2, D)
+
+
+# ---------------------------------------------------------------------------
+# The span that solves for word coefficients
+
+
+@dataclass
+class CombinationSpan:
+    """transfer.MonomialSpan as it was before its rows carried their
+    transfers: each row keeps its combination over the span's words, and
+    `solve` returns x as a combination of words.  With
+    `combination_transfer_map`, the oracle for the row-image span."""
+    n: int
+    D: int
+    monomials: list = field(default_factory=list)
+    images: list = field(default_factory=list)
+    _rows: list = field(default_factory=list)   # (pivot, vec, combo)
+    _frontier: dict = field(default_factory=dict)  # anchor -> last rows
+    _grown: dict = field(default_factory=dict)  # anchor -> word length
+
+    def _vec_of(self, x: SchurElement) -> dict:
+        return {s: RationalScalar.from_laurent(c) for s, c in x.terms.items()}
+
+    def _reduce(self, vec: dict):
+        combo = {}
+        for pivot, rvec, rcombo in self._rows:
+            c = vec.get(pivot)
+            if c is None:
+                continue
+            add_scaled(vec, rvec, -c)
+            add_scaled(combo, rcombo, c)
+        return vec, combo
+
+    def _insert(self, mono: UdotMonomial, image: SchurElement) -> bool:
+        """Add image as a row unless it reduces to 0; True if it did."""
+        vec = self._vec_of(image)
+        vec, combo = self._reduce(vec)
+        if not vec:
+            return False
+        if len(self._rows) >= transfer.MAX_ROWS:
+            raise RuntimeError(f"span search exceeded {transfer.MAX_ROWS} rows")
+        idx = len(self.monomials)
+        self.monomials.append(mono)
+        self.images.append(image)
+        pivot = min(vec, key=lambda s: s.entries)
+        inv = RationalScalar.one() / vec[pivot]
+        vec = {s: inv * c for s, c in vec.items()}
+        combo = {j: (RationalScalar.zero() - inv * c) for j, c in combo.items()}
+        combo[idx] = inv
+        self._rows.append((pivot, vec, combo))
+        return True
+
+    def grow(self, anchors, max_len: int):
+        """Extend each anchor's breadth-first search to the given word
+        length (incremental and idempotent per anchor)."""
+        gens = [(kind, i) for kind in ("e", "f") for i in range(self.n)]
+        for wt in anchors:
+            wt = tuple(wt)
+            if wt not in self._grown:
+                if sum(wt) != self.D:
+                    raise ValueError("anchor weight must sum to the rank")
+                self._grown[wt] = 0
+                mono = UdotMonomial(self.n, (("a", wt),))
+                image = phi_idempotent(self.n, self.D, wt)
+                self._insert(mono, image)
+                self._frontier[wt] = [(mono, image)]
+            while self._grown[wt] < max_len:
+                self._grown[wt] += 1
+                nxt = []
+                for mono, image in self._frontier[wt]:
+                    for kind, i in gens:
+                        child = transfer._mul_gen_right_cached(image, kind, i)
+                        if child.is_zero():
+                            continue
+                        cmono = UdotMonomial(self.n,
+                                             mono.letters + ((kind, i, 1),))
+                        if self._insert(cmono, child):
+                            nxt.append((cmono, child))
+                self._frontier[wt] = nxt
+
+    def solve(self, x: SchurElement):
+        """Exact coefficients {monomial: scalar} with x = sum of images, or
+        None if x is outside the current span."""
+        vec, combo = self._reduce(self._vec_of(x))
+        if vec:
+            return None
+        return {self.monomials[j]: c for j, c in combo.items()}
+
+
+def combination_transfer_map(x: SchurElement, span: CombinationSpan,
+                             grow_to: int) -> SchurElement:
+    """Solve x as a combination of words at rank D + n and evaluate the
+    weight-reduced words at rank D through the Hecke route: the oracle for
+    transfer.transfer_map, with grow_to in place of MAX_WORD_LEN."""
+    n = x.n
+    if span.D != x.D or span.n != n:
+        raise ValueError("span rank mismatch")
+    D = x.D - n
+    if D < 1:
+        raise ValueError("target rank must be positive")
+    anchors = {s.row_weight() for s in x.terms}
+    combo = span.solve(x)
+    grown = 0
+    while combo is None and grown < grow_to:
+        grown += 1
+        span.grow(anchors, grown)
+        combo = span.solve(x)
+    if combo is None:
+        raise ValueError(f"element outside the monomial span up to word "
+                         f"length {grown}")
+    out = {}
+    for m, c in combo.items():
+        add_scaled(out, ((s, RationalScalar.from_laurent(a))
+                         for s, a in phi_of_reduction(m, D).terms.items()), c)
+    terms = {}
+    for s, c in out.items():
+        if not c.is_laurent():
+            raise ArithmeticError(
+                f"transfer produced a non-polynomial coefficient at {s}; "
+                "the solve is preimage-dependent")
+        terms[s] = c.as_laurent()
+    return SchurElement(n, D, terms)

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from affine_schur import cli
+from affine_schur import cli, transfer
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -145,6 +145,41 @@ def test_benchmark_span_targets_resolve():
         for attr in attrs:
             obj = getattr(obj, attr)
         assert callable(obj), name
+
+
+_KERNELS_WITH_TRACE = """
+import json
+import child, kernels, spans
+tracer = spans.Tracer()
+tracer.install()
+out = kernels.run()
+print(json.dumps({"kernels": out, "trace": child._trace_summary(tracer)}))
+"""
+
+
+def test_benchmark_kernels_read_the_span():
+    """The benchmark's kernel pass runs under its tracer, and the trace
+    summary reads `len(span.monomials)` and `span.word_len` of every span
+    it saw, as a benchmark child does, so a change to the span's API fails
+    here and not first in a benchmark run.  A fresh interpreter keeps the
+    tracer's rebinding out of this process."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, str(ROOT / "perfbench"), os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", _KERNELS_WITH_TRACE], env=env,
+                         capture_output=True, text=True, check=True, timeout=300)
+    got = json.loads(res.stdout)
+    assert got["kernels"] and all(t > 0 for t in got["kernels"].values())
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_kernels", ROOT / "perfbench" / "kernels.py")
+    kernels = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(kernels)
+    span = transfer.MonomialSpan(2, 3)
+    span.grow([(1, 2)], kernels.SPAN_DEPTH)
+    trace = got["trace"]
+    assert trace["span_depth"] == span.word_len == kernels.SPAN_DEPTH
+    # every span the pass grows is this one, built afresh
+    assert trace["span_images"] and trace["span_images"] % len(span.monomials) == 0
 
 
 def test_transfer_suite_at_rank_three(tmp_path):

@@ -11,7 +11,9 @@ from affine_schur.laurent import LaurentScalar, ONE, RationalScalar
 from affine_schur.schur import SchurElement, UdotMonomial
 from affine_schur.vector import add_scaled
 
-from oracles import epsilon_sign
+from oracles import (CombinationSpan, combination_transfer_map, epsilon_sign,
+                     omega_route, phi_of_reduction, reduce_monomial,
+                     resolve_weights)
 
 
 def test_frozen_conventions():
@@ -21,29 +23,26 @@ def test_frozen_conventions():
 
 def test_reduce_monomial():
     m = UdotMonomial(2, (("a", (2, 2)), ("e", 1, 1)))
-    red = transfer.reduce_monomial(m)
+    red = reduce_monomial(m)
     assert red.letters == (("a", (1, 1)), ("e", 1, 1))
     # weights with a zero part cannot be reduced
-    assert transfer.reduce_monomial(UdotMonomial(2, (("a", (2, 0)),))) is None
+    assert reduce_monomial(UdotMonomial(2, (("a", (2, 0)),))) is None
 
 
 def test_resolve_weights():
     m = UdotMonomial(2, (("a", (1, 1)), ("e", 1, 1)))
-    gens, weights = transfer.resolve_weights(m)
+    gens, weights = resolve_weights(m)
     assert weights[0] == (1, 1)
     # a_{mu+w_1} e_1 = e_1 a_{mu+w_2}
     assert weights[-1] == (0, 2)
     # clashing idempotents resolve to nothing
     bad = UdotMonomial(2, (("a", (1, 1)), ("a", (2, 0))))
-    assert transfer.resolve_weights(bad) is None
+    assert resolve_weights(bad) is None
 
 
 def test_composition_on_short_words():
     for m in transfer.enumerate_monomials(2, 3, 2):
-        red = transfer.reduce_monomial(m)
-        expected = (SchurElement.zero(2, 1) if red is None
-                    else schur.phi_monomial(red, 1))
-        assert transfer.transfer_route_b(m, 1) == expected
+        assert transfer.transfer_route_b(m, 1) == phi_of_reduction(m, 1)
 
 
 def test_transfer_of_idempotent(span4):
@@ -59,10 +58,11 @@ def test_transfer_linear_in_scalars(span4):
     assert y2 == y.scale(LaurentScalar.v(3))
 
 
-def test_periodic_basis_outside_domain(span4):
+def test_periodic_basis_outside_domain(span4, monkeypatch):
     s = PeriodicMatrix.make(2, 4, {(1, 1): 1, (2, 2): 1, (1, 2): 1, (2, 3): 1})
+    monkeypatch.setattr(transfer, "MAX_WORD_LEN", 4)
     with pytest.raises(ValueError):
-        transfer.transfer_map(SchurElement.basis(s), span4, grow_to=4)
+        transfer.transfer_map(SchurElement.basis(s), span4)
 
 
 def test_leading_term_on_generator_matrix(span4):
@@ -134,10 +134,8 @@ def calibrate_flags_per_monomial(n, Ds, max_len):
                   for e in range(-n, n + 1)]
     for D in Ds:
         for m in transfer.enumerate_monomials(n, D + n, max_len):
-            tensor = transfer.omega_route(m, n, D)
-            red = transfer.reduce_monomial(m)
-            rhs = (SchurElement.zero(n, D) if red is None
-                   else schur.phi_monomial(red, D))
+            tensor = omega_route(m, n, D)
+            rhs = phi_of_reduction(m, D)
             survivors = []
             for flag, rho in candidates:
                 x = collapse(tensor, D, rho)
@@ -266,10 +264,8 @@ def test_route_pairs_match_word_by_word_routes(n, D, max_len):
     assert set(walked) == set(words)
     for m in words:
         tensor, phi = walked[m]
-        assert tensor == transfer.omega_route(m, n, D)
-        red = transfer.reduce_monomial(m)
-        assert phi == (SchurElement.zero(n, D) if red is None
-                       else schur.phi_monomial(red, D))
+        assert tensor == omega_route(m, n, D)
+        assert phi == phi_of_reduction(m, D)
 
 
 def hecke_basis_gen(s, kind, i):
@@ -362,7 +358,7 @@ def test_walk_checks_match_separate_walks(monkeypatch, word_len, bad_len):
 
 
 @dataclass
-class ScalarKeyedSpan(transfer.MonomialSpan):
+class ScalarKeyedSpan(CombinationSpan):
     """The search that the row-pruned MonomialSpan.grow replaced: extend
     every child image that is new up to a global scalar, whether or not it
     adds a row.  The oracle for the pruned search."""
@@ -403,16 +399,17 @@ class ScalarKeyedSpan(transfer.MonomialSpan):
                 self._frontier[wt] = nxt
 
 
-def _transfer_or_error(x, span):
+def _value_or_error(fn, *args):
     try:
-        return transfer.transfer_map(x, span, grow_to=0)
+        return fn(*args)
     except (ValueError, ArithmeticError) as exc:
         return type(exc)
 
 
 @pytest.mark.parametrize("n,D,depth", [(2, 3, 6), (2, 4, 5), (3, 3, 3), (3, 4, 3)])
-def test_pruned_span_matches_scalar_keyed_search(n, D, depth):
-    anchors = list(transfer._compositions(D, n))
+def test_pruned_span_matches_scalar_keyed_search(monkeypatch, n, D, depth):
+    monkeypatch.setattr(transfer, "MAX_WORD_LEN", 0)
+    anchors = list(fc.weights(n, D))
     pruned, oracle = transfer.MonomialSpan(n, D), ScalarKeyedSpan(n, D)
     for d in range(1, depth + 1):
         pruned.grow(anchors, d)
@@ -424,12 +421,13 @@ def test_pruned_span_matches_scalar_keyed_search(n, D, depth):
         assert (pruned.solve(x) is None) == (oracle.solve(x) is None), s
         if D > n and pruned.solve(x) is not None:
             solved += 1
-            assert _transfer_or_error(x, pruned) == _transfer_or_error(x, oracle)
+            assert (_value_or_error(transfer.transfer_map, x, pruned)
+                    == _value_or_error(combination_transfer_map, x, oracle, 0))
     assert solved or D <= n
 
 
 def test_pruned_span_grows_incrementally():
-    anchors = list(transfer._compositions(3, 2))
+    anchors = list(fc.weights(2, 3))
     stepped, at_once = transfer.MonomialSpan(2, 3), transfer.MonomialSpan(2, 3)
     stepped.grow(anchors, 2)
     stepped.grow(anchors, 5)
@@ -446,7 +444,7 @@ def test_pruned_span_grows_incrementally():
 
 
 def test_span_row_bound(monkeypatch):
-    anchors = list(transfer._compositions(3, 2))
+    anchors = list(fc.weights(2, 3))
     monkeypatch.setattr(transfer, "MAX_ROWS", 16)
     span = transfer.MonomialSpan(2, 3)
     span.grow(anchors, 1)
@@ -457,7 +455,8 @@ def test_span_row_bound(monkeypatch):
 
 def test_leading_term_verdicts_with_outside_matrices():
     """n = 2, D + n = 3, band 2: the span leaves 4 of the 10 matrices
-    undecided up to word length 8, the depth transfer_map grows to."""
+    undecided up to word length MAX_WORD_LEN = 8, the depth transfer_map
+    grows to."""
     span = transfer.MonomialSpan(2, 3)
     diag = [s for s in transfer.band_matrices(2, 3, 2)
             if all(s.lookup(i, i) >= 1 for i in (1, 2))]
@@ -468,3 +467,75 @@ def test_leading_term_verdicts_with_outside_matrices():
     outside = {r["matrix"] for r in results if r["ok"] is None}
     assert outside == {PeriodicMatrix.make(2, 3, {(1, 1): 1, (2, 2): 1, cell: 1})
                        for cell in ((1, -1), (1, 3), (2, 0), (2, 4))}
+
+
+def test_omega_route_rejects_other_words():
+    for letters in ((("e", 0, 1), ("a", (2, 1))),  # a letter left of the anchor
+                    (("a", (2, 1)), ("e", 0, 1), ("a", (1, 2))),  # a second idempotent
+                    (("a", (2, 1)), ("f", 1, 2))):  # a divided power
+        with pytest.raises(ValueError, match="single Chevalley letters"):
+            transfer.omega_route(UdotMonomial(2, letters), 2, 1)
+
+
+@st.composite
+def anchored_words(draw):
+    """(n, D, a_wt g_1 ... g_k) with single letters, k <= 4; wt sums to
+    D + n, or one off it."""
+    n, D = draw(st.integers(2, 3)), draw(st.integers(1, 2))
+    total = draw(st.sampled_from((D + n - 1, D + n, D + n, D + n + 1)))
+    wt = draw(st.sampled_from(list(fc.weights(n, total))))
+    letters = draw(st.lists(st.tuples(st.sampled_from("ef"),
+                                      st.integers(0, n - 1)), max_size=4))
+    return n, D, UdotMonomial(n, (("a", wt),) + tuple(
+        (kind, i, 1) for kind, i in letters))
+
+
+@settings(max_examples=60, deadline=None)
+@given(anchored_words())
+def test_omega_fold_matches_weight_profile_route(case):
+    n, D, m = case
+    assert transfer.omega_route(m, n, D) == omega_route(m, n, D)
+
+
+# the depth both spans grow to in the property below, and the spans it
+# shares across examples: {(n, D): (row-image span, combination span)}
+_ORACLE_DEPTH = 3
+_SHARED_SPANS = {}
+_BAND_1 = {}
+
+
+@st.composite
+def drawn_combinations(draw):
+    """A Z[v, v^-1] combination of up to four band-1 basis elements at
+    (n, D) in {(2, 3), (2, 4), (3, 4)}, each drawn half the time among
+    those with every diagonal entry >= 1 (whose transfer is not forced
+    to 0)."""
+    n, D = draw(st.sampled_from(((2, 3), (2, 4), (3, 4))))
+    if (n, D) not in _BAND_1:
+        mats = transfer.band_matrices(n, D, 1)
+        _BAND_1[n, D] = (mats, [s for s in mats if all(
+            s.lookup(i, i) >= 1 for i in range(1, n + 1))])
+    terms = {}
+    for _ in range(draw(st.integers(1, 4))):
+        pool = draw(st.sampled_from(_BAND_1[n, D]))
+        add_scaled(terms, ((draw(st.sampled_from(pool)), draw(_coeffs)),))
+    return SchurElement(n, D, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_combinations())
+def test_transfer_map_matches_combination_route(x):
+    """The row-image solve gives the transfer that solving for word
+    coefficients and evaluating the reduced words through the Hecke route
+    gives, or fails with the same exception type."""
+    key = (x.n, x.D)
+    if key not in _SHARED_SPANS:
+        _SHARED_SPANS[key] = (transfer.MonomialSpan(*key),
+                              CombinationSpan(*key))
+    span, oracle = _SHARED_SPANS[key]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transfer, "MAX_WORD_LEN", _ORACLE_DEPTH)
+        got = _value_or_error(transfer.transfer_map, x, span)
+    assert got == _value_or_error(combination_transfer_map, x, oracle,
+                                  _ORACLE_DEPTH)
+    assert len(span.monomials) == len(oracle.monomials)
