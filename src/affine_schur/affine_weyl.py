@@ -8,7 +8,8 @@ by the simple reflections s_0, ..., s_{D-1} (indices mod D).
 Products compose inside-first on the right, so that the right action on
 flag symbols, (p)w (k) = p(w(k)), satisfies ((p)w)w' = (p)(ww').
 
-Memos.  Young subgroups and double cosets are enumerated once per process:
+Memos.  Young subgroups and double cosets are built, not searched for (see
+the section below), once per process:
 `young_subgroup_elements` is memoized per (D, lambda) and
 `double_coset_elements` per (D, lambda, rep, mu), each in an unbounded
 `lru_cache` on a private helper that lives as long as the process.  Both
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby, permutations, product
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,13 +170,12 @@ def from_word(D: int, rot: int, word) -> AffinePermutation:
 # Young subgroups and coset representatives.
 #
 # A dominant symbol is a weakly increasing window (l_1 <= ... <= l_D) with
-# values in [1, n]; its Young subgroup is generated by the finite simple
-# reflections inside blocks of equal values.
-
-
-def young_generators(dominant_window) -> list:
-    return [i for i in range(1, len(dominant_window))
-            if dominant_window[i - 1] == dominant_window[i]]
+# values in [1, n]; its blocks of equal values are intervals of positions in
+# [1, D], and its Young subgroup S_lambda is the product of the permutation
+# groups of the blocks.  S_lambda rep S_mu is the union of the left cosets
+# S_lambda (rep y), y in S_mu.  The minimal coset and double-coset
+# representatives are read off flag symbols (`min_coset_rep`,
+# `flag_comb.double_coset_min_rep`).
 
 
 def young_subgroup_elements(D: int, dominant_window) -> tuple:
@@ -184,20 +185,14 @@ def young_subgroup_elements(D: int, dominant_window) -> tuple:
 
 @lru_cache(maxsize=None)
 def _young_subgroup_elements(D: int, dominant_window: tuple) -> tuple:
-    """BFS over the block generators."""
-    gens = [simple(D, i) for i in young_generators(dominant_window)]
-    seen = {identity(D)}
-    frontier = [identity(D)]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                u = w * g
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return tuple(sorted(seen, key=lambda w: (w.length(), w.window)))
+    """Every window that permutes each block within itself: the blocks are
+    consecutive, so a window is the concatenation of one permutation of
+    each block."""
+    blocks = [tuple(b) for _, b in groupby(range(1, D + 1),
+                                           key=lambda j: dominant_window[j - 1])]
+    elems = [_trusted(D, sum(perms, ()))
+             for perms in product(*map(permutations, blocks))]
+    return tuple(sorted(elems, key=lambda w: (w.length(), w.window)))
 
 
 def min_coset_rep(n: int, dominant_window, target_window) -> AffinePermutation:
@@ -231,24 +226,6 @@ def min_coset_rep(n: int, dominant_window, target_window) -> AffinePermutation:
     return AffinePermutation(D, tuple(window))
 
 
-def min_double_coset_rep(D: int, lam_window, w: AffinePermutation, mu_window) -> AffinePermutation:
-    """The unique minimal-length element of S_lambda w S_mu."""
-    left = young_generators(lam_window)
-    right = young_generators(mu_window)
-    changed = True
-    while changed:
-        changed = False
-        for i in left:
-            u = simple(D, i) * w
-            if u.length() < w.length():
-                w, changed = u, True
-        for j in right:
-            u = w * simple(D, j)
-            if u.length() < w.length():
-                w, changed = u, True
-    return w
-
-
 def double_coset_elements(D: int, lam_window, rep: AffinePermutation, mu_window) -> tuple:
     """All elements of S_lambda rep S_mu, sorted by (length, window)."""
     return _double_coset_elements(D, tuple(lam_window), rep, tuple(mu_window))
@@ -257,23 +234,13 @@ def double_coset_elements(D: int, lam_window, rep: AffinePermutation, mu_window)
 @lru_cache(maxsize=None)
 def _double_coset_elements(D: int, lam_window: tuple, rep: AffinePermutation,
                            mu_window: tuple) -> tuple:
-    """BFS from rep over the left and right block generators."""
-    left = [simple(D, i) for i in young_generators(lam_window)]
-    right = [simple(D, j) for j in young_generators(mu_window)]
-    seen = {rep}
-    frontier = [rep]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in left:
-                u = g * w
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-            for g in right:
-                u = w * g
-                if u not in seen:
-                    seen.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return tuple(sorted(seen, key=lambda w: (w.length(), w.window)))
+    """The union of the left cosets S_lambda (rep y) over y in S_mu; a y
+    with rep y already in the union adds a coset that is there, so each
+    left coset is multiplied out once."""
+    young = _young_subgroup_elements(D, lam_window)
+    elems = set()
+    for y in _young_subgroup_elements(D, mu_window):
+        x = rep * y
+        if x not in elems:
+            elems.update(u * x for u in young)
+    return tuple(sorted(elems, key=lambda w: (w.length(), w.window)))

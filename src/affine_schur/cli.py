@@ -551,7 +551,7 @@ def suite_transfer(cfg: RunConfig) -> list:
     for s in mats:
         r = transfer.check_canonical_transfer(s, span, sys_high, sys_low)
         verdicts[r["verdict"]] = verdicts.get(r["verdict"], 0) + 1
-        if r["verdict"] == "counterexample" or not r["shift_aperiodic"]:
+        if r["verdict"] == "counterexample":
             bad.append(dict(s.entries))
     cases.append(_case("transfer/canonical-sweep", not bad,
                        f"{len(mats)} aperiodic matrices, verdicts {verdicts}"))
@@ -666,6 +666,8 @@ def compute(args) -> int:
         s = _parse_matrix(args.s)
         if s.D <= s.n:
             raise SystemExit("transfer lowers the rank by n; need D > n")
+        if not flag_comb.is_aperiodic(s):
+            raise SystemExit("transfer expects an aperiodic matrix")
         span = transfer.MonomialSpan(s.n, s.D)
         r = transfer.check_canonical_transfer(s, span)
         print(json.dumps(

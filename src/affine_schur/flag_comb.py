@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from . import affine_weyl
 from .affine_weyl import AffinePermutation
@@ -307,6 +308,14 @@ def symbol_of_matrix(s: PeriodicMatrix, mu: FlagSymbol) -> FlagSymbol:
     return FlagSymbol(n, D, tuple(window))
 
 
+def _block_symbol(s: PeriodicMatrix, lam: FlagSymbol, mu: FlagSymbol) -> FlagSymbol:
+    """symbol_of_matrix(s, mu), checked to lie in the orbit of lam."""
+    p = symbol_of_matrix(s, mu)
+    if p.dominant_rep() != lam:
+        raise ValueError("s is not in the (lam, mu) block")
+    return p
+
+
 def double_coset_min_rep(s: PeriodicMatrix, lam: FlagSymbol, mu: FlagSymbol) -> AffinePermutation:
     """The minimal element of the double coset S_lam w S_mu attached to s,
     certified by matrix_of_pair((lam)w, mu) = s.
@@ -319,11 +328,17 @@ def double_coset_min_rep(s: PeriodicMatrix, lam: FlagSymbol, mu: FlagSymbol) -> 
 
 @lru_cache(maxsize=None)
 def _double_coset_min_rep(s: PeriodicMatrix, lam: FlagSymbol, mu: FlagSymbol) -> AffinePermutation:
-    p = symbol_of_matrix(s, mu)
-    if p.dominant_rep() != lam:
-        raise ValueError("s is not in the (lam, mu) block")
-    w = p.min_coset_rep()
-    return affine_weyl.min_double_coset_rep(s.D, lam.values, w, mu.values)
+    """w = p.min_coset_rep(), p = symbol_of_matrix(s, mu).  It is minimal in
+    S_lam w S_mu:
+    - p is weakly increasing on every mu-block, because its rows are sorted;
+    - w is minimal in S_lam w by construction;
+    - for adjacent k, k+1 in one mu-block, if p(k) < p(k+1), then
+      w(k) < w(k+1), because lam is weakly increasing on Z; if
+      p(k) = p(k+1), `min_coset_rep` assigns the two positions in
+      increasing order;
+    - so w has no right descent in S_mu, and w is the minimal element of
+      S_lam w S_mu."""
+    return _block_symbol(s, lam, mu).min_coset_rep()
 
 
 @lru_cache(maxsize=None)
@@ -332,12 +347,12 @@ def left_cosets(s: PeriodicMatrix, lam: FlagSymbol, mu: FlagSymbol) -> tuple:
     of the symbol q = (lam)w_q and the minimal rep w_q, sorted by (length,
     window) of w_q; T_s = P_lam * sum of T_{w_q} with lengths adding.
 
-    The symbols are the S_mu-orbit of (lam)d, d = double_coset_min_rep, so
-    the double coset is never enumerated.  Memoized per (s, lam, mu) for
-    the life of the process: the result is a pure function of the key and a
+    The symbols are the S_mu-orbit of p = symbol_of_matrix(s, mu), so the
+    double coset is never enumerated.  Memoized per (s, lam, mu) for the
+    life of the process: the result is a pure function of the key and a
     tuple of immutable values.
     """
-    p = lam.act(double_coset_min_rep(s, lam, mu))
+    p = _block_symbol(s, lam, mu)
     orbit = {p.act(u) for u in affine_weyl.young_subgroup_elements(s.D, mu.values)}
     pairs = [(q, q.min_coset_rep()) for q in orbit]
     pairs.sort(key=lambda t: (t[1].length(), t[1].window))
@@ -345,17 +360,6 @@ def left_cosets(s: PeriodicMatrix, lam: FlagSymbol, mu: FlagSymbol) -> tuple:
 
 
 def enumerate_flag_symbols(n: int, D: int, lo: int, hi: int) -> list:
-    """All flag symbols with window values in [lo, hi]."""
-    out = []
-    window = [0] * D
-
-    def rec(j):
-        if j == D:
-            out.append(FlagSymbol(n, D, tuple(window)))
-            return
-        for v in range(lo, hi + 1):
-            window[j] = v
-            rec(j + 1)
-
-    rec(0)
-    return out
+    """All flag symbols with window values in [lo, hi], in lexicographic
+    order of the window."""
+    return [FlagSymbol(n, D, w) for w in product(range(lo, hi + 1), repeat=D)]

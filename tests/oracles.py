@@ -18,6 +18,66 @@ from affine_schur.tmodule import ModuleVector
 from affine_schur.vector import add_scaled
 
 
+def young_generators(dominant_window) -> list:
+    """The finite simple reflections s_i inside blocks of equal values."""
+    return [i for i in range(1, len(dominant_window))
+            if dominant_window[i - 1] == dominant_window[i]]
+
+
+def _by_length(elems) -> tuple:
+    return tuple(sorted(elems, key=lambda w: (w.length(), w.window)))
+
+
+def young_subgroup_by_bfs(D: int, dominant_window) -> tuple:
+    """S_lambda by a breadth-first search over the block generators, sorted
+    by (length, window): the reference for
+    `affine_weyl.young_subgroup_elements`."""
+    gens = [affine_weyl.simple(D, i) for i in young_generators(dominant_window)]
+    seen = {affine_weyl.identity(D)}
+    frontier = list(seen)
+    while frontier:
+        frontier = [u for u in {w * g for w in frontier for g in gens}
+                    if u not in seen]
+        seen.update(frontier)
+    return _by_length(seen)
+
+
+def double_coset_by_bfs(D: int, lam_window, rep, mu_window) -> tuple:
+    """S_lambda rep S_mu by a breadth-first search from rep over the left
+    and right block generators, sorted by (length, window): the reference
+    for `affine_weyl.double_coset_elements`."""
+    left = [affine_weyl.simple(D, i) for i in young_generators(lam_window)]
+    right = [affine_weyl.simple(D, j) for j in young_generators(mu_window)]
+    seen = {rep}
+    frontier = [rep]
+    while frontier:
+        step = {g * w for w in frontier for g in left}
+        step.update(w * g for w in frontier for g in right)
+        frontier = [u for u in step if u not in seen]
+        seen.update(frontier)
+    return _by_length(seen)
+
+
+def min_double_coset_rep_by_descent(D: int, lam_window, w, mu_window):
+    """The minimal element of S_lambda w S_mu, by stripping left descents
+    in S_lambda and right descents in S_mu until none is left: the
+    reference for `flag_comb.double_coset_min_rep`."""
+    left = young_generators(lam_window)
+    right = young_generators(mu_window)
+    changed = True
+    while changed:
+        changed = False
+        for i in left:
+            u = affine_weyl.simple(D, i) * w
+            if u.length() < w.length():
+                w, changed = u, True
+        for j in right:
+            u = w * affine_weyl.simple(D, j)
+            if u.length() < w.length():
+                w, changed = u, True
+    return w
+
+
 def coset_sum(lam: FlagSymbol, p: FlagSymbol) -> HeckeElement:
     """T_p = sum of T_w over the left coset S_lam w_p, w_p the minimal rep."""
     if p.dominant_rep() != lam:

@@ -2,10 +2,13 @@
 
 import itertools
 import math
+from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
 
-from affine_schur import affine_weyl as aw, flag_comb as fc
+from affine_schur import affine_weyl as aw, canonical, flag_comb as fc, transfer
+from oracles import (double_coset_by_bfs, min_double_coset_rep_by_descent,
+                     young_generators, young_subgroup_by_bfs)
 
 
 def random_elements(D, max_word=6):
@@ -58,8 +61,8 @@ def test_young_subgroup():
     # |S_lambda| is the product of the part factorials
     elems = aw.young_subgroup_elements(4, (1, 1, 2, 2))
     assert len(elems) == math.factorial(2) * math.factorial(2)
-    gens = aw.young_generators((1, 1, 2, 2))
-    assert all(g in (1, 3) for g in gens)
+    assert young_generators((1, 1, 2, 2)) == [1, 3]
+    assert elems == young_subgroup_by_bfs(4, (1, 1, 2, 2))
 
 
 def test_min_coset_rep():
@@ -71,8 +74,9 @@ def test_min_coset_rep():
 
 def test_double_coset_elements():
     lam = mu = (1, 1, 2)
-    rep = aw.min_double_coset_rep(3, lam, aw.simple(3, 1), mu)
+    rep = min_double_coset_rep_by_descent(3, lam, aw.simple(3, 1), mu)
     elems = aw.double_coset_elements(3, lam, rep, mu)
+    assert elems == double_coset_by_bfs(3, lam, rep, mu)
     assert rep in elems
     assert all(rep.length() <= u.length() for u in elems)
     assert len(set(elems)) == len(elems)
@@ -116,13 +120,53 @@ def test_cached_cosets_match_fresh_enumeration(case):
     assert aw.young_subgroup_elements(D, lam) == by_length(young_by_blocks(D, lam))
     assert aw.young_subgroup_elements(D, list(lam)) == aw.young_subgroup_elements(D, lam)
     fresh = {u * w * y for u in young_by_blocks(D, lam) for y in young_by_blocks(D, mu)}
-    rep = aw.min_double_coset_rep(D, lam, w, mu)
+    rep = min_double_coset_rep_by_descent(D, lam, w, mu)
     assert rep == min(fresh, key=lambda u: u.length())
     assert aw.double_coset_elements(D, lam, rep, mu) == by_length(fresh)
     assert aw.double_coset_elements(D, list(lam), rep, list(mu)) == by_length(fresh)
     lam_f, mu_f = fc.FlagSymbol(n, D, lam), fc.FlagSymbol(n, D, mu)
     s = fc.matrix_of_pair(lam_f.act(w), mu_f)
     assert fc.double_coset_min_rep(s, lam_f, mu_f) == rep
+
+
+@lru_cache(maxsize=None)
+def _band_matrices(n, D, band):
+    return transfer.band_matrices(n, D, band)
+
+
+@st.composite
+def band_matrices_and_elements(draw):
+    """(s, w): a band matrix s with n = 2..4, D <= 5, band <= 2, and an
+    element w of its double coset, drawn as u * d * y with d the minimal
+    representative read off the flag symbol and u, y drawn from the two
+    Young subgroups."""
+    n, D = draw(st.integers(2, 4)), draw(st.integers(1, 5))
+    s = draw(st.sampled_from(_band_matrices(n, D, draw(st.integers(1, 2)))))
+    lam, mu = canonical.block_of(s)
+    d = fc.symbol_of_matrix(s, mu).min_coset_rep()
+    u = draw(st.sampled_from(sorted(young_by_blocks(D, lam.values), key=lambda x: x.window)))
+    y = draw(st.sampled_from(sorted(young_by_blocks(D, mu.values), key=lambda x: x.window)))
+    return s, u * d * y
+
+
+@settings(max_examples=80, deadline=None)
+@given(band_matrices_and_elements())
+def test_built_cosets_match_search_on_band_matrices(case):
+    s, w = case
+    D = s.D
+    lam, mu = canonical.block_of(s)
+    assert fc.matrix_of_pair(lam.act(w), mu) == s
+    fresh = {u * w * y for u in young_by_blocks(D, lam.values)
+             for y in young_by_blocks(D, mu.values)}
+    rep = fc.double_coset_min_rep(s, lam, mu)
+    shortest = min(u.length() for u in fresh)
+    assert [u for u in fresh if u.length() == shortest] == [rep]
+    assert rep == min_double_coset_rep_by_descent(D, lam.values, w, mu.values)
+    for dominant in (lam, mu):
+        assert (aw.young_subgroup_elements(D, dominant.values)
+                == young_subgroup_by_bfs(D, dominant.values))
+    assert (aw.double_coset_elements(D, lam.values, rep, mu.values)
+            == double_coset_by_bfs(D, lam.values, rep, mu.values) == by_length(fresh))
 
 
 @st.composite

@@ -93,6 +93,15 @@ def test_transfer_compute_requires_lowering():
         cli.main(["compute", "transfer", "--s", "n=2;D=2;[[1,1,1],[2,2,1]]"])
 
 
+def test_transfer_compute_rejects_periodic_matrix(capsys):
+    # the offset-1 diagonal (1,2), (2,3) is full, so the matrix is periodic
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compute", "transfer", "--s",
+                  "n=2;D=4;[[1,1,1],[1,2,1],[2,2,1],[2,3,1]]"])
+    assert exc.value.code == "transfer expects an aperiodic matrix"
+    assert capsys.readouterr().out == ""
+
+
 def test_canonical_report_same_cold_warm_and_across_hash_seeds(tmp_path):
     """Memo iteration order must not leak into a report: two fresh
     interpreters with different hash seeds and a warm in-process rerun all
@@ -180,6 +189,45 @@ def test_benchmark_kernels_read_the_span():
     assert trace["span_depth"] == span.word_len == kernels.SPAN_DEPTH
     # every span the pass grows is this one, built afresh
     assert trace["span_images"] and trace["span_images"] % len(span.monomials) == 0
+
+
+_HEAVY_UNDER_TRACE = """
+import json, sys
+import run, spans
+from affine_schur import cli
+if len(sys.argv) == 1:
+    print(json.dumps(sorted(run.WORKLOADS)))
+    raise SystemExit
+workload, out = sys.argv[1:]
+tracer = spans.Tracer()
+tracer.install()
+rc = cli.main(["run-suite", *run.WORKLOADS[workload], "--out", out])
+calls = tracer.counts()
+print(json.dumps({"rc": rc, "calls": {name: calls[name] for name in run.HEAVY[workload]}}))
+"""
+
+
+def test_benchmark_heavy_functions_record_calls(tmp_path):
+    """Each benchmark workload, run under the benchmark's tracer, records a
+    call on every function its traced run requires (`run.HEAVY`), so a
+    change that blinds the traced run fails here and not first in a
+    benchmark run.  One fresh interpreter per workload keeps the
+    tracer's rebinding out of this process and out of the other
+    workloads."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, str(ROOT / "perfbench"), os.environ.get("PYTHONPATH")])))
+
+    def child(*args):
+        res = subprocess.run([sys.executable, "-c", _HEAVY_UNDER_TRACE, *args],
+                             env=env, capture_output=True, text=True, check=True,
+                             timeout=300)
+        return json.loads(res.stdout.splitlines()[-1])
+
+    for workload in child():
+        got = child(workload, str(tmp_path / f"{workload}.json"))
+        assert got["rc"] == 0, workload
+        assert [name for name, n in got["calls"].items() if n == 0] == [], workload
 
 
 def test_transfer_suite_at_rank_three(tmp_path):

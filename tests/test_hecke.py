@@ -6,7 +6,7 @@ from affine_schur import affine_weyl as aw, flag_comb as fc, hecke
 from affine_schur.hecke import HeckeElement
 from affine_schur.laurent import LaurentScalar, ONE
 
-from oracles import coset_sum
+from oracles import coset_sum, young_generators
 
 
 def t(D, i):
@@ -128,7 +128,7 @@ def test_bar_of_young_sum():
         seen = set()
         for n in range(1, D + 1):
             for lam in fc.all_dominant(n, D):
-                gens = tuple(aw.young_generators(lam.values))
+                gens = tuple(young_generators(lam.values))
                 if gens in seen:
                     continue
                 seen.add(gens)

@@ -319,6 +319,19 @@ def test_basis_gen_matches_schur_mul_on_drawn_matrices(s):
             assert blm_basis_gen(s, kind, i) == hecke_basis_gen(s, kind, i)
 
 
+@settings(max_examples=100, deadline=None)
+@given(drawn_band_matrices())
+def test_identity_shift_preserves_aperiodicity(t):
+    """s = t + I and t differ only at offset 0, which `is_aperiodic` never
+    reads, so the canonical sweep has no shifted matrix to reject."""
+    cells = dict(t.entries)
+    for i in range(1, t.n + 1):
+        cells[(i, i)] = cells.get((i, i), 0) + 1
+    s = PeriodicMatrix.make(t.n, t.D + t.n, cells)
+    assert transfer.matrix_minus_identity(s) == t
+    assert fc.is_aperiodic(s) == fc.is_aperiodic(t)
+
+
 def separate_walks(n, word_len):
     """The calibration and the composition check as separate route_pairs
     walks: the oracle for transfer.walk_checks."""
