@@ -5,11 +5,39 @@ positions J plus matched pairs K_1..K_t of the i/(i+1)-valued positions);
 the oracle recomputes the same operators from the sl_2-string decomposition
 of a basis vector over Q(v), built from the one-pass divided powers
 `tmodule.divided`, and needs n >= 2.  Their agreement is a core test.
+
+The local-word lemma.  Let n >= 2, k_1 < ... < k_L the positions of
+b^{-1}({i, i+1}) and w = (b(k_1) - i, ..., b(k_L) - i) in {0, 1}^L the
+local word of (b, i).  Then the oracle on (b, i) is the oracle on (c, 1),
+c = FlagSymbol(2, L, 1 + w) the canonical symbol of w, carried back along
+t -> k_t.  Sketch: at n >= 2 a position class holds at most one position
+valued i or i+1, so flipping k_t changes no other position and moves k_t
+between b^{-1}(i) and b^{-1}(i+1) without moving any position into or out
+of their union.  `tmodule.divided` reads a symbol only through these two
+preimages and the order of their positions (its exponents count positions
+beyond the flipped one), `string_decomposition` besides them only through
+the i-weight #b^{-1}(i) - #b^{-1}(i+1), and `_reduce_mod_v` reads only
+coefficients.  So every symbol reached from [b] keeps the union k_1..k_L,
+t -> k_t carries the computation on [c] at 1 term by term onto the one on
+[b] at i, and both images mod v follow.  For L = 0, e_i and f_i kill [b]
+and both images are None.
+
+Memos.  `kashiwara_oracle` therefore decomposes once per local word
+(`_local_oracle`): at (n, D, window) = (3, 3, 6) its 648 (symbol, residue)
+pairs share 15 words, one of them empty, so it makes 14 decompositions.
+`bracket` is memoized per (symbol, residue) (`_bracket`), since the
+Kashiwara operators, epsilon and each crystal case ask for the same
+partition again.  Both are unbounded `lru_cache`s on private helpers that
+live as long as the process; a result is a pure function of its key and
+immutable (a tuple of words, or a frozen `BracketingPartition`), so it is
+safe to share.  The per-symbol oracle, one decomposition of [b] and no
+memo, is kept in tests/oracles.py as the reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import tmodule
 from .flag_comb import FlagSymbol
@@ -42,6 +70,11 @@ def bracket(p: FlagSymbol, i: int) -> BracketingPartition:
     positions form J.  The result satisfies the three partition conditions.
     """
     tmodule._check_residue(p.n, i)
+    return _bracket(p, i)
+
+
+@lru_cache(maxsize=None)
+def _bracket(p: FlagSymbol, i: int) -> BracketingPartition:
     positions = sorted(p.preimage(i) + p.preimage(i + 1))
     stack = []
     pairs = []
@@ -123,9 +156,50 @@ def string_decomposition(x: ModuleVector, i: int) -> list:
 
 def kashiwara_oracle(b: FlagSymbol, i: int) -> tuple:
     """(f~_i b, e~_i b) from one string decomposition of [b], each reduced
-    mod v L_D; None where the string ends."""
-    parts = string_decomposition(ModuleVector.basis(b), i)
-    return tuple(_reduce_mod_v(parts, i, shift) for shift in (1, -1))
+    mod v L_D; None where the string ends.  The decomposition is made once
+    per local word of (b, i), on its canonical symbol (see the module
+    docstring), and each image is written back onto b's positions."""
+    if b.n < 2:
+        raise ValueError("the sl2-string oracle needs n >= 2")
+    positions, word = local_word(b, i)
+    return tuple(None if image is None
+                 else write_local_word(b, i, positions, image)
+                 for image in _local_oracle(word))
+
+
+def local_word(b: FlagSymbol, i: int) -> tuple:
+    """(positions, word): the sorted positions of b^{-1}({i, i+1}) and the
+    values b(k) - i in {0, 1} there."""
+    positions = sorted(b.preimage(i) + b.preimage(i + 1))
+    return positions, tuple(b(k) - i for k in positions)
+
+
+def local_symbol(word: tuple) -> FlagSymbol:
+    """The canonical symbol of a nonempty local word: n = 2, values
+    1 + word at positions 1..len(word), read at i = 1."""
+    return FlagSymbol(2, len(word), tuple(1 + a for a in word))
+
+
+def write_local_word(b: FlagSymbol, i: int, positions, word: tuple) -> FlagSymbol:
+    """b with the value i + word[t] at positions[t]."""
+    for k, a in zip(positions, word):
+        if b(k) != i + a:
+            b = b.with_value(k, i + a)
+    return b
+
+
+@lru_cache(maxsize=None)
+def _local_oracle(word: tuple) -> tuple:
+    """The oracle's two images on the canonical symbol of a local word, as
+    words; (None, None) for the empty word, whose [b] is its own string.
+    Memoized per word for the life of the process: the result is a pure
+    function of the word and a tuple of tuples, safe to share."""
+    if not word:
+        return None, None
+    parts = string_decomposition(ModuleVector.basis(local_symbol(word)), 1)
+    images = (_reduce_mod_v(parts, 1, shift) for shift in (1, -1))
+    return tuple(None if q is None else tuple(a - 1 for a in q.values)
+                 for q in images)
 
 
 def _reduce_mod_v(parts: list, i: int, shift: int):

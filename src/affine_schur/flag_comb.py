@@ -8,7 +8,7 @@ stored on the strip with row index in [1, n].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 
@@ -145,6 +145,18 @@ class PeriodicMatrix:
     n: int
     D: int
     entries: tuple  # sorted tuple of ((i, j), value), i in [1, n], value > 0
+    # hash((n, D, entries)), the dataclass hash, computed on first use: the
+    # span and the Schur products key dicts by matrices and would otherwise
+    # rehash the entries tuple on every lookup
+    _hash: int | None = field(default=None, init=False, compare=False,
+                              repr=False)
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.n, self.D, self.entries))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @staticmethod
     def make(n: int, D: int, entries) -> "PeriodicMatrix":

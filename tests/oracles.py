@@ -7,7 +7,7 @@ every path a command runs; here it serves only as a reference.
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from affine_schur import affine_weyl, schur, transfer
+from affine_schur import affine_weyl, crystal, schur, transfer
 from affine_schur.flag_comb import FlagSymbol, x_stat
 from affine_schur.hecke import HeckeElement
 from affine_schur.laurent import (LaurentScalar, ONE, RationalScalar,
@@ -98,6 +98,14 @@ def to_hecke_blocks(x: ModuleVector) -> dict:
         add_scaled(blocks.setdefault(lam, {}), coset_sum(lam, p).terms,
                    c.shift(x_stat(p)))
     return {lam: HeckeElement(x.D, t) for lam, t in blocks.items() if t}
+
+
+def kashiwara_oracle_per_symbol(b: FlagSymbol, i: int) -> tuple:
+    """(f~_i b, e~_i b) from one string decomposition of [b] itself, each
+    reduced mod v: the reference for `crystal.kashiwara_oracle`, which
+    decomposes once per local word."""
+    parts = crystal.string_decomposition(ModuleVector.basis(b), i)
+    return tuple(crystal._reduce_mod_v(parts, i, shift) for shift in (1, -1))
 
 
 def epsilon_sign(x: SchurElement, rho_value: LaurentScalar = ONE) -> LaurentScalar:

@@ -4,11 +4,14 @@ import json
 import signal
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from affine_schur import cli, crystal, flag_comb as fc, tmodule
 from affine_schur.flag_comb import FlagSymbol
-from affine_schur.laurent import (LaurentScalar, RationalScalar,
+from affine_schur.laurent import (LaurentScalar, ONE, RationalScalar,
                                   quantum_binomial, quantum_factorial)
+
+from oracles import kashiwara_oracle_per_symbol
 
 
 def test_bracket_example():
@@ -186,6 +189,56 @@ def test_oracle_at_rank_one_ends_at_once(capsys):
         signal.signal(signal.SIGALRM, previous)
     assert status == 2
     assert "sl2-string oracle needs n >= 2" in capsys.readouterr().err
+
+
+def test_oracle_matches_per_symbol_route_at_benchmark_size():
+    # the crystal workload: n = 3, D = 3, window values in [1, 6]
+    pairs = 0
+    for b in fc.enumerate_flag_symbols(3, 3, 1, 6):
+        for i in range(3):
+            assert (crystal.kashiwara_oracle(b, i)
+                    == kashiwara_oracle_per_symbol(b, i)), (b, i)
+            pairs += 1
+    assert pairs == 648
+
+
+# windows reach below 1 and above n, so some symbols have no position
+# valued i or i + 1 (an empty local word) and others several per residue
+drawn_symbols = st.tuples(st.integers(2, 4), st.integers(1, 5)).flatmap(
+    lambda nd: st.lists(st.integers(-nd[0], 2 * nd[0] + 1),
+                        min_size=nd[1], max_size=nd[1]).map(
+        lambda vals: FlagSymbol(nd[0], nd[1], tuple(vals))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_symbols)
+@example(FlagSymbol(3, 2, (3, 6)))  # no position valued 1 or 2
+def test_oracle_matches_per_symbol_route(b):
+    for i in range(b.n):
+        assert (crystal.kashiwara_oracle(b, i)
+                == kashiwara_oracle_per_symbol(b, i)), (b, i)
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn_symbols, st.data())
+def test_divided_power_is_local(p, data):
+    # the lemma under the oracle memo: e_i^(k) / f_i^(k) on [p] is the same
+    # divided power on p's canonical local symbol at i = 1, written back
+    # onto p's positions
+    i = data.draw(st.integers(0, p.n - 1))
+    k = data.draw(st.integers(0, 2))
+    which = data.draw(st.sampled_from(["e", "f"]))
+    positions, word = crystal.local_word(p, i)
+    assert all(a in (0, 1) for a in word)
+    direct = tmodule.divided(i, k, {p: ONE}, which)
+    if not word:
+        assert direct == ({p: ONE} if k == 0 else {})
+        return
+    local = tmodule.divided(1, k, {crystal.local_symbol(word): ONE}, which)
+    back = {crystal.write_local_word(p, i, positions,
+                                     tuple(a - 1 for a in q.values)): c
+            for q, c in local.items()}
+    assert direct == back
 
 
 def test_graph_exports():

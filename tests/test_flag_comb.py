@@ -76,6 +76,36 @@ def test_matrix_normalization():
         PeriodicMatrix.make(2, 2, {(1, 1): 1})  # mass 1 != D
 
 
+@st.composite
+def matrix_listings(draw):
+    """Two listings of one periodic matrix: the same cells in another
+    order, each cell moved to a strip of its own choosing."""
+    n = draw(st.integers(1, 3))
+    cells = draw(st.dictionaries(
+        st.tuples(st.integers(1, n), st.integers(-2, 2 * n + 2)),
+        st.integers(1, 3), min_size=1, max_size=4))
+    shifts = draw(st.lists(st.integers(-2, 2), min_size=len(cells),
+                           max_size=len(cells)))
+    moved = [((i + m * n, j + m * n), val)
+             for ((i, j), val), m in zip(cells.items(), shifts)]
+    moved = draw(st.permutations(moved))
+    return n, sum(cells.values()), list(cells.items()), moved
+
+
+@given(matrix_listings())
+def test_matrix_hash_agrees_with_equality(listings):
+    n, D, cells, moved = listings
+    a = PeriodicMatrix.make(n, D, cells)
+    hash(a)  # a caches its hash; b is still fresh
+    b = PeriodicMatrix.make(n, D, moved)
+    assert a == b and hash(a) == hash(b)
+    assert hash(a) == hash((n, D, a.entries))  # the dataclass hash
+    assert repr(a) == repr(b) and a.to_json() == b.to_json()
+    assert "_hash" not in repr(a) and "_hash" not in str(a.to_json())
+    other = PeriodicMatrix.make(n, D + 1, cells + [((1, 1), 1)])
+    assert other != a and {a: 0, b: 1, other: 2} == {a: 1, other: 2}
+
+
 def test_enumerate_window():
     syms = fc.enumerate_flag_symbols(2, 2, 1, 4)
     assert len(syms) == 16
