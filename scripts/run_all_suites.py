@@ -4,11 +4,12 @@
 Writes one JSON report per run into --out-dir (default ./reports), named
 after the run's key (the suite, then "-" and a tag when a suite runs at
 more than one size), and prints a one-line verdict per run. Exit status is
-nonzero if any run has a failing case. The transfer suite sweeps roughly
-500 matrices and took 17 s at its reference size on a shared 2-core x86-64
-VM (Python 3.11, median of three runs); pass --quick to shrink the bounds.
-The quick sizes also run transfer at n = 3 (about 4 s), since the
-transfer theorems hold for every n.
+nonzero if any run has a failing case. The transfer suite sweeps 501
+matrices and took 5.9 s at its reference size on a shared 2-core x86-64
+VM (Python 3.11, median of three runs; the whole reference set took about
+8 s); pass --quick to shrink the bounds. The reference sizes run canonical
+at n = 3 as well, and the quick sizes run transfer at n = 3 (about 2 s),
+since the theorems hold for every n.
 """
 
 import argparse
@@ -22,7 +23,8 @@ from affine_schur import cli
 REFERENCE = {
     "relations": dict(n=3, D=3, window=6, word_len=4),
     "crystal": dict(n=2, D=3, window=4),
-    "canonical": dict(n=2, D=2, window=4, band=2),
+    "canonical": dict(n=2, D=3, window=5, band=3),
+    "canonical-n3": dict(n=3, D=3, window=4, band=1),
     "schur": dict(n=2, D=2, word_len=3),
     "transfer": dict(n=2, D=2, band=2, word_len=4),
 }

@@ -34,27 +34,34 @@ The labels b_y still to be solved sit on an explicit stack, so the depth of
 the bar-support order is not bounded by Python's recursion limit.  Both
 updates are `vector.add_scaled` on plain {label: scalar} dicts.
 
-Tau on the labels.  Neither side bars a whole coset sum.  On the flag
-module, tau([p]) is read from the per-symbol memo of `tmodule`.  On the
-Schur side, [s] = v^{y_s} P_lam * sum of T_{w_q}, the w_q the minimal reps
-of the left S_lam-cosets q inside the double coset of s
-(`flag_comb.left_cosets`).  `hecke.bar_parabolic` bars the T_{w_q} and
-returns bar([s]) on the left-coset sums T_q, and `hecke.collapse` gathers
-the left cosets into double cosets with the shift v^{-y_t}
+Tau on the labels.  Neither side bars a whole coset sum, and both read
+one memo.  On the flag module, tau([p]) is the per-symbol memo
+`tmodule._tau_terms(p)`, which bars the minimal coset rep of p alone.  On
+the Schur side, [s] = v^{y_s} * sum of the left-coset sums T_q =
+P_lam T_{w_q}, q over the left S_lam-cosets inside the double coset of s
+(`flag_comb.left_cosets`).  Bar is additive and every T_q has coefficient
+1, so bar([s]) on the left-coset sums is the sum over q of the module's
+tau([q]), each term c [r] read back as c v^{x_q + x_r} T_r
+(`_tau_schur_terms`; it bars nothing itself).  `hecke.collapse` then
+gathers the left cosets into double cosets with the shift v^{-y_t}
 (`left_cosets_to_matrix_terms`); it raises ArithmeticError if a left coset
 of some double coset is missing or carries another coefficient.
 `hecke_to_matrix_terms` is the collapse from the T_w basis, for products.
 
 Memos.  `block_of` is memoized per matrix, and tau([s]) on the Schur side
 per matrix s (`_tau_schur_terms`), each in an unbounded `lru_cache` that
-lives as long as the process.  Both are pure functions of the matrix:
-the block is fixed by the row and column weights, and tau([s]) by s and
-the quadratic relation, which `hecke` fixes and nothing else changes.
+lives as long as the process.  Both are pure functions of the matrix: the
+block is fixed by the row and column weights, and tau([s]) by s and the
+quadratic relation, which `hecke` fixes and nothing else changes.
 `PeriodicMatrix` and `FlagSymbol` are frozen and the cached values are
 tuples, so the memos are safe to share between callers, `BarSystem`s and
-threads.  The systems pass `_tau_schur_terms` and `tmodule._tau_terms`
-themselves as tau_fn; `BarSystem.tau_expand` makes the one copy that the
-solver changes, and a `BarSystem` keeps nothing but its solved b_x.
+threads.  A Schur label adds to `tmodule._tau_terms` only the symbols q
+that the module side has not met; in `run-suite canonical --n 2 --D 3
+--window 5 --band 2` every one is met there first.  The systems pass
+`_tau_schur_terms` and `tmodule._tau_terms` themselves as tau_fn;
+`BarSystem.tau_expand` makes the one copy that the solver changes, and a
+`BarSystem` keeps nothing but its solved b_x.  The grade x_stat is cached
+on each `FlagSymbol` object (`flag_comb.x_stat`).
 
 Output.  `kl_coefficients` reads the stalk dimensions off one coefficient
 of an expansion, given the grade of its system as the statistic; the
@@ -226,12 +233,17 @@ def _tau_schur_terms(s: PeriodicMatrix) -> tuple:
     """tau([s]) = v^{-2 x_mu} bar([s]) as a tuple of (matrix, coeff) pairs,
     computed once per s.
 
-    [s] = v^{y_s} P_lam * sum of T_{w_q} over the left cosets q in the
-    double coset of s, so one parabolic bar of the minimal reps gives
-    bar([s]) on left-coset sums."""
+    [s] = v^{y_s} sum of T_q over the left cosets q in the double coset of
+    s, and bar(T_q) = sum of v^{x_q + x_r} c_r T_r over the module memo
+    tmodule._tau_terms(q) = ((r, c_r), ...), so bar([s]) on left-coset sums
+    is a sum of memo entries."""
     lam, mu = block_of(s)
-    h = hecke.HeckeElement(s.D, {w: ONE for _, w in flag_comb.left_cosets(s, lam, mu)})
-    terms = left_cosets_to_matrix_terms(lam, mu, hecke.bar_parabolic(lam, h))
+    coords = {}
+    for q, _ in flag_comb.left_cosets(s, lam, mu):
+        xq = x_stat(q)
+        add_scaled(coords, ((r, c.shift(xq + x_stat(r)))
+                            for r, c in tmodule._tau_terms(q)))
+    terms = left_cosets_to_matrix_terms(lam, mu, coords)
     twist = -2 * x_stat(mu) - y_stat(s)
     return tuple((t, c.shift(twist)) for t, c in terms.items())
 

@@ -21,6 +21,10 @@ class FlagSymbol:
     n: int
     D: int
     values: tuple
+    # x_stat(self), computed on first use: the canonical solver, the coset
+    # collapse and the stalk readout ask for it again and again
+    _x_stat: int | None = field(default=None, init=False, compare=False,
+                                repr=False)
 
     def __post_init__(self):
         if len(self.values) != self.D:
@@ -122,7 +126,16 @@ def all_dominant(n: int, D: int) -> list:
 
 
 def x_stat(p: FlagSymbol) -> int:
-    """#{(k, l) | p(k) in [1, n], k < l, p(k) >= p(l)}."""
+    """#{(k, l) | p(k) in [1, n], k < l, p(k) >= p(l)}, cached on p."""
+    x = p._x_stat
+    if x is None:
+        x = _count_x_stat(p)
+        object.__setattr__(p, "_x_stat", x)
+    return x
+
+
+def _count_x_stat(p: FlagSymbol) -> int:
+    """x_stat(p), counted afresh."""
     n, D = p.n, p.D
     total = 0
     for j in range(1, D + 1):

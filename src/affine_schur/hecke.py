@@ -21,9 +21,11 @@ P_lam T_i = v^-2 P_lam for every generator s_i of S_lam, hence
 
 the second because u = u' w_q with u' in S_lam and lengths adding.  So
 bar(P_lam h) = v^{2 l(w_lam)} P_lam bar(h) needs bar(h) alone, and
-`bar_parabolic` returns it on the T_q; tau on the flag module and on the
-Schur algebra bars only minimal coset representatives (Deodhar, J. Algebra
-111, 1987).
+`bar_parabolic` returns it on the T_q.  Its one caller is the flag
+module's per-symbol tau memo, `tmodule._tau_terms`, which bars a single
+minimal coset rep; tau on the Schur algebra sums entries of that memo
+(`canonical._tau_schur_terms`) and bars nothing itself.  So both bases bar
+only minimal coset representatives (Deodhar, J. Algebra 111, 1987).
 
 Memo.  `bar` keeps bar(T_w) for every w it has met, in the module-level
 dict `_BAR_T`, keyed by the permutation w (its rank included) and held for

@@ -105,6 +105,13 @@ class LaurentScalar:
         other = _coerce(other)
         if not self._c or not other._c:
             return _ZERO
+        # a monomial factor (the unit above all) shifts and scales the other
+        rest, mono = (other, self) if len(self._c) == 1 else (self, other)
+        if len(mono._c) == 1:
+            (e0, a0), = mono._c.items()
+            if a0 == 1:
+                return rest if e0 == 0 else rest.shift(e0)
+            return _raw({e + e0: a * a0 for e, a in rest._c.items()})
         c = {}
         for e1, a1 in self._c.items():
             for e2, a2 in other._c.items():

@@ -9,11 +9,26 @@ product comes back through the one coset collapse, `hecke.collapse` by way
 of `canonical.hecke_to_matrix_terms`.  Also: the generator images of the
 quantum-algebra homomorphism, monomial evaluation, the sign character at
 D = n, and the block twist psi.
+
+Action on the flag module.  `act_on_module` is the sum of c_s c_p [s]*[p]
+over the terms c_s [s] of the Schur element and c_p [p] of the module
+vector, p in the column orbit of s.  Each basis product [s]*[p] goes
+through the Hecke realization once, the double-coset sum of s times
+T_{w_p} collapsed onto symbols by `tmodule.from_hecke_block`, and is kept
+in the memo `_act_basis`: an unbounded `lru_cache` keyed by the pair (s, p)
+that lives as long as the process.  An entry is a pure function of the
+pair and the quadratic relation, which `hecke` fixes, and a tuple of
+frozen values, so the memo is safe to share between callers and threads.
+The lower terms of a canonical b_s are other matrices of the same band,
+and the canonical suite acts on dominant vectors [mu] only, so it expands
+each double coset once, not once for every b_s that contains it.
 """
 
 from __future__ import annotations
 
-from . import canonical, flag_comb, hecke
+from functools import lru_cache
+
+from . import canonical, flag_comb, hecke, tmodule
 from .canonical import hecke_to_matrix_terms
 from .flag_comb import FlagSymbol, PeriodicMatrix, x_stat, y_stat
 from .hecke import HeckeElement
@@ -112,28 +127,34 @@ def schur_mul(a: SchurElement, b: SchurElement) -> SchurElement:
 
 
 def act_on_module(x: SchurElement, vec) -> "tmodule.ModuleVector":
-    """The left action on the flag module: [s] in H_{lam,mu} maps the
-    mu-block of vec through the Hecke realization.
-
-    The mu-block of vec is sum_p c_p v^{x_p} T_p with T_p = T_mu T_{w_p},
-    w_p the minimal coset rep, and a in H_{lam,mu} sends T_mu T_{w_p} to
-    a T_{w_p}; the image is collapsed back onto lam-labels.
-    """
-    from . import tmodule
+    """The left action on the flag module, sum of c_s c_p [s]*[p] over the
+    terms c_s [s] of x and c_p [p] of vec with p in the column orbit mu of
+    s; each [s]*[p] comes from the memo `_act_basis`."""
     vec_blocks = {}
     for p, c in vec.terms.items():
-        vec_blocks.setdefault(p.dominant_rep(), {})[p] = c
+        vec_blocks.setdefault(p.dominant_rep(), []).append((p, c))
     out = {}
-    for (lam, mu), terms in x.blocks().items():
-        if mu not in vec_blocks:
-            continue
-        ah = _block_to_hecke(terms, lam, mu)
-        acc = {}
-        for p, c in vec_blocks[mu].items():
-            add_scaled(acc, hecke.mul(ah, HeckeElement.t(p.min_coset_rep())).terms,
-                       c.shift(x_stat(p)))
-        add_scaled(out, tmodule.from_hecke_block(lam, HeckeElement(x.D, acc)).terms)
+    for s, c in x.terms.items():
+        for p, cp in vec_blocks.get(canonical.block_of(s)[1], ()):
+            add_scaled(out, _act_basis(s, p), c * cp)
     return tmodule.ModuleVector(x.n, x.D, out)
+
+
+@lru_cache(maxsize=None)
+def _act_basis(s: PeriodicMatrix, p: FlagSymbol) -> tuple:
+    """[s]*[p] as a tuple of (symbol, coeff) pairs, computed once per pair
+    through the Hecke realization, p in the orbit of the column symbol mu
+    of s.
+
+    [p] = v^{x_p} T_mu T_{w_p}, w_p the minimal coset rep, and [s] in
+    H_{lam,mu} sends T_mu T_{w_p} to [s] T_{w_p}; the image is collapsed
+    back onto lam-labels."""
+    lam, mu = canonical.block_of(s)
+    h = hecke.mul(_block_to_hecke({s: ONE}, lam, mu),
+                  HeckeElement.t(p.min_coset_rep()))
+    xp = x_stat(p)
+    return tuple((q, c.shift(xp))
+                 for q, c in tmodule.from_hecke_block(lam, h).terms.items())
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ operators e_i, f_i, and the antilinear involution tau.
 
 `ModuleVector` is a `vector.SparseVector` over flag symbols and every sum
 here goes through `vector.add_scaled`.  An element of a block T_lambda H_D
-in the T_w basis, such as the image of the Schur algebra's action
-(`schur.act_on_module`), comes back to symbols through the one coset
+in the T_w basis, such as the image of a Schur basis element on a basis
+vector (`schur._act_basis`), comes back to symbols through the one coset
 collapse, `hecke.collapse` over left S_lambda cosets with the shift
 v^{-x_p} (`from_hecke_block`).
 
@@ -26,13 +26,16 @@ needs n >= 2, where a flip changes the value class of no other position.
 
 Tau.  [p] = v^{x_p} P_lambda T_{w_p}, w_p the minimal coset rep, so
 tau([p]) = v^{-x_p} bar(P_lambda T_{w_p}) comes from `hecke.bar_parabolic`,
-which bars T_{w_p} alone.  `tau` is the antilinear sum of these images.
-They are memoized in `_tau_terms`, an unbounded `lru_cache` keyed by the
-symbol p (its n and D included) that lives as long as the process; the
-canonical-basis solver reads the same memo.  An entry is a pure function of
-p and the quadratic relation, which `hecke` fixes and nothing else changes,
-and it is a tuple of (symbol, scalar) pairs of frozen values, so the memo
-is safe to share between callers and threads.
+which bars T_{w_p} alone; `_tau_terms` is the one caller of that bar.  `tau`
+is the antilinear sum of these images.  They are memoized in `_tau_terms`,
+an unbounded `lru_cache` keyed by the symbol p (its n and D included) that
+lives as long as the process.  The canonical-basis solver on the flag
+module reads the same memo, and so does tau on the Schur algebra
+(`canonical._tau_schur_terms`), which sums the entries of the left cosets
+inside a double coset instead of barring again.  An entry is a pure
+function of p and the quadratic relation, which `hecke` fixes and nothing
+else changes, and it is a tuple of (symbol, scalar) pairs of frozen values,
+so the memo is safe to share between callers and threads.
 """
 
 from __future__ import annotations

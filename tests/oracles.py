@@ -7,8 +7,9 @@ every path a command runs; here it serves only as a reference.
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from affine_schur import affine_weyl, crystal, schur, transfer
-from affine_schur.flag_comb import FlagSymbol, x_stat
+from affine_schur import (affine_weyl, canonical, crystal, flag_comb, hecke,
+                          schur, tmodule, transfer)
+from affine_schur.flag_comb import FlagSymbol, PeriodicMatrix, x_stat, y_stat
 from affine_schur.hecke import HeckeElement
 from affine_schur.laurent import (LaurentScalar, ONE, RationalScalar,
                                   divide_exact, quantum_factorial)
@@ -98,6 +99,40 @@ def to_hecke_blocks(x: ModuleVector) -> dict:
         add_scaled(blocks.setdefault(lam, {}), coset_sum(lam, p).terms,
                    c.shift(x_stat(p)))
     return {lam: HeckeElement(x.D, t) for lam, t in blocks.items() if t}
+
+
+def act_on_module_by_blocks(x: SchurElement, vec: ModuleVector) -> ModuleVector:
+    """The left action a whole block at a time: each (lam, mu) block of x
+    expands into one Hecke element a of double-coset sums, the mu-block of
+    vec, sum_p c_p v^{x_p} T_mu T_{w_p}, goes to sum_p c_p v^{x_p} a T_{w_p},
+    and the image is collapsed once per block.  The reference for
+    `schur.act_on_module`, which sums memoized products of basis pairs."""
+    vec_blocks = {}
+    for p, c in vec.terms.items():
+        vec_blocks.setdefault(p.dominant_rep(), {})[p] = c
+    out = {}
+    for (lam, mu), terms in x.blocks().items():
+        if mu not in vec_blocks:
+            continue
+        ah = schur._block_to_hecke(terms, lam, mu)
+        acc = {}
+        for p, c in vec_blocks[mu].items():
+            add_scaled(acc, hecke.mul(ah, HeckeElement.t(p.min_coset_rep())).terms,
+                       c.shift(x_stat(p)))
+        add_scaled(out, tmodule.from_hecke_block(lam, HeckeElement(x.D, acc)).terms)
+    return ModuleVector(x.n, x.D, out)
+
+
+def tau_schur_by_parabolic_bar(s: PeriodicMatrix) -> dict:
+    """tau([s]) from one parabolic bar of the sum of the minimal left-coset
+    reps T_{w_q} in the double coset of s: the reference for
+    `canonical._tau_schur_terms`, which sums the module's per-symbol tau
+    memo instead."""
+    lam, mu = canonical.block_of(s)
+    h = HeckeElement(s.D, {w: ONE for _, w in flag_comb.left_cosets(s, lam, mu)})
+    terms = canonical.left_cosets_to_matrix_terms(lam, mu, hecke.bar_parabolic(lam, h))
+    twist = -2 * x_stat(mu) - y_stat(s)
+    return {t: c.shift(twist) for t, c in terms.items()}
 
 
 def kashiwara_oracle_per_symbol(b: FlagSymbol, i: int) -> tuple:

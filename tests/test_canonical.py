@@ -13,6 +13,8 @@ from affine_schur.flag_comb import FlagSymbol, PeriodicMatrix
 from affine_schur.laurent import LaurentScalar, ONE
 from affine_schur.schur import SchurElement
 
+from oracles import tau_schur_by_parabolic_bar
+
 
 def test_module_basis_frozen_example():
     # b_{(2,1)} = [(2,1)] + v [(1,2)]
@@ -258,6 +260,12 @@ BAND_SIZES = [(2, 2, 2), (2, 3, 2), (2, 4, 1), (3, 3, 2), (3, 4, 1)]
 def test_tau_schur_matches_double_coset_route(n, D, band):
     for s in transfer.band_matrices(n, D, band):
         assert dict(canonical._tau_schur_terms(s)) == tau_schur_by_double_cosets(s)
+
+
+@pytest.mark.parametrize("n, D, band", [(2, 3, 2), (3, 3, 1), (2, 4, 1)])
+def test_tau_schur_from_module_memo_matches_parabolic_bar(n, D, band):
+    for s in transfer.band_matrices(n, D, band):
+        assert dict(canonical._tau_schur_terms(s)) == tau_schur_by_parabolic_bar(s)
 
 
 def test_tau_tmodule_label_reads_memo_and_hands_out_copies():

@@ -106,6 +106,20 @@ def test_matrix_hash_agrees_with_equality(listings):
     assert other != a and {a: 0, b: 1, other: 2} == {a: 1, other: 2}
 
 
+@given(symbols)
+def test_symbol_x_stat_cache_agrees_with_a_fresh_count(p):
+    fresh = FlagSymbol(p.n, p.D, p.values)
+    before = (repr(p), p.to_text(), hash(p))
+    assert fc.x_stat(p) == fc._count_x_stat(fresh)
+    assert fresh._x_stat is None and p._x_stat == fc.x_stat(p)
+    assert (repr(p), p.to_text(), hash(p)) == before
+    assert p == fresh and repr(p) == repr(fresh) and p.to_text() == fresh.to_text()
+    assert hash(p) == hash(fresh) == hash((p.n, p.D, p.values))  # the dataclass hash
+    assert "_x_stat" not in repr(p)
+    other = FlagSymbol(p.n, p.D + 1, p.values + (1,))
+    assert other != p and {p: 0, fresh: 1, other: 2} == {p: 1, other: 2}
+
+
 def test_enumerate_window():
     syms = fc.enumerate_flag_symbols(2, 2, 1, 4)
     assert len(syms) == 16

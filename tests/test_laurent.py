@@ -52,6 +52,32 @@ def test_ring_axioms(a, b, c):
     assert a - a == LaurentScalar.zero()
 
 
+def convolution(a: LaurentScalar, b: LaurentScalar) -> LaurentScalar:
+    """The product term by term, with no shortcut: the reference for `*`."""
+    c = {}
+    for e1, a1 in a.items():
+        for e2, a2 in b.items():
+            c[e1 + e2] = c.get(e1 + e2, 0) + a1 * a2
+    return L(c)
+
+
+monomials = st.builds(LaurentScalar.monomial,
+                      st.sampled_from([1, -1]) | st.integers(-9, 9).filter(bool),
+                      st.integers(-6, 6))
+special = st.sampled_from([ONE, LaurentScalar.zero(), L({0: -1}), L({0: 3})]) | monomials
+
+
+@given(special, scalars | special, st.integers(-5, 5))
+def test_mul_fast_paths_match_convolution(m, x, k):
+    for prod in (m * x, x * m):
+        assert prod == convolution(m, x)
+        assert all(a for _, a in prod.items())  # no zero coefficient is kept
+    const = LaurentScalar.const(k)
+    assert m * k == k * m == convolution(m, const)
+    assert x * k == k * x == convolution(x, const)
+    assert ONE * x == x * ONE == x and 1 * x == x * 1 == x
+
+
 @given(scalars, scalars)
 def test_bar_is_ring_involution(a, b):
     assert a.bar().bar() == a

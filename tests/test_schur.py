@@ -1,6 +1,7 @@
 """The q-Schur algebra: multiplication, the evaluation homomorphism."""
 
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,8 +10,9 @@ from affine_schur import cli, canonical, flag_comb as fc, schur, tmodule, transf
 from affine_schur.flag_comb import FlagSymbol, PeriodicMatrix
 from affine_schur.laurent import LaurentScalar, ONE
 from affine_schur.schur import SchurElement, UdotMonomial
+from affine_schur.vector import add_scaled
 
-from oracles import epsilon_sign, inv_monomial
+from oracles import act_on_module_by_blocks, epsilon_sign, inv_monomial
 
 
 def unit_on_weights(n, D, weights):
@@ -78,6 +80,44 @@ def test_act_on_module_matches_formulas():
     direct = tmodule.apply_e(1, tmodule.ModuleVector.basis(mu))
     assert not via.is_zero()
     assert via == direct
+
+
+@lru_cache(maxsize=None)
+def _band_one(n, D):
+    return transfer.band_matrices(n, D, 1)
+
+
+coeffs = st.dictionaries(st.integers(-3, 3), st.integers(-3, 3),
+                         min_size=1, max_size=3).map(LaurentScalar).filter(bool)
+
+
+@st.composite
+def elements_and_vectors(draw):
+    """A Schur element over several blocks and a module vector that meets
+    the column orbits of its terms in symbols that are mostly not dominant,
+    plus symbols of any weight; coefficients are drawn Laurent polynomials."""
+    n = draw(st.integers(2, 3))
+    D = draw(st.integers(1, 4))
+    terms = draw(st.lists(st.tuples(st.sampled_from(_band_one(n, D)), coeffs),
+                          min_size=1, max_size=4))
+    syms = []
+    for s, _ in terms:
+        mu = canonical.block_of(s)[1]
+        vals = draw(st.permutations(mu.values))
+        lifts = draw(st.lists(st.integers(-1, 1), min_size=D, max_size=D))
+        syms.append(FlagSymbol(n, D, tuple(v + n * k for v, k in zip(vals, lifts))))
+    syms += draw(st.lists(st.lists(st.integers(-1, 2 * n), min_size=D, max_size=D)
+                          .map(lambda vals: FlagSymbol(n, D, tuple(vals))), max_size=2))
+    vec = add_scaled({}, [(p, draw(coeffs)) for p in syms])
+    return (SchurElement(n, D, add_scaled({}, terms)),
+            tmodule.ModuleVector(n, D, vec))
+
+
+@settings(max_examples=40, deadline=None)
+@given(elements_and_vectors())
+def test_act_on_module_matches_block_route(case):
+    x, vec = case
+    assert schur.act_on_module(x, vec) == act_on_module_by_blocks(x, vec)
 
 
 def test_epsilon_sign_character():
