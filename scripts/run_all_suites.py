@@ -8,8 +8,8 @@ nonzero if any run has a failing case. The transfer suite sweeps 501
 matrices and took 5.9 s at its reference size on a shared 2-core x86-64
 VM (Python 3.11, median of three runs; the whole reference set took about
 8 s); pass --quick to shrink the bounds. The reference sizes run canonical
-at n = 3 as well, and the quick sizes run transfer at n = 3 (about 2 s),
-since the theorems hold for every n.
+and schur at n = 3 as well, and the quick sizes run transfer at n = 3
+(about 2 s), since the theorems hold for every n.
 """
 
 import argparse
@@ -26,6 +26,7 @@ REFERENCE = {
     "canonical": dict(n=2, D=3, window=5, band=3),
     "canonical-n3": dict(n=3, D=3, window=4, band=1),
     "schur": dict(n=2, D=2, word_len=3),
+    "schur-n3": dict(n=3, D=3, word_len=2),
     "transfer": dict(n=2, D=2, band=2, word_len=4),
 }
 QUICK = {

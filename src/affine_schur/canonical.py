@@ -34,19 +34,24 @@ The labels b_y still to be solved sit on an explicit stack, so the depth of
 the bar-support order is not bounded by Python's recursion limit.  Both
 updates are `vector.add_scaled` on plain {label: scalar} dicts.
 
+The column map.  An element z of column nu (its terms in blocks (lam, nu))
+is fixed by its value z*[nu] = v^{x_nu} z on the dominant [nu].
+`column_vector(s)` gives [s]*[nu] = v^{x_nu + y_s} T_s with no Hecke
+product, T_s being the sum of the left-coset sums T_q = v^{-x_q} [q] over
+the left S_lam-cosets q inside the double coset of s
+(`flag_comb.left_cosets`).  `from_column` goes back: `hecke.collapse`
+gathers z's coordinates v^{x_r - x_nu} c_r on the T_r into double cosets
+[t] = v^{y_t} T_t, and raises ArithmeticError if a left coset of some
+double coset is missing or carries another coefficient.  `schur.schur_mul`
+reads products back through it.
+
 Tau on the labels.  Neither side bars a whole coset sum, and both read
 one memo.  On the flag module, tau([p]) is the per-symbol memo
-`tmodule._tau_terms(p)`, which bars the minimal coset rep of p alone.  On
-the Schur side, [s] = v^{y_s} * sum of the left-coset sums T_q =
-P_lam T_{w_q}, q over the left S_lam-cosets inside the double coset of s
-(`flag_comb.left_cosets`).  Bar is additive and every T_q has coefficient
-1, so bar([s]) on the left-coset sums is the sum over q of the module's
-tau([q]), each term c [r] read back as c v^{x_q + x_r} T_r
-(`_tau_schur_terms`; it bars nothing itself).  `hecke.collapse` then
-gathers the left cosets into double cosets with the shift v^{-y_t}
-(`left_cosets_to_matrix_terms`); it raises ArithmeticError if a left coset
-of some double coset is missing or carries another coefficient.
-`hecke_to_matrix_terms` is the collapse from the T_w basis, for products.
+`tmodule._tau_terms(p)`, which bars the minimal coset rep of p alone.
+Tau is bar on the module and v^{-2 x_mu} bar on a (lam, mu) block, so
+tau(x*m) = tau(x)*tau(m), and tau([mu]) = [mu] as bar(P_mu) = v^{2 x_mu}
+P_mu.  So tau([s]) has the value tau(column_vector(s)) on [mu], a sum of
+entries of the module memo (`_tau_schur_terms`; it bars nothing itself).
 
 Memos.  `block_of` is memoized per matrix, and tau([s]) on the Schur side
 per matrix s (`_tau_schur_terms`), each in an unbounded `lru_cache` that
@@ -78,7 +83,7 @@ import tempfile
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from . import affine_weyl, flag_comb, hecke, tmodule
+from . import flag_comb, hecke, tmodule
 from .flag_comb import FlagSymbol, PeriodicMatrix, x_stat, y_stat
 from .laurent import LaurentScalar, ONE
 from .vector import add_scaled
@@ -206,46 +211,35 @@ def block_of(s: PeriodicMatrix) -> tuple:
     return lam, mu
 
 
-def hecke_to_matrix_terms(lam: FlagSymbol, mu: FlagSymbol, h: hecke.HeckeElement) -> dict:
-    """Re-collapse an element of H_{lam,mu} into the [t] basis."""
+def column_vector(s: PeriodicMatrix) -> tmodule.ModuleVector:
+    """[s]*[mu], mu the column symbol of s, with no Hecke product: the sum
+    of v^{x_mu + y_s - x_q} [q] over `flag_comb.left_cosets(s, lam, mu)`."""
+    lam, mu = block_of(s)
+    top = x_stat(mu) + y_stat(s)
+    return tmodule.ModuleVector(s.n, s.D, {
+        q: LaurentScalar.monomial(1, top - x_stat(q))
+        for q, _ in flag_comb.left_cosets(s, lam, mu)})
 
-    def coset(w):
-        t = flag_comb.matrix_of_pair(lam.act(w), mu)
-        rep = flag_comb.double_coset_min_rep(t, lam, mu)
-        return t, affine_weyl.double_coset_elements(lam.D, lam.values, rep, mu.values)
 
-    return hecke.collapse(h.terms, coset, y_stat)
+def from_column(nu: FlagSymbol, coords: dict) -> dict:
+    """The terms {t: c} of the z in column nu with z*[nu] = sum of c_r [r]
+    over coords {r: c_r}; the row symbol of each t is read from r."""
+    xnu = x_stat(nu)
 
+    def coset(r):
+        t = flag_comb.matrix_of_pair(r, nu)
+        return t, [q for q, _ in flag_comb.left_cosets(t, r.dominant_rep(), nu)]
 
-def left_cosets_to_matrix_terms(lam: FlagSymbol, mu: FlagSymbol, coords: dict) -> dict:
-    """Re-collapse coordinates {q: c} on left S_lam-coset sums T_q, q in
-    the orbit of lam, into the [t] basis of the (lam, mu) block."""
-
-    def coset(q):
-        t = flag_comb.matrix_of_pair(q, mu)
-        return t, [r for r, _ in flag_comb.left_cosets(t, lam, mu)]
-
-    return hecke.collapse(coords, coset, y_stat)
+    return hecke.collapse({r: c.shift(x_stat(r) - xnu) for r, c in coords.items()},
+                          coset, y_stat)
 
 
 @lru_cache(maxsize=None)
 def _tau_schur_terms(s: PeriodicMatrix) -> tuple:
-    """tau([s]) = v^{-2 x_mu} bar([s]) as a tuple of (matrix, coeff) pairs,
-    computed once per s.
-
-    [s] = v^{y_s} sum of T_q over the left cosets q in the double coset of
-    s, and bar(T_q) = sum of v^{x_q + x_r} c_r T_r over the module memo
-    tmodule._tau_terms(q) = ((r, c_r), ...), so bar([s]) on left-coset sums
-    is a sum of memo entries."""
-    lam, mu = block_of(s)
-    coords = {}
-    for q, _ in flag_comb.left_cosets(s, lam, mu):
-        xq = x_stat(q)
-        add_scaled(coords, ((r, c.shift(xq + x_stat(r)))
-                            for r, c in tmodule._tau_terms(q)))
-    terms = left_cosets_to_matrix_terms(lam, mu, coords)
-    twist = -2 * x_stat(mu) - y_stat(s)
-    return tuple((t, c.shift(twist)) for t, c in terms.items())
+    """tau([s]) as a tuple of (matrix, coeff) pairs, computed once per s:
+    the z of column mu with z*[mu] = tau(column_vector(s))."""
+    mu = block_of(s)[1]
+    return tuple(from_column(mu, tmodule.tau(column_vector(s)).terms).items())
 
 
 def schur_system(n: int, D: int) -> BarSystem:

@@ -45,9 +45,10 @@ class RunConfig:
     seed: int = 0
 
     def validate(self):
-        if (self.n < 1 or self.D < 1 or self.window < 1 or self.band < 0
-                or self.word_len < 0):
-            raise ValueError("bounds must be positive")
+        if min(self.n, self.D, self.window) < 1:
+            raise ValueError("n, D and window must be >= 1")
+        if min(self.band, self.word_len) < 0:
+            raise ValueError("band and word_len must be >= 0")
         if self.suite not in SUITES:
             raise ValueError(f"unknown suite {self.suite!r}")
         if self.suite == "crystal" and self.n < 2:
@@ -607,8 +608,14 @@ def _parse_symbol(text: str) -> FlagSymbol:
 def _parse_matrix(text: str) -> PeriodicMatrix:
     try:
         parts = text.split(";")
+        if len(parts) != 3 or not parts[0].startswith("n=") or not parts[1].startswith("D="):
+            raise ValueError("expected three ';' parts starting n= and D=")
         n, D = int(parts[0][2:]), int(parts[1][2:])
+        if n < 1 or D < 1:
+            raise ValueError("n and D must be >= 1")
         cells = json.loads(parts[2])
+        if any(type(x) is not int for cell in cells for x in cell):
+            raise ValueError("cells must be integer triples")
         return PeriodicMatrix.make(n, D, {(i, j): v for i, j, v in cells})
     except SystemExit:
         raise

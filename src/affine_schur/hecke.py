@@ -8,8 +8,8 @@ underlying the Schur algebra.  The quadratic relation is
 here goes through `vector.add_scaled`.  `collapse` is the one way from a
 finer coset basis to a coarser one: `tmodule.from_hecke_block` uses it from
 the T_w basis to flag symbols (left S_lambda cosets), for the Schur
-algebra's action on the flag module, and `canonical` from the T_w basis or
-from left cosets to matrices (double cosets).
+algebra's action on the flag module, and `canonical.from_column` from left
+cosets to matrices (double cosets), for the Schur product and tau.
 
 Parabolic bar.  Write P_lam for the sum of T_u over the Young subgroup
 S_lam and T_q = P_lam T_{w_q} for the left-coset sum of a symbol q in the

@@ -3,24 +3,28 @@
 Elements are flat combinations {matrix: scalar}, a `vector.SparseVector`;
 their grouping into (lam, mu) blocks is derived (`SchurElement.blocks`) from
 `canonical.block_of`, and every sum goes through `vector.add_scaled`.
-Multiplication acts through the Hecke realization (one source of truth, no
-structure-constant tables): a block expands into double-coset sums and the
-product comes back through the one coset collapse, `hecke.collapse` by way
-of `canonical.hecke_to_matrix_terms`.  Also: the generator images of the
-quantum-algebra homomorphism, monomial evaluation, the sign character at
-D = n, and the block twist psi.
+Multiplication reads the product back from the action on the flag module
+(one source of truth, no structure-constant tables): an element of column
+nu is fixed by its value on the dominant [nu], so a*[t] for t of column nu
+is `canonical.from_column(nu, a*column_vector(t))`.  Also: the generator
+images of the quantum-algebra homomorphism, monomial evaluation, the sign
+character at D = n, and the block twist psi.
 
 Action on the flag module.  `act_on_module` is the sum of c_s c_p [s]*[p]
 over the terms c_s [s] of the Schur element and c_p [p] of the module
 vector, p in the column orbit of s.  Each basis product [s]*[p] goes
 through the Hecke realization once, the double-coset sum of s times
-T_{w_p} collapsed onto symbols by `tmodule.from_hecke_block`, and is kept
-in the memo `_act_basis`: an unbounded `lru_cache` keyed by the pair (s, p)
-that lives as long as the process.  An entry is a pure function of the
-pair and the quadratic relation, which `hecke` fixes, and a tuple of
-frozen values, so the memo is safe to share between callers and threads.
-The lower terms of a canonical b_s are other matrices of the same band,
-and the canonical suite acts on dominant vectors [mu] only, so it expands
+T_{w_p} collapsed onto symbols by `tmodule.from_hecke_block`; this is the
+only Hecke product of the Schur algebra.  It is kept in the memo
+`_act_basis`: an unbounded `lru_cache` keyed by the pair (s, p) that
+lives as long as the process.  An entry is a pure function of the pair
+and the quadratic relation, which `hecke` fixes, and a tuple of frozen
+values, so the memo is safe to share between callers and threads.
+`schur_mul` fills it too, with the pairs of a term of its left factor and
+a left coset of a term of its right factor; in `run-suite transfer --n 2
+--D 1 --band 1 --word-len 3` it ends with 92 entries (116 hits).  The
+lower terms of a canonical b_s are other matrices of the same band, and
+the canonical suite acts on dominant vectors [mu] only, so it expands
 each double coset once, not once for every b_s that contains it.
 """
 
@@ -29,7 +33,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import canonical, flag_comb, hecke, tmodule
-from .canonical import hecke_to_matrix_terms
 from .flag_comb import FlagSymbol, PeriodicMatrix, x_stat, y_stat
 from .hecke import HeckeElement
 from .laurent import LaurentScalar, ONE, divide_exact, quantum_factorial
@@ -106,23 +109,16 @@ def _block_to_hecke(terms: dict, lam: FlagSymbol, mu: FlagSymbol) -> HeckeElemen
 
 
 def schur_mul(a: SchurElement, b: SchurElement) -> SchurElement:
-    """Product via the endomorphism action: T_s in H_{lam,mu} sends
-    T_mu h -> T_s h."""
+    """The product through the column map: for t in column nu, a*[t] is the
+    z of column nu with z*[nu] = a*([t]*[nu]), so each term c_t [t] of b
+    adds c_t from_column(nu, a*column_vector(t)), the action summed from
+    the memo `_act_basis`."""
     if (a.n, a.D) != (b.n, b.D):
         raise ValueError("shape mismatch")
     out = {}
-    b_blocks = b.blocks()
-    for (lam, mu), aterms in a.blocks().items():
-        ah = _block_to_hecke(aterms, lam, mu)
-        for (mu2, nu), bterms in b_blocks.items():
-            if mu2 != mu:
-                continue
-            for t, c in bterms.items():
-                prod = {}
-                for _, w in flag_comb.left_cosets(t, mu, nu):
-                    add_scaled(prod, hecke.mul(ah, HeckeElement.t(w)).terms,
-                               c.shift(y_stat(t)))
-                add_scaled(out, hecke_to_matrix_terms(lam, nu, HeckeElement(a.D, prod)))
+    for t, c in b.terms.items():
+        img = act_on_module(a, canonical.column_vector(t))
+        add_scaled(out, canonical.from_column(canonical.block_of(t)[1], img.terms), c)
     return SchurElement(a.n, a.D, out)
 
 

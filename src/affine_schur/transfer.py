@@ -34,8 +34,8 @@ periodic unit matrix and row sums over all integer rows l:
               beta = sum_{l>p} (s_{l,c} - s_{l,c-1}).
 
 An empty sum is the zero product.  The oracle is the Hecke route,
-schur.schur_mul([s], phi_e or phi_f) (double-coset sums multiplied in H_D
-and collapsed back); tests/test_transfer.py compares the two on every band
+schur.schur_mul([s], phi_e or phi_f) (one product in H_D per basis pair);
+tests/test_transfer.py compares the two on every band
 matrix of a few small ranks and on Hypothesis-drawn band matrices at
 n = 2..4, D <= 5.  schur.phi_monomial stays on the Hecke route, so the
 dual-route case remains an independent check.

@@ -123,6 +123,53 @@ def act_on_module_by_blocks(x: SchurElement, vec: ModuleVector) -> ModuleVector:
     return ModuleVector(x.n, x.D, out)
 
 
+def hecke_to_matrix_terms(lam: FlagSymbol, mu: FlagSymbol, h: HeckeElement) -> dict:
+    """Collapse an element of H_{lam,mu} from the T_w basis onto the [t]
+    basis of the (lam, mu) block."""
+
+    def coset(w):
+        t = flag_comb.matrix_of_pair(lam.act(w), mu)
+        rep = flag_comb.double_coset_min_rep(t, lam, mu)
+        return t, affine_weyl.double_coset_elements(lam.D, lam.values, rep, mu.values)
+
+    return hecke.collapse(h.terms, coset, y_stat)
+
+
+def left_cosets_to_matrix_terms(lam: FlagSymbol, mu: FlagSymbol, coords: dict) -> dict:
+    """Collapse coordinates {q: c} on the left-coset sums T_q, q in the
+    orbit of lam, onto the [t] basis of the (lam, mu) block."""
+
+    def coset(q):
+        t = flag_comb.matrix_of_pair(q, mu)
+        return t, [r for r, _ in flag_comb.left_cosets(t, lam, mu)]
+
+    return hecke.collapse(coords, coset, y_stat)
+
+
+def schur_mul_by_hecke(a: SchurElement, b: SchurElement) -> SchurElement:
+    """The product in H_D: each (lam, mu) block of a expands into one Hecke
+    element of double-coset sums, which multiplies the T_{w_q} of every
+    left coset q of each [t] in b, and the image is collapsed from the T_w
+    basis onto double cosets.  The reference for `schur.schur_mul`, which
+    reads the product back from the action on [nu]."""
+    if (a.n, a.D) != (b.n, b.D):
+        raise ValueError("shape mismatch")
+    out = {}
+    b_blocks = b.blocks()
+    for (lam, mu), aterms in a.blocks().items():
+        ah = schur._block_to_hecke(aterms, lam, mu)
+        for (mu2, nu), bterms in b_blocks.items():
+            if mu2 != mu:
+                continue
+            for t, c in bterms.items():
+                prod = {}
+                for _, w in flag_comb.left_cosets(t, mu, nu):
+                    add_scaled(prod, hecke.mul(ah, HeckeElement.t(w)).terms,
+                               c.shift(y_stat(t)))
+                add_scaled(out, hecke_to_matrix_terms(lam, nu, HeckeElement(a.D, prod)))
+    return SchurElement(a.n, a.D, out)
+
+
 def tau_schur_by_parabolic_bar(s: PeriodicMatrix) -> dict:
     """tau([s]) from one parabolic bar of the sum of the minimal left-coset
     reps T_{w_q} in the double coset of s: the reference for
@@ -130,7 +177,7 @@ def tau_schur_by_parabolic_bar(s: PeriodicMatrix) -> dict:
     memo instead."""
     lam, mu = canonical.block_of(s)
     h = HeckeElement(s.D, {w: ONE for _, w in flag_comb.left_cosets(s, lam, mu)})
-    terms = canonical.left_cosets_to_matrix_terms(lam, mu, hecke.bar_parabolic(lam, h))
+    terms = left_cosets_to_matrix_terms(lam, mu, hecke.bar_parabolic(lam, h))
     twist = -2 * x_stat(mu) - y_stat(s)
     return {t: c.shift(twist) for t, c in terms.items()}
 

@@ -13,7 +13,7 @@ from affine_schur.flag_comb import FlagSymbol, PeriodicMatrix
 from affine_schur.laurent import LaurentScalar, ONE
 from affine_schur.schur import SchurElement
 
-from oracles import tau_schur_by_parabolic_bar
+from oracles import hecke_to_matrix_terms, tau_schur_by_parabolic_bar
 
 
 def test_module_basis_frozen_example():
@@ -249,7 +249,7 @@ def tau_schur_by_double_cosets(s: PeriodicMatrix) -> dict:
     h = hecke.bar(hecke.double_coset_sum(lam, mu, s).scale(
         LaurentScalar.v(fc.y_stat(s))))
     twist = LaurentScalar.v(-2 * fc.x_stat(mu))
-    return {t: twist * c for t, c in canonical.hecke_to_matrix_terms(lam, mu, h).items()}
+    return {t: twist * c for t, c in hecke_to_matrix_terms(lam, mu, h).items()}
 
 
 # every band matrix at these (n, D, band) is checked against the Hecke routes

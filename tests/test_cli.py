@@ -31,6 +31,36 @@ def test_invalid_config_exits_2(capsys):
     assert "invalid config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, rule", [
+    (["--n", "0"], "n, D and window must be >= 1"),
+    (["--D", "0"], "n, D and window must be >= 1"),
+    (["--window", "0"], "n, D and window must be >= 1"),
+    (["--band", "-1"], "band and word_len must be >= 0"),
+    (["--word-len", "-1"], "band and word_len must be >= 0"),
+])
+def test_invalid_config_names_the_rule(flags, rule, capsys):
+    assert cli.main(["run-suite", "schur", *flags]) == 2
+    assert capsys.readouterr().err.strip() == f"invalid config: {rule}"
+
+
+def test_zero_band_and_word_len_are_valid():
+    cli.RunConfig(band=0, word_len=0).validate()
+
+
+@pytest.mark.parametrize("text", [
+    "x=2;y=3;[[1,1,3]]",                # prefixes other than n= and D=
+    "n=2;D=3;[[1,1,3]];junk",           # an extra ';' part
+    "n=2;D=3;[[1,1,1.5],[2,2,1.5]]",    # cells that are not integers
+    "n=2;D=0;[]",                       # an empty rank
+])
+@pytest.mark.parametrize("entity", ["ystat", "canonical-s"])
+def test_compute_rejects_malformed_matrix(entity, text, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compute", entity, "--s", text])
+    assert str(exc.value.code).startswith(f"cannot parse matrix {text!r}")
+    assert capsys.readouterr().out == ""
+
+
 def test_validate_rejects_format_run_suite_cannot_write():
     # report_to_text writes json or csv; "dot" is a format of compute only
     with pytest.raises(ValueError, match="unknown format 'dot'"):

@@ -12,7 +12,8 @@ from affine_schur.laurent import LaurentScalar, ONE
 from affine_schur.schur import SchurElement, UdotMonomial
 from affine_schur.vector import add_scaled
 
-from oracles import act_on_module_by_blocks, epsilon_sign, inv_monomial
+from oracles import (act_on_module_by_blocks, epsilon_sign, inv_monomial,
+                     schur_mul_by_hecke)
 
 
 def unit_on_weights(n, D, weights):
@@ -118,6 +119,78 @@ def elements_and_vectors(draw):
 def test_act_on_module_matches_block_route(case):
     x, vec = case
     assert schur.act_on_module(x, vec) == act_on_module_by_blocks(x, vec)
+
+
+@st.composite
+def drawn_band_matrices(draw):
+    """A periodic matrix at n = 2..4, D <= 5 with its D units in cells
+    (i, j), |j - i| <= 2."""
+    n = draw(st.integers(2, 4))
+    D = draw(st.integers(1, 5))
+    band = draw(st.integers(0, 2))
+    cells = {}
+    for i, d in draw(st.lists(st.tuples(st.integers(1, n), st.integers(-band, band)),
+                              min_size=D, max_size=D)):
+        cells[(i, i + d)] = cells.get((i, i + d), 0) + 1
+    return PeriodicMatrix.make(n, D, cells)
+
+
+def _column_by_hecke(s):
+    """[s]*[mu] by the Hecke route of the action memo, mu the column of s."""
+    return dict(schur._act_basis(s, canonical.block_of(s)[1]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_band_matrices())
+def test_column_vector_matches_hecke_action(s):
+    assert canonical.column_vector(s).terms == _column_by_hecke(s)
+
+
+@pytest.mark.parametrize("n, D, band", [(2, 3, 2), (3, 3, 1)])
+def test_column_vector_matches_hecke_action_on_every_band_matrix(n, D, band):
+    for s in transfer.band_matrices(n, D, band):
+        assert canonical.column_vector(s).terms == _column_by_hecke(s)
+
+
+@st.composite
+def schur_factor_pairs(draw):
+    """a and b over several blocks with Laurent coefficients, at n = 2..3,
+    D <= 3: most terms of a have the row weight of some term of b as their
+    column weight, and a few meet no term of b."""
+    n = draw(st.integers(2, 3))
+    D = draw(st.integers(1, 3))
+    pool = _band_one(n, D)
+    b_terms = draw(st.lists(st.tuples(st.sampled_from(pool), coeffs),
+                            min_size=1, max_size=3))
+    rows = {t.row_weight() for t, _ in b_terms}
+    fitting = [s for s in pool if s.col_weight() in rows]
+    a_terms = draw(st.lists(st.tuples(st.sampled_from(fitting), coeffs),
+                            min_size=1, max_size=4))
+    a_terms += draw(st.lists(st.tuples(st.sampled_from(pool), coeffs), max_size=1))
+    return (SchurElement(n, D, add_scaled({}, a_terms)),
+            SchurElement(n, D, add_scaled({}, b_terms)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(schur_factor_pairs())
+def test_schur_mul_matches_hecke_route(pair):
+    a, b = pair
+    assert schur.schur_mul(a, b) == schur_mul_by_hecke(a, b)
+
+
+def test_schur_suite_at_rank_three():
+    """`run-suite schur --n 3 --D 3 --word-len 2`: every case is pinned."""
+    cases = cli.suite_schur(cli.RunConfig(n=3, D=3, word_len=2, suite="schur"))
+    assert {c["id"]: (c["status"], c["detail"]) for c in cases} == {
+        "phi/action-consistency": ("pass", "4300/4300"),
+        "phi/commutator":
+            ("pass", "violations: []; scalar form [mu_i - mu_{i+1}]"),
+        "phi/idempotents": ("pass", "violations: []"),
+        "phi/serre": ("pass", "violations: []"),
+        "phi/tau-equivariance":
+            ("pass", "generators + 200 random monomials; violations: []"),
+        "phi/weight-shifts": ("pass", "violations: []"),
+    }
 
 
 def test_epsilon_sign_character():

@@ -9,7 +9,7 @@ from affine_schur.laurent import LaurentScalar, RationalScalar
 from affine_schur.tmodule import ModuleVector
 from affine_schur.vector import add_scaled
 
-from oracles import to_hecke_blocks
+from oracles import hecke_to_matrix_terms, to_hecke_blocks
 
 LABELS = st.integers(0, 5)
 LAURENT = st.dictionaries(st.integers(-2, 2), st.integers(-2, 2), max_size=3).map(LaurentScalar)
@@ -76,7 +76,7 @@ def test_module_collapse_rejects_non_constant_coset(h_of):
 @pytest.mark.parametrize("h_of", [_missing_elements, _uneven_coset])
 def test_matrix_collapse_rejects_non_constant_double_coset(h_of):
     with pytest.raises(ArithmeticError, match="not constant"):
-        canonical.hecke_to_matrix_terms(LAM, LAM, h_of(LAM))
+        hecke_to_matrix_terms(LAM, LAM, h_of(LAM))
 
 
 COEFF = LaurentScalar({-1: 2, 3: -1})
@@ -102,15 +102,24 @@ def test_matrix_collapse_inverts_expansion():
     for s in transfer.band_matrices(2, 3, 2):
         lam, mu = canonical.block_of(s)
         h = schur._block_to_hecke({s: COEFF}, lam, mu)
-        assert canonical.hecke_to_matrix_terms(lam, mu, h) == {s: COEFF}
+        assert hecke_to_matrix_terms(lam, mu, h) == {s: COEFF}
+
+
+def _on_column(s, coords_on_cosets):
+    """Coordinates {q: c} on the left-coset sums T_q as the vector
+    sum of c v^{x_mu - x_q} [q] that from_column reads, mu the column of s."""
+    xmu = fc.x_stat(canonical.block_of(s)[1])
+    return {q: c.shift(xmu - fc.x_stat(q)) for q, c in coords_on_cosets.items()}
 
 
 def test_left_coset_collapse_inverts_expansion():
     for s in transfer.band_matrices(2, 3, 2):
         lam, mu = canonical.block_of(s)
         coords = {q: COEFF for q, _ in fc.left_cosets(s, lam, mu)}
-        assert canonical.left_cosets_to_matrix_terms(lam, mu, coords) == \
+        assert canonical.from_column(mu, _on_column(s, coords)) == \
             {s: COEFF.shift(-fc.y_stat(s))}
+        assert canonical.from_column(mu, canonical.column_vector(s).scale(COEFF).terms) \
+            == {s: COEFF}
 
 
 # a double coset of (lam, mu) = ((1, 2, 2), (1, 1, 1)) made of three left cosets
@@ -129,4 +138,4 @@ def test_left_coset_collapse_rejects_non_constant_double_coset(spoil, at):
     else:
         del coords[qs[at]]
     with pytest.raises(ArithmeticError, match="not constant"):
-        canonical.left_cosets_to_matrix_terms(lam, mu, coords)
+        canonical.from_column(mu, _on_column(S_WIDE, coords))
