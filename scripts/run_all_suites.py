@@ -7,9 +7,10 @@ more than one size), and prints a one-line verdict per run. Exit status is
 nonzero if any run has a failing case. The transfer suite sweeps 501
 matrices and took 5.9 s at its reference size on a shared 2-core x86-64
 VM (Python 3.11, median of three runs; the whole reference set took about
-8 s); pass --quick to shrink the bounds. The reference sizes run canonical
-and schur at n = 3 as well, and the quick sizes run transfer at n = 3
-(about 2 s), since the theorems hold for every n.
+8 s); pass --quick to shrink the bounds. The reference sizes run canonical,
+schur and crystal at n = 3 as well (crystal at D = 4, with symbols whose
+local word is empty and residue 0 wrapping past position 1), and the quick
+sizes run transfer at n = 3 (about 2 s), since the theorems hold for every n.
 """
 
 import argparse
@@ -23,6 +24,7 @@ from affine_schur import cli
 REFERENCE = {
     "relations": dict(n=3, D=3, window=6, word_len=4),
     "crystal": dict(n=2, D=3, window=4),
+    "crystal-n3": dict(n=3, D=4, window=5),
     "canonical": dict(n=2, D=3, window=5, band=3),
     "canonical-n3": dict(n=3, D=3, window=4, band=1),
     "schur": dict(n=2, D=2, word_len=3),

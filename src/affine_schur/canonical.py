@@ -61,8 +61,10 @@ quadratic relation, which `hecke` fixes and nothing else changes.
 `PeriodicMatrix` and `FlagSymbol` are frozen and the cached values are
 tuples, so the memos are safe to share between callers, `BarSystem`s and
 threads.  A Schur label adds to `tmodule._tau_terms` only the symbols q
-that the module side has not met; in `run-suite canonical --n 2 --D 3
---window 5 --band 2` every one is met there first.  The systems pass
+that the module side has not met.  In `run-suite canonical --n 2 --D 3
+--window 5 --band 2` the memo holds 125 entries after the module cases
+(the 125 window symbols) and 261 after the Schur cases, so 136 symbols
+are first met on the Schur side.  The systems pass
 `_tau_schur_terms` and `tmodule._tau_terms` themselves as tau_fn;
 `BarSystem.tau_expand` makes the one copy that the solver changes, and a
 `BarSystem` keeps nothing but its solved b_x.  The grade x_stat is cached

@@ -248,8 +248,7 @@ def suite_relations(cfg: RunConfig) -> list:
 
 
 def _crystal_cases(cfg: RunConfig, i: int) -> list:
-    n, D = cfg.n, cfg.D
-    symbols = flag_comb.enumerate_flag_symbols(n, D, 1, cfg.window)
+    symbols = flag_comb.enumerate_flag_symbols(cfg.n, cfg.D, 1, cfg.window)
     cases = []
 
     def oracle_case(i):
@@ -274,36 +273,18 @@ def _crystal_cases(cfg: RunConfig, i: int) -> list:
         return _case(f"crystal/inverse/i{i}", bad == 0, f"{len(symbols)} symbols")
 
     def string_case(i):
-        bad = 0
-        for b in symbols:
-            part = crystal.bracket(b, i)
-            nJ, l = len(part.unpaired), part.epsilon()
-            av = tmodule.angle_vector(b, i)
-            down = crystal.kashiwara_e(b, i)
-            expect_e = (ModuleVector.zero(n, D) if down is None
-                        else tmodule.angle_vector(down, i).scale(quantum_integer(nJ - l + 1)))
-            up = crystal.kashiwara_f(b, i)
-            expect_f = (ModuleVector.zero(n, D) if up is None
-                        else tmodule.angle_vector(up, i).scale(quantum_integer(l + 1)))
-            if tmodule.apply_e(i, av) != expect_e or tmodule.apply_f(i, av) != expect_f:
-                bad += 1
+        bad = sum(not crystal.string_relation(b, i) for b in symbols)
         return _case(f"crystal/strings/i{i}", bad == 0, f"{len(symbols)} chains")
 
     def uniqueness_case(i):
-        bad = 0
-        for b in symbols:
-            part = crystal.bracket(b, i)
-            expected = (part.unpaired, part.pairs)
-            if crystal.all_bracketings(b, i) != [expected]:
-                bad += 1
+        bad = sum(not crystal.bracketing_unique(b, i) for b in symbols)
         return _case(f"crystal/bracketing-unique/i{i}", bad == 0,
                      f"{len(symbols)} symbols")
 
     cases.append(oracle_case(i))
     cases.append(inverse_case(i))
     cases.append(string_case(i))
-    if D <= 3:  # brute-force partition enumeration
-        cases.append(uniqueness_case(i))
+    cases.append(uniqueness_case(i))
     return cases
 
 

@@ -22,16 +22,36 @@ t -> k_t carries the computation on [c] at 1 term by term onto the one on
 [b] at i, and both images mod v follow.  For L = 0, e_i and f_i kill [b]
 and both images are None.
 
+The lemma extends to the crystal suite's string and uniqueness checks.
+`angle_vector` reads a symbol only through `bracket` and `with_value` at
+the local positions: `bracket` scans the values at k_1..k_L in order,
+<b> rewrites the values at the unpaired positions J and the pairs only,
+and its coefficients v^{n_A} (-v)^{#B} count positions of J by their
+order.  So <b> at i is <c> at 1 carried back along t -> k_t, and so are
+the Kashiwara operators and the divided powers.  The string relation
+(`string_relation`) compares e_i <b> with [#J - l + 1] <e~_i b> and
+f_i <b> with [l + 1] <f~_i b>; carrying back is injective on symbols (it
+rewrites only the classes of k_1..k_L), so the relation holds at (b, i)
+exactly when it holds at (c, 1).  For L = 0, <b> = [b], e_i and f_i kill
+it and both operators return None, so it holds.  `all_bracketings` reads
+the values at k_1..k_L only and returns positions, which t -> k_t carries
+in order, so uniqueness (`bracketing_unique`) is decided on the word too;
+the empty word has only the empty partition.
+
 Memos.  `kashiwara_oracle` therefore decomposes once per local word
 (`_local_oracle`): at (n, D, window) = (3, 3, 6) its 648 (symbol, residue)
 pairs share 15 words, one of them empty, so it makes 14 decompositions.
-`bracket` is memoized per (symbol, residue) (`_bracket`), since the
-Kashiwara operators, epsilon and each crystal case ask for the same
-partition again.  Both are unbounded `lru_cache`s on private helpers that
-live as long as the process; a result is a pure function of its key and
-immutable (a tuple of words, or a frozen `BracketingPartition`), so it is
-safe to share.  The per-symbol oracle, one decomposition of [b] and no
-memo, is kept in tests/oracles.py as the reference.
+`string_relation` and `bracketing_unique` decide their verdicts once per
+local word in the same way (`_local_string_relation`, `_local_unique`),
+with 15 entries each at that size.  `bracket` is memoized per (symbol,
+residue) (`_bracket`), since the Kashiwara operators, epsilon and each
+crystal case ask for the same partition again.  All are unbounded
+`lru_cache`s on private helpers that live as long as the process; a
+result is a pure function of its key and immutable (a tuple of words, a
+bool, or a frozen `BracketingPartition`), so it is safe to share.  The
+per-symbol oracle, one decomposition of [b] and no memo, and the
+per-symbol string relation are kept in tests/oracles.py as the
+references.
 """
 
 from __future__ import annotations
@@ -41,7 +61,7 @@ from functools import lru_cache
 
 from . import tmodule
 from .flag_comb import FlagSymbol
-from .laurent import RationalScalar, quantum_binomial
+from .laurent import RationalScalar, quantum_binomial, quantum_integer
 from .tmodule import ModuleVector, divided
 from .vector import add_scaled
 
@@ -63,11 +83,20 @@ class BracketingPartition:
 
 
 def bracket(p: FlagSymbol, i: int) -> BracketingPartition:
-    """The unique partition (J, K_1..K_t) of p^{-1}({i, i+1}).
+    """The unique partition (J, K_1..K_t) of p^{-1}({i, i+1}) such that
+
+    1. each pair K_s = (k, l) has k < l, p(k) = i and p(l) = i + 1;
+    2. no two consecutive positions of J hold i and then i + 1, so the
+       (i+1)-values of J precede its i-values;
+    3. no position of J lies between the two positions of a pair;
+    4. no two pairs cross: k < k' < l < l' never holds for pairs (k, l)
+       and (k', l').
 
     Stack matching: scanning positions left to right, a value i opens a
     bracket and a value i+1 closes the most recent open one; unmatched
-    positions form J.  The result satisfies the three partition conditions.
+    positions form J.  Its pairs nest or are disjoint, and the result
+    satisfies the four conditions; `all_bracketings` enumerates every
+    partition that does, for the uniqueness check.
     """
     tmodule._check_residue(p.n, i)
     return _bracket(p, i)
@@ -238,11 +267,59 @@ def _value_at_zero(c: RationalScalar):
 
 
 # ---------------------------------------------------------------------------
-# Uniqueness checker (brute force, for tests)
+# Per-word verdicts of the crystal suite: the string relation and the
+# uniqueness of the bracketing partition (brute force)
+
+
+def string_relation(b: FlagSymbol, i: int) -> bool:
+    """Whether e_i <b> = [#J - l + 1] <e~_i b> and f_i <b> = [l + 1] <f~_i b>
+    (J the unpaired positions, l = epsilon, <x> = 0 for x = None); decided
+    once per local word of (b, i) (see the module docstring)."""
+    tmodule._check_residue(b.n, i)
+    return _local_string_relation(local_word(b, i)[1])
+
+
+@lru_cache(maxsize=None)
+def _local_string_relation(word: tuple) -> bool:
+    """The string relation on the canonical symbol of a local word at 1;
+    True for the empty word.  Memoized per word for the life of the
+    process."""
+    if not word:
+        return True
+    c = local_symbol(word)
+    part = bracket(c, 1)
+    nJ, l = len(part.unpaired), part.epsilon()
+    av = tmodule.angle_vector(c, 1)
+    down = kashiwara_e(c, 1)
+    expect_e = (ModuleVector.zero(c.n, c.D) if down is None
+                else tmodule.angle_vector(down, 1).scale(quantum_integer(nJ - l + 1)))
+    up = kashiwara_f(c, 1)
+    expect_f = (ModuleVector.zero(c.n, c.D) if up is None
+                else tmodule.angle_vector(up, 1).scale(quantum_integer(l + 1)))
+    return tmodule.apply_e(1, av) == expect_e and tmodule.apply_f(1, av) == expect_f
+
+
+def bracketing_unique(b: FlagSymbol, i: int) -> bool:
+    """Whether `bracket` is the only partition `all_bracketings` finds;
+    decided once per local word of (b, i)."""
+    tmodule._check_residue(b.n, i)
+    return _local_unique(local_word(b, i)[1])
+
+
+@lru_cache(maxsize=None)
+def _local_unique(word: tuple) -> bool:
+    """Uniqueness on the canonical symbol of a local word at 1; True for
+    the empty word.  Memoized per word for the life of the process."""
+    if not word:
+        return True
+    c = local_symbol(word)
+    part = bracket(c, 1)
+    return all_bracketings(c, 1) == [(part.unpaired, part.pairs)]
 
 
 def all_bracketings(p: FlagSymbol, i: int) -> list:
-    """Every partition of p^{-1}({i, i+1}) satisfying the three conditions."""
+    """Every partition (J, pairs) of p^{-1}({i, i+1}) satisfying the four
+    conditions listed at `bracket`, by brute force."""
     positions = sorted(p.preimage(i) + p.preimage(i + 1))
     results = []
 
@@ -264,11 +341,14 @@ def all_bracketings(p: FlagSymbol, i: int) -> list:
 
 
 def _valid_J(p, i, J, pairs) -> bool:
+    """Conditions 2-4 of `bracket` (the search builds only pairs that meet
+    condition 1)."""
     for k, l in zip(J, J[1:]):
         if (p(k), p(l)) == (i, i + 1):
             return False
     for k, l in pairs:
-        if any(k <= j <= l for j in J):
+        if (any(k <= j <= l for j in J)
+                or any(k < k2 < l < l2 for k2, l2 in pairs)):
             return False
     return True
 

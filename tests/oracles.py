@@ -12,7 +12,8 @@ from affine_schur import (affine_weyl, canonical, crystal, flag_comb, hecke,
 from affine_schur.flag_comb import FlagSymbol, PeriodicMatrix, x_stat, y_stat
 from affine_schur.hecke import HeckeElement
 from affine_schur.laurent import (LaurentScalar, ONE, RationalScalar,
-                                  divide_exact, quantum_factorial)
+                                  divide_exact, quantum_factorial,
+                                  quantum_integer)
 from affine_schur.schur import (SchurElement, UdotMonomial, epsilon_degrees,
                                 phi_idempotent, phi_monomial)
 from affine_schur.tmodule import ModuleVector
@@ -188,6 +189,29 @@ def kashiwara_oracle_per_symbol(b: FlagSymbol, i: int) -> tuple:
     decomposes once per local word."""
     parts = crystal.string_decomposition(ModuleVector.basis(b), i)
     return tuple(crystal._reduce_mod_v(parts, i, shift) for shift in (1, -1))
+
+
+def string_relation_per_symbol(b: FlagSymbol, i: int) -> bool:
+    """e_i <b> = [#J - l + 1] <e~_i b> and f_i <b> = [l + 1] <f~_i b> on b
+    itself: the reference for `crystal.string_relation`, which decides it
+    once per local word."""
+    part = crystal.bracket(b, i)
+    nJ, l = len(part.unpaired), part.epsilon()
+    av = tmodule.angle_vector(b, i)
+    down = crystal.kashiwara_e(b, i)
+    expect_e = (ModuleVector.zero(b.n, b.D) if down is None
+                else tmodule.angle_vector(down, i).scale(quantum_integer(nJ - l + 1)))
+    up = crystal.kashiwara_f(b, i)
+    expect_f = (ModuleVector.zero(b.n, b.D) if up is None
+                else tmodule.angle_vector(up, i).scale(quantum_integer(l + 1)))
+    return tmodule.apply_e(i, av) == expect_e and tmodule.apply_f(i, av) == expect_f
+
+
+def bracketing_unique_per_symbol(b: FlagSymbol, i: int) -> bool:
+    """The brute-force uniqueness check on b itself: the reference for
+    `crystal.bracketing_unique`."""
+    part = crystal.bracket(b, i)
+    return crystal.all_bracketings(b, i) == [(part.unpaired, part.pairs)]
 
 
 def epsilon_sign(x: SchurElement, rho_value: LaurentScalar = ONE) -> LaurentScalar:

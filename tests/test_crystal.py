@@ -1,5 +1,6 @@
 """Crystal operators: bracketing rule, string oracle, graph export."""
 
+import itertools
 import json
 import signal
 
@@ -11,7 +12,8 @@ from affine_schur.flag_comb import FlagSymbol
 from affine_schur.laurent import (LaurentScalar, ONE, RationalScalar,
                                   quantum_binomial, quantum_factorial)
 
-from oracles import kashiwara_oracle_per_symbol
+from oracles import (bracketing_unique_per_symbol, kashiwara_oracle_per_symbol,
+                     string_relation_per_symbol)
 
 
 def test_bracket_example():
@@ -239,6 +241,63 @@ def test_divided_power_is_local(p, data):
                                      tuple(a - 1 for a in q.values)): c
             for q, c in local.items()}
     assert direct == back
+
+
+def test_verdicts_match_per_symbol_route_at_benchmark_size():
+    # the crystal workload: n = 3, D = 3, window values in [1, 6]
+    pairs = 0
+    for b in fc.enumerate_flag_symbols(3, 3, 1, 6):
+        for i in range(3):
+            assert crystal.string_relation(b, i) == string_relation_per_symbol(b, i), (b, i)
+            assert (crystal.bracketing_unique(b, i)
+                    == bracketing_unique_per_symbol(b, i)), (b, i)
+            pairs += 1
+    assert pairs == 648
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn_symbols)
+@example(FlagSymbol(3, 2, (3, 6)))  # no position valued 1 or 2
+def test_verdicts_match_per_symbol_route(b):
+    for i in range(b.n):
+        assert crystal.string_relation(b, i) == string_relation_per_symbol(b, i), (b, i)
+        assert crystal.bracketing_unique(b, i) == bracketing_unique_per_symbol(b, i), (b, i)
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn_symbols, st.data())
+def test_angle_vector_is_local(p, data):
+    # the lemma under the string-relation memo: <p> at i is <c> at 1 on
+    # p's canonical local symbol c, written back onto p's positions
+    i = data.draw(st.integers(0, p.n - 1))
+    positions, word = crystal.local_word(p, i)
+    direct = tmodule.angle_vector(p, i)
+    if not word:
+        assert direct == tmodule.ModuleVector.basis(p)
+        return
+    local = tmodule.angle_vector(crystal.local_symbol(word), 1)
+    back = {crystal.write_local_word(p, i, positions,
+                                     tuple(a - 1 for a in q.values)): c
+            for q, c in local.terms.items()}
+    assert direct.terms == back
+
+
+def test_all_bracketings_unique_on_every_short_word():
+    # crossing pairs ((1, 3), (2, 4)) on the word 0011 once made a second
+    # partition beside the nested one ((1, 4), (2, 3))
+    for L in range(1, 9):
+        for word in itertools.product((0, 1), repeat=L):
+            c = crystal.local_symbol(word)
+            part = crystal.bracket(c, 1)
+            assert crystal.all_bracketings(c, 1) == [(part.unpaired, part.pairs)], word
+
+
+def test_bracketing_uniqueness_runs_past_rank_three():
+    cases = cli.suite_crystal(cli.RunConfig(n=3, D=4, window=5))
+    unique = {c["id"]: (c["status"], c["detail"]) for c in cases
+              if "bracketing-unique" in c["id"]}
+    assert unique == {f"crystal/bracketing-unique/i{i}": ("pass", "625 symbols")
+                      for i in range(3)}
 
 
 def test_graph_exports():
