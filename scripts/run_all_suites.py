@@ -11,6 +11,8 @@ VM (Python 3.11, median of three runs; the whole reference set took about
 schur and crystal at n = 3 as well (crystal at D = 4, with symbols whose
 local word is empty and residue 0 wrapping past position 1), and the quick
 sizes run transfer at n = 3 (about 2 s), since the theorems hold for every n.
+Relations and schur also run at n = 4, the smallest rank with two residues
+that commute (a_ij = 0), so that the Serre relations take their m = 1 form.
 """
 
 import argparse
@@ -23,12 +25,14 @@ from affine_schur import cli
 
 REFERENCE = {
     "relations": dict(n=3, D=3, window=6, word_len=4),
+    "relations-n4": dict(n=4, D=3, window=5, word_len=2),
     "crystal": dict(n=2, D=3, window=4),
     "crystal-n3": dict(n=3, D=4, window=5),
     "canonical": dict(n=2, D=3, window=5, band=3),
     "canonical-n3": dict(n=3, D=3, window=4, band=1),
     "schur": dict(n=2, D=2, word_len=3),
     "schur-n3": dict(n=3, D=3, word_len=2),
+    "schur-n4": dict(n=4, D=2, word_len=2),
     "transfer": dict(n=2, D=2, band=2, word_len=4),
 }
 QUICK = {

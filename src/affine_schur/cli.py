@@ -31,6 +31,7 @@ CACHE_ENV = "AFFINE_SCHUR_CACHE"
 SUITES = ("relations", "crystal", "canonical", "schur", "transfer")
 FORMATS = ("json", "csv")
 COMMUTATOR = "upper"  # [mu_i - mu_{i+1}] acts on weight mu
+SCALAR_FORM = "scalar form [mu_i - mu_{i+1}]"
 
 
 @dataclass
@@ -127,72 +128,77 @@ def _hecke_cases(cfg: RunConfig):
     yield _case("hecke/word-folds", True, f"{count} words, length <= {cfg.word_len}")
 
 
-def _module_cases(cfg: RunConfig):
-    """The defining relations of the modified algebra under the module
-    action, checked on every basis vector of the window."""
-    n, D = cfg.n, cfg.D
-    symbols = flag_comb.enumerate_flag_symbols(n, D, 1, cfg.window)
+def _relation_violations(n: int, D: int, labels, weight, act) -> tuple:
+    """The defining relations of the modified algebra on every label of a
+    representation, where act(letters, label) applies a word of
+    `UdotMonomial` letters to the label's vector, rightmost letter first,
+    and weight(label) is that vector's weight wt:
 
-    bad = 0
-    for p in symbols:
-        x = ModuleVector.basis(p)
-        if tmodule.apply_idempotent(p.weight(), x) != x:
-            bad += 1
-        other = tuple(m + (1 if k == 0 else -1 if k == 1 else 0)
-                      for k, m in enumerate(p.weight()))
-        if n > 1 and not tmodule.apply_idempotent(other, x).is_zero():
-            bad += 1
-    yield _case(f"module/idempotents/n{n}D{D}", bad == 0, f"{len(symbols)} vectors")
+      idempotents    a_wt x = x, and a_nu x = 0 for every other weight nu;
+      weight-shifts  a_up e_i x = e_i x and a_down f_i x = f_i x, up and
+                     down the weights e_i and f_i move wt to (skipped where
+                     one has a negative part);
+      commutator     [e_i, f_j] x = delta_ij [wt_i - wt_{i+1}] x, wt_i and
+                     wt_{i+1} the two classes of `flag_comb.residue_classes`;
+      serre          sum_k (-1)^k g_i^(k) g_j g_i^(m-k) x = 0 for g in
+                     {e, f}, i != j and m = 1 - a_ij.
 
-    bad = 0
-    for p in symbols:
-        x = ModuleVector.basis(p)
-        for i in range(n):
-            shift = schur._wshift(n, "e", i, 1)
-            up = tuple(m + s for m, s in zip(p.weight(), shift))
-            y = tmodule.apply_e(i, x)
-            if not y.is_zero() and set(y.weights()) != {up}:
-                bad += 1
-    yield _case(f"module/weight-shifts/n{n}D{D}", bad == 0, f"{len(symbols)} vectors")
-
-    bad = 0
+    Returns ({relation: violations}, the (residue, weight) pairs whose
+    commutator scalar was checked)."""
+    weights = list(flag_comb.weights(n, D))
+    bad = {"idempotents": [], "weight-shifts": [], "commutator": [], "serre": []}
     forms = set()
-    for p in symbols:
-        x = ModuleVector.basis(p)
-        wt = p.weight()
+    for lab in labels:
+        wt = weight(lab)
+        x = act((), lab)
+        if act((("a", wt),), lab) != x:
+            bad["idempotents"].append(("aa", lab))
+        for nu in weights:
+            if nu != wt and not act((("a", nu),), lab).is_zero():
+                bad["idempotents"].append(("orth", nu, lab))
+        for i in range(n):
+            for kind in "ef":
+                to = tuple(m + s for m, s in zip(wt, schur._wshift(n, kind, i, 1)))
+                if (min(to) >= 0 and act((("a", to), (kind, i, 1)), lab)
+                        != act(((kind, i, 1),), lab)):
+                    bad["weight-shifts"].append((kind, i, lab))
         for i in range(n):
             for j in range(n):
-                diff = (tmodule.apply_e(i, tmodule.apply_f(j, x))
-                        - tmodule.apply_f(j, tmodule.apply_e(i, x)))
-                expect = ModuleVector.zero(n, D)
+                diff = (act((("e", i, 1), ("f", j, 1)), lab)
+                        - act((("f", j, 1), ("e", i, 1)), lab))
                 if i == j:
-                    m = wt[(i - 1) % n] - wt[i % n]
-                    expect = x.scale(quantum_integer(m))
+                    up, down = flag_comb.residue_classes(n, i)
+                    diff = diff - x.scale(quantum_integer(wt[up] - wt[down]))
                     forms.add((i, wt))
-                if diff != expect:
-                    bad += 1
-    yield _case(f"module/commutator/n{n}D{D}", bad == 0,
-                f"scalar form [mu_i - mu_{{i+1}}] on {len(forms)} weight spaces")
-
-    bad = 0
-    for p in symbols:
-        x = ModuleVector.basis(p)
+                if not diff.is_zero():
+                    bad["commutator"].append((i, j, lab))
         for i in range(n):
             for j in range(n):
                 if i == j:
                     continue
                 m = 1 - _cartan(n, i, j)
-                for kind in ("e", "f"):
-                    acc = ModuleVector.zero(n, D)
+                for kind in "ef":
+                    acc = x.scale(LaurentScalar.zero())
                     for k in range(m + 1):
-                        y = tmodule.apply_divided(i, m - k, x, kind)
-                        y = tmodule.apply_divided(j, 1, y, kind)
-                        y = tmodule.apply_divided(i, k, y, kind)
-                        acc = acc + (y if k % 2 == 0
-                                     else y.scale(LaurentScalar.const(-1)))
+                        term = act(((kind, i, k), (kind, j, 1), (kind, i, m - k)), lab)
+                        acc = acc - term if k % 2 else acc + term
                     if not acc.is_zero():
-                        bad += 1
-    yield _case(f"module/serre/n{n}D{D}", bad == 0, f"{len(symbols)} vectors")
+                        bad["serre"].append((kind, i, j, lab))
+    return bad, forms
+
+
+def _module_cases(cfg: RunConfig):
+    """The defining relations of the modified algebra under the module
+    action, checked on every basis vector of the window."""
+    n, D = cfg.n, cfg.D
+    symbols = flag_comb.enumerate_flag_symbols(n, D, 1, cfg.window)
+    bad, forms = _relation_violations(
+        n, D, symbols, FlagSymbol.weight,
+        lambda letters, p: tmodule.apply_word(letters, ModuleVector.basis(p)))
+    for rel, violations in bad.items():
+        detail = (f"{SCALAR_FORM} on {len(forms)} weight spaces"
+                  if rel == "commutator" else f"{len(symbols)} vectors")
+        yield _case(f"module/{rel}/n{n}D{D}", not violations, detail)
 
 
 def _xdiff_cases(cfg: RunConfig):
@@ -226,11 +232,10 @@ def _ystat_cases(cfg: RunConfig):
             bad.append((lam, "diag"))
         for i in range(n):
             e_mat, f_mat = flag_comb.generator_matrices(lam, i)
-            r_i = n if i == 0 else i          # value class of residue i
-            r_next = i + 1                    # residue i+1 lands in [1, n]
-            if e_mat is not None and y_stat(e_mat) != wt[r_i - 1] - 1:
+            up, down = flag_comb.residue_classes(n, i)
+            if e_mat is not None and y_stat(e_mat) != wt[up] - 1:
                 bad.append((lam, i, "e"))
-            if f_mat is not None and y_stat(f_mat) != wt[r_next - 1]:
+            if f_mat is not None and y_stat(f_mat) != wt[down]:
                 bad.append((lam, i, "f"))
     yield _case(f"stats/y-generators/n{n}D{D}", not bad, f"violations: {bad}")
 
@@ -373,70 +378,17 @@ def _cartan(n: int, i: int, j: int) -> int:
 def suite_schur(cfg: RunConfig) -> list:
     n, D = cfg.n, cfg.D
     cases = []
-    zero = SchurElement.zero(n, D)
     weights = list(flag_comb.weights(n, D))
 
     def img(letters):
         return schur.phi_monomial(UdotMonomial(n, letters), D)
 
-    # idempotents and weight shifts
-    bad = []
-    for mu in weights:
-        if img((("a", mu), ("a", mu))) != img((("a", mu),)):
-            bad.append(("aa", mu))
-        for nu in weights:
-            if nu != mu and not img((("a", nu), ("a", mu))).is_zero():
-                bad.append(("orth", nu, mu))
-    cases.append(_case("phi/idempotents", not bad, f"violations: {bad}"))
-
-    bad = []
-    for mu in weights:
-        for i in range(n):
-            shift = schur._wshift(n, "e", i, 1)
-            up = tuple(m + s for m, s in zip(mu, shift))
-            if any(m < 0 for m in up):
-                continue
-            if img((("a", up), ("e", i, 1), ("a", mu))) != img((("e", i, 1), ("a", mu))):
-                bad.append(("e", i, mu))
-            if img((("a", mu), ("f", i, 1), ("a", up))) != img((("f", i, 1), ("a", up))):
-                bad.append(("f", i, mu))
-    cases.append(_case("phi/weight-shifts", not bad, f"violations: {bad}"))
-
-    # commutator [e_i, f_j] a_mu = delta_ij [mu_i - mu_{i+1}] a_mu
-    bad = []
-    for mu in weights:
-        for i in range(n):
-            for j in range(n):
-                lhs = (img((("e", i, 1), ("f", j, 1), ("a", mu)))
-                       - img((("f", j, 1), ("e", i, 1), ("a", mu))))
-                rhs = zero
-                if i == j:
-                    r = n if i == 0 else i
-                    m = mu[r - 1] - mu[r % n]
-                    rhs = img((("a", mu),)).scale(quantum_integer(m))
-                if lhs != rhs:
-                    bad.append((i, j, mu))
-    cases.append(_case("phi/commutator", not bad,
-                       f"violations: {bad}; scalar form [mu_i - mu_{{i+1}}]"))
-
-    # Serre relations (affine Cartan matrix of the cyclic quiver)
-    bad = []
-    for mu in weights:
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                m = 1 - _cartan(n, i, j)
-                for kind in ("e", "f"):
-                    acc = zero
-                    for k in range(m + 1):
-                        term = img(((kind, i, k), (kind, j, 1),
-                                    (kind, i, m - k), ("a", mu)))
-                        acc = acc + (term if k % 2 == 0
-                                     else term.scale(LaurentScalar.const(-1)))
-                    if not acc.is_zero():
-                        bad.append((kind, i, j, mu))
-    cases.append(_case("phi/serre", not bad, f"violations: {bad}"))
+    bad, _ = _relation_violations(n, D, weights, tuple,
+                                  lambda letters, mu: img(letters + (("a", mu),)))
+    for rel, violations in bad.items():
+        note = f"; {SCALAR_FORM}" if rel == "commutator" else ""
+        cases.append(_case(f"phi/{rel}", not violations,
+                           f"violations: {violations}{note}"))
 
     # tau equivariance on generators and random monomials
     bad = []
@@ -466,12 +418,7 @@ def suite_schur(cfg: RunConfig) -> list:
     for m in transfer.enumerate_monomials(n, D, cfg.word_len):
         x = schur.phi_monomial(m, D)
         for lam in flag_comb.all_dominant(n, D):
-            direct = ModuleVector.basis(lam)
-            for g in reversed(m.letters):
-                if g[0] == "a":
-                    direct = tmodule.apply_idempotent(g[1], direct)
-                else:
-                    direct = tmodule.apply_divided(g[1], g[2], direct, g[0])
+            direct = tmodule.apply_word(m.letters, ModuleVector.basis(lam))
             via = (ModuleVector.zero(n, D) if x.is_zero()
                    else schur.act_on_module(x, ModuleVector.basis(lam)))
             total += 1

@@ -119,6 +119,13 @@ def weights(n: int, D: int):
             yield (a,) + rest
 
 
+def residue_classes(n: int, i: int) -> tuple:
+    """The 0-based weight indices ((i - 1) mod n, i mod n) of the value
+    classes between which residue i moves: e_i turns a value i + 1 into i,
+    raising the first and lowering the second, and f_i does the reverse."""
+    return (i - 1) % n, i % n
+
+
 def all_dominant(n: int, D: int) -> list:
     """All dominant symbols in C_D, one per weight, in the order of
     `weights`."""
@@ -268,7 +275,7 @@ def generator_matrices(lam: FlagSymbol, i: int):
         raise ValueError(f"residue {i} out of range [0, {n - 1}]")
     if not lam.is_dominant():
         raise ValueError("expected a dominant symbol")
-    row = i if i != 0 else n  # literal row index in [1, n]
+    row = residue_classes(n, i)[0] + 1  # literal row index in [1, n]
     wt = lam.weight()
     if wt[row - 1] < 1:
         return None, None

@@ -8,14 +8,17 @@ Multiplication reads the product back from the action on the flag module
 nu is fixed by its value on the dominant [nu], so a*[t] for t of column nu
 is `canonical.from_column(nu, a*column_vector(t))`.  Also: the generator
 images of the quantum-algebra homomorphism, monomial evaluation, the sign
-character at D = n, and the block twist psi.
+character at D = n, and the block twist psi.  The sign character needs no
+Hecke algebra: on its one block [s] is a single v^{y_s} T_w, and
+`epsilon_degrees` reads its value off the matrix.
 
 Action on the flag module.  `act_on_module` is the sum of c_s c_p [s]*[p]
 over the terms c_s [s] of the Schur element and c_p [p] of the module
 vector, p in the column orbit of s.  Each basis product [s]*[p] goes
 through the Hecke realization once, the double-coset sum of s times
 T_{w_p} collapsed onto symbols by `tmodule.from_hecke_block`; this is the
-only Hecke product of the Schur algebra.  It is kept in the memo
+only Hecke product of the Schur algebra, and `_act_basis` the only place
+that expands a matrix into its double-coset sum.  It is kept in the memo
 `_act_basis`: an unbounded `lru_cache` keyed by the pair (s, p) that
 lives as long as the process.  An entry is a pure function of the pair
 and the quadratic relation, which `hecke` fixes, and a tuple of frozen
@@ -101,13 +104,6 @@ class SchurElement(SparseVector):
 # Multiplication through the Hecke realization
 
 
-def _block_to_hecke(terms: dict, lam: FlagSymbol, mu: FlagSymbol) -> HeckeElement:
-    out = {}
-    for s, c in terms.items():
-        add_scaled(out, hecke.double_coset_sum(lam, mu, s).terms, c.shift(y_stat(s)))
-    return HeckeElement(lam.D, out)
-
-
 def schur_mul(a: SchurElement, b: SchurElement) -> SchurElement:
     """The product through the column map: for t in column nu, a*[t] is the
     z of column nu with z*[nu] = a*([t]*[nu]), so each term c_t [t] of b
@@ -143,11 +139,12 @@ def _act_basis(s: PeriodicMatrix, p: FlagSymbol) -> tuple:
     of s.
 
     [p] = v^{x_p} T_mu T_{w_p}, w_p the minimal coset rep, and [s] in
-    H_{lam,mu} sends T_mu T_{w_p} to [s] T_{w_p}; the image is collapsed
-    back onto lam-labels."""
+    H_{lam,mu}, v^{y_s} times the sum of T_w over its double coset, sends
+    T_mu T_{w_p} to [s] T_{w_p}; the image is collapsed back onto
+    lam-labels."""
     lam, mu = canonical.block_of(s)
-    h = hecke.mul(_block_to_hecke({s: ONE}, lam, mu),
-                  HeckeElement.t(p.min_coset_rep()))
+    block = hecke.double_coset_sum(lam, mu, s).scale(LaurentScalar.v(y_stat(s)))
+    h = hecke.mul(block, HeckeElement.t(p.min_coset_rep()))
     xp = x_stat(p)
     return tuple((q, c.shift(xp))
                  for q, c in tmodule.from_hecke_block(lam, h).terms.items())
@@ -234,8 +231,9 @@ def _wshift(n: int, kind: str, i: int, k: int) -> tuple:
     """Left-weight minus right-weight of e_i^(k) (or f, negated)."""
     w = [0] * n
     sign = 1 if kind == "e" else -1
-    w[(i - 1) % n] += sign * k
-    w[i % n] -= sign * k
+    up, down = flag_comb.residue_classes(n, i)
+    w[up] += sign * k
+    w[down] -= sign * k
     return tuple(w)
 
 
@@ -322,22 +320,22 @@ def epsilon_degrees(x: SchurElement) -> dict:
     to sum_k a_k rho_value^k (`transfer.evaluate_collapse`).
 
     It lives on the block lam = mu = (1, ..., n) and is zero elsewhere.
-    T_w with w = rho^k s_{i_1} ... s_{i_l} adds (-1)^l times its coefficient
-    to a_k.  Every degree that occurs in the block is a key, even when its
-    a_k sums to zero, so an evaluation rejects the same rho as a sum over
-    the T_w would."""
-    if x.D != x.n:
+    There the Young subgroups are trivial, so [s] = v^{y_s} T_w for the one
+    w = rho^k s_{i_1} ... s_{i_l} of its double coset, and T_w goes to
+    (-1)^l.  Read off the matrix, [s] goes to (-v)^{y_s} in degree
+    k = -offset_sum(s) / n.  Every degree that occurs in the block is a
+    key, even when its a_k sums to zero, so an evaluation rejects the same
+    rho as a sum over the T_w would."""
+    n = x.n
+    if x.D != n:
         raise ValueError("the sign character lives at D = n")
-    std = FlagSymbol(x.n, x.n, tuple(range(1, x.n + 1)))
+    std = (1,) * n
     degrees = {}
-    terms = x.blocks().get((std, std))
-    if terms:
-        h = _block_to_hecke(terms, std, std)
-        for w, c in h.terms.items():
-            k, word = w.reduced_word()
-            if len(word) % 2:
-                c = -c
-            degrees[k] = degrees[k] + c if k in degrees else c
+    for s, c in x.terms.items():
+        if s.row_weight() == s.col_weight() == std:
+            k, y = -offset_sum(s) // n, y_stat(s)
+            a = c.shift(y) if y % 2 == 0 else -c.shift(y)
+            degrees[k] = degrees[k] + a if k in degrees else a
     return degrees
 
 

@@ -171,6 +171,17 @@ def apply_idempotent(mu, x: ModuleVector) -> ModuleVector:
                         {p: c for p, c in x.terms.items() if p.weight() == mu})
 
 
+def apply_word(letters, x: ModuleVector) -> ModuleVector:
+    """A word of `schur.UdotMonomial` letters, ("a", mu) or (kind, i, k),
+    applied to x, rightmost letter first."""
+    for g in reversed(letters):
+        if g[0] == "a":
+            x = apply_idempotent(g[1], x)
+        else:
+            x = apply_divided(g[1], g[2], x, g[0])
+    return x
+
+
 # ---------------------------------------------------------------------------
 # Back from the Hecke realization
 

@@ -13,10 +13,12 @@ loop.  Calibration and the composition check walk the words depth first
 (route_pairs), so each word extends its prefix's evaluation by one letter,
 and they share one walk per rank (walk_checks).  The sign character
 collapses each tensor once, graded by rotation degree (graded_collapse);
-each calibration candidate rho is an evaluation of it.  The calibration
-runs only inside walk_checks; tests/test_transfer.py keeps a calibration
-that walks each rank on its own, and a per-term sign character, as its
-oracles.
+each calibration candidate rho is an evaluation of it.  It is read off
+each rank-n matrix in closed form (schur.epsilon_degrees), with no Hecke
+product, and memoized per matrix (_eps_of_basis), since the walk meets
+the same rank-n legs again and again.  The calibration runs only inside
+walk_checks; tests/test_transfer.py keeps a calibration that walks each
+rank on its own, and a per-term sign character, as its oracles.
 
 Every word is evaluated by one fold of right factors over its letters.
 The walk, the tensor steps and the monomial span (its images and their
@@ -117,14 +119,14 @@ def _mul_gen_right_cached(x: SchurElement, kind: str, i: int) -> SchurElement:
 
 def _omega_step(n: int, terms: dict, kind: str, i: int) -> dict:
     """Right multiplication of a tensor dict by Delta(e_i) or Delta(f_i)."""
-    r = i if i >= 1 else n
+    up, down = flag_comb.residue_classes(n, i)
     out = {}
     for (s1, s2), c in terms.items():
         nu1, nu2 = s1.col_weight(), s2.col_weight()
         if kind == "e":
-            c2, c1 = c.shift(nu1[r - 1]), c.shift(-nu2[r - 1])
+            c2, c1 = c.shift(nu1[up]), c.shift(-nu2[up])
         else:
-            c2, c1 = c.shift(-nu1[r % n]), c.shift(nu2[r % n])
+            c2, c1 = c.shift(-nu1[down]), c.shift(nu2[down])
         add_scaled(out, (((s1, t2), a) for t2, a in _basis_gen(s2, kind, i)), c2)
         add_scaled(out, (((t1, s2), a) for t1, a in _basis_gen(s1, kind, i)), c1)
     return out
@@ -164,11 +166,9 @@ def omega_route(m: UdotMonomial, D1: int, D2: int) -> dict:
 
 @lru_cache(maxsize=None)
 def _eps_of_basis(s: PeriodicMatrix) -> tuple:
-    """The sign character on [s] by rotation degree: (k, a_k) pairs with
-    a_k nonzero."""
-    return tuple((k, a) for k, a in
-                 schur.epsilon_degrees(SchurElement.basis(s)).items()
-                 if not a.is_zero())
+    """The sign character on [s] by rotation degree, as (k, a_k) pairs:
+    none off the standard block, else the one pair of the closed form."""
+    return tuple(schur.epsilon_degrees(SchurElement.basis(s)).items())
 
 
 def graded_collapse(terms: dict) -> dict:

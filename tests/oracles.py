@@ -102,6 +102,15 @@ def to_hecke_blocks(x: ModuleVector) -> dict:
     return {lam: HeckeElement(x.D, t) for lam, t in blocks.items() if t}
 
 
+def block_to_hecke(terms: dict, lam: FlagSymbol, mu: FlagSymbol) -> HeckeElement:
+    """A (lam, mu) block {s: c} as the element of H_{lam,mu} in the T_w
+    basis: each [s] is v^{y_s} times the sum of T_w over its double coset."""
+    out = {}
+    for s, c in terms.items():
+        add_scaled(out, hecke.double_coset_sum(lam, mu, s).terms, c.shift(y_stat(s)))
+    return HeckeElement(lam.D, out)
+
+
 def act_on_module_by_blocks(x: SchurElement, vec: ModuleVector) -> ModuleVector:
     """The left action a whole block at a time: each (lam, mu) block of x
     expands into one Hecke element a of double-coset sums, the mu-block of
@@ -115,7 +124,7 @@ def act_on_module_by_blocks(x: SchurElement, vec: ModuleVector) -> ModuleVector:
     for (lam, mu), terms in x.blocks().items():
         if mu not in vec_blocks:
             continue
-        ah = schur._block_to_hecke(terms, lam, mu)
+        ah = block_to_hecke(terms, lam, mu)
         acc = {}
         for p, c in vec_blocks[mu].items():
             add_scaled(acc, hecke.mul(ah, HeckeElement.t(p.min_coset_rep())).terms,
@@ -158,7 +167,7 @@ def schur_mul_by_hecke(a: SchurElement, b: SchurElement) -> SchurElement:
     out = {}
     b_blocks = b.blocks()
     for (lam, mu), aterms in a.blocks().items():
-        ah = schur._block_to_hecke(aterms, lam, mu)
+        ah = block_to_hecke(aterms, lam, mu)
         for (mu2, nu), bterms in b_blocks.items():
             if mu2 != mu:
                 continue

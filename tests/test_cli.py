@@ -9,7 +9,10 @@ import sys
 
 import pytest
 
-from affine_schur import cli, transfer
+from affine_schur import cli, flag_comb as fc, schur, tmodule, transfer
+from affine_schur.laurent import LaurentScalar
+from affine_schur.schur import UdotMonomial
+from affine_schur.tmodule import ModuleVector
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -279,3 +282,77 @@ def test_transfer_suite_at_rank_three(tmp_path):
         "transfer/leading-term":
             ("pass", "9/9 matrices ok, 0 outside the computable domain; failures []"),
     }
+
+
+def test_relations_suite_at_rank_three():
+    """`run-suite relations --n 3 --D 3 --window 6 --word-len 4`: every case
+    is pinned."""
+    cases = cli.suite_relations(cli.RunConfig(n=3, D=3, window=6, word_len=4))
+    hecke_ids = ["braid/T1.T2", "inverse/T1", "inverse/T2", "quadratic/T1",
+                 "quadratic/T2", "twist/T1.X1.T1", "twist/T2.X2.T2",
+                 "x-commute/X1.X2", "x-commute/X1.X3", "x-commute/X2.X3",
+                 "x-inverse/X1", "x-inverse/X2", "x-inverse/X3",
+                 "x-past/T1.X3", "x-past/T2.X1"]
+    assert {c["id"]: (c["status"], c["detail"]) for c in cases} == {
+        **{f"hecke/{h}": ("pass", "") for h in hecke_ids},
+        "hecke/word-folds": ("pass", "30 words, length <= 4"),
+        "module/commutator/n3D3":
+            ("pass", "scalar form [mu_i - mu_{i+1}] on 30 weight spaces"),
+        "module/idempotents/n3D3": ("pass", "216 vectors"),
+        "module/serre/n3D3": ("pass", "216 vectors"),
+        "module/weight-shifts/n3D3": ("pass", "216 vectors"),
+        "stats/x-differences/n3D3": ("pass", "1296/1296 positions"),
+        "stats/y-generators/n3D3": ("pass", "violations: []"),
+    }
+
+
+def _module_act(letters, p):
+    return tmodule.apply_word(letters, ModuleVector.basis(p))
+
+
+def _schur_act(letters, mu):
+    return schur.phi_monomial(UdotMonomial(len(mu), letters + (("a", mu),)),
+                              sum(mu))
+
+
+def _f_scaled_by_v(act):
+    """act with every f letter scaled by v."""
+    def scaled(letters, label):
+        return act(letters, label).scale(
+            LaurentScalar.v(sum(g[0] == "f" for g in letters)))
+    return scaled
+
+
+def _e_f_swapped(act):
+    """act with e_i and f_i exchanged, so each moves the weight the other's
+    way."""
+    swap = {"e": "f", "f": "e"}
+
+    def swapped(letters, label):
+        return act(tuple((swap[g[0]],) + g[1:] if g[0] in swap else g
+                         for g in letters), label)
+    return swapped
+
+
+_REPRESENTATIONS = {
+    "module": lambda n, D: (fc.enumerate_flag_symbols(n, D, 1, 2 * n),
+                            fc.FlagSymbol.weight, _module_act),
+    "schur": lambda n, D: (list(fc.weights(n, D)), tuple, _schur_act),
+}
+
+
+@pytest.mark.parametrize("rep", sorted(_REPRESENTATIONS))
+@pytest.mark.parametrize("n, D", [(2, 2), (3, 2)])
+def test_relation_checker_passes_and_has_teeth(rep, n, D):
+    labels, weight, act = _REPRESENTATIONS[rep](n, D)
+    bad, forms = cli._relation_violations(n, D, labels, weight, act)
+    assert bad == {"idempotents": [], "weight-shifts": [], "commutator": [],
+                   "serre": []}
+    assert forms == {(i, weight(lab)) for lab in labels for i in range(n)}
+
+    bad, _ = cli._relation_violations(n, D, labels, weight, _f_scaled_by_v(act))
+    assert bad["commutator"]
+    assert not bad["idempotents"] and not bad["weight-shifts"]
+
+    bad, _ = cli._relation_violations(n, D, labels, weight, _e_f_swapped(act))
+    assert bad["weight-shifts"]

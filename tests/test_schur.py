@@ -12,8 +12,8 @@ from affine_schur.laurent import LaurentScalar, ONE
 from affine_schur.schur import SchurElement, UdotMonomial
 from affine_schur.vector import add_scaled
 
-from oracles import (act_on_module_by_blocks, epsilon_sign, inv_monomial,
-                     schur_mul_by_hecke)
+from oracles import (act_on_module_by_blocks, block_to_hecke, epsilon_sign,
+                     inv_monomial, schur_mul_by_hecke)
 
 
 def unit_on_weights(n, D, weights):
@@ -215,13 +215,45 @@ def epsilon_sign_per_term(x, rho_value):
     total = LaurentScalar.zero()
     terms = x.blocks().get((std, std))
     if terms:
-        h = schur._block_to_hecke(terms, std, std)
+        h = block_to_hecke(terms, std, std)
         for w, c in h.terms.items():
             k, word = w.reduced_word()
             sign = LaurentScalar.const(-1 if len(word) % 2 else 1)
             total = total + c * sign * (rho_value ** k if k >= 0
                                         else inv_monomial(rho_value) ** (-k))
     return total
+
+
+def epsilon_degrees_by_hecke(s):
+    """epsilon_degrees on [s] through the Hecke algebra: the oracle for its
+    closed form."""
+    std = FlagSymbol(s.n, s.n, tuple(range(1, s.n + 1)))
+    degrees = {}
+    for w, c in block_to_hecke({s: ONE}, std, std).terms.items():
+        k, word = w.reduced_word()
+        c = -c if len(word) % 2 else c
+        degrees[k] = degrees[k] + c if k in degrees else c
+    return degrees
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_epsilon_degrees_closed_form_matches_hecke_route(n):
+    std = [s for s in transfer.band_matrices(n, n, 3)
+           if s.row_weight() == s.col_weight() == (1,) * n]
+    assert len(std) == {1: 7, 2: 25, 3: 79, 4: 233}[n]
+    for s in std:
+        assert schur.epsilon_degrees(SchurElement.basis(s)) == \
+            epsilon_degrees_by_hecke(s), s
+
+
+def test_epsilon_degrees_keep_a_cancelled_degree():
+    # two matrices of one rotation degree whose values cancel
+    s, t = [s for s in _EPS_STD[2]
+            if schur.epsilon_degrees(SchurElement.basis(s)).keys() == {1}][:2]
+    (a,), (b,) = (schur.epsilon_degrees(SchurElement.basis(u)).values()
+                  for u in (s, t))
+    assert schur.epsilon_degrees(SchurElement(2, 2, {s: b, t: -a})) == \
+        {1: LaurentScalar.zero()}
 
 
 _EPS_POOL = {n: transfer.band_matrices(n, n, 2) for n in (2, 3)}

@@ -3,13 +3,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from affine_schur import affine_weyl, canonical, flag_comb as fc, schur, tmodule, transfer
+from affine_schur import affine_weyl, canonical, flag_comb as fc, tmodule, transfer
 from affine_schur.hecke import HeckeElement
 from affine_schur.laurent import LaurentScalar, RationalScalar
 from affine_schur.tmodule import ModuleVector
 from affine_schur.vector import add_scaled
 
-from oracles import hecke_to_matrix_terms, to_hecke_blocks
+from oracles import block_to_hecke, hecke_to_matrix_terms, to_hecke_blocks
 
 LABELS = st.integers(0, 5)
 LAURENT = st.dictionaries(st.integers(-2, 2), st.integers(-2, 2), max_size=3).map(LaurentScalar)
@@ -101,7 +101,7 @@ def test_module_collapse_inverts_expansion():
 def test_matrix_collapse_inverts_expansion():
     for s in transfer.band_matrices(2, 3, 2):
         lam, mu = canonical.block_of(s)
-        h = schur._block_to_hecke({s: COEFF}, lam, mu)
+        h = block_to_hecke({s: COEFF}, lam, mu)
         assert hecke_to_matrix_terms(lam, mu, h) == {s: COEFF}
 
 
