@@ -3,8 +3,12 @@
 A generic solver for the standard triangularity lemma: given an antilinear
 involution tau acting unitriangularly on a labeled standard basis, each label
 x carries a unique tau-fixed element b_x = [x] + (coefficients in vZ[v]).
-Specializations: b_p in the flag module and b_s in the Schur algebra (with
-the twisted involution on double-coset sums).
+Specializations: the solver runs on the flag module alone (b_p,
+`tmodule_system`), and the Schur algebra's b_s is read off it
+(`canonical_schur`, see "The Schur basis" below).  `schur_system`, the
+solver's system over matrices with the twisted involution on double-coset
+sums, is kept only as the tests' oracle for that read and as a benchmark
+kernel.
 
 Grade.  The order is the dimension of the orbit that a label indexes: x_stat
 on the flag module and y_stat on the Schur algebra (`BarSystem.grade`).
@@ -53,6 +57,25 @@ tau(x*m) = tau(x)*tau(m), and tau([mu]) = [mu] as bar(P_mu) = v^{2 x_mu}
 P_mu.  So tau([s]) has the value tau(column_vector(s)) on [mu], a sum of
 entries of the module memo (`_tau_schur_terms`; it bars nothing itself).
 
+The Schur basis.  Let s lie in block (lam, mu) and let top be its left
+coset of largest x_stat, the last of `flag_comb.left_cosets(s, lam, mu)`.
+The coefficient of [q] in column_vector(s) is v^{x_mu + y_s - x_q}, and
+x_top = x_mu + y_s (the longest element of the double coset lies in top),
+so [s]*[mu] = [top] + (vZ[v] on the other cosets of s).  Every other t
+of column mu has the exponents x_mu + y_t - x_q >= 0 in [t]*[mu], on its
+own cosets, which are disjoint from those of s; as b_s has coefficients in
+vZ[v] off s, b_s*[mu] = [top] + (vZ[v] on symbols other than top).  It is tau-fixed, as
+tau(b_s*[mu]) = tau(b_s)*tau([mu]) = b_s*[mu], so it is b_top by the
+uniqueness half of the lemma; and the column map is injective on column
+mu.  Hence b_s = from_column(mu, b_top), read with no second solve (the
+affine form of Du's identification of b_s with the Kazhdan-Lusztig element
+of the longest element of its double coset).  `canonical_schur` raises
+ArithmeticError unless x_top = x_mu + y_s.  The uniqueness lemma also
+certifies the result on its own: an element that is tau-fixed, has
+coefficient 1 at s and every other coefficient in vZ[v] is b_s, since the
+difference of two such is tau-fixed with all coefficients in vZ[v], and its
+coefficient at a label of largest grade is then bar-invariant, so 0.
+
 Memos.  `block_of` is memoized per matrix, and tau([s]) on the Schur side
 per matrix s (`_tau_schur_terms`), each in an unbounded `lru_cache` that
 lives as long as the process.  Both are pure functions of the matrix: the
@@ -60,18 +83,20 @@ block is fixed by the row and column weights, and tau([s]) by s and the
 quadratic relation, which `hecke` fixes and nothing else changes.
 `PeriodicMatrix` and `FlagSymbol` are frozen and the cached values are
 tuples, so the memos are safe to share between callers, `BarSystem`s and
-threads.  A Schur label adds to `tmodule._tau_terms` only the symbols q
-that the module side has not met.  In `run-suite canonical --n 2 --D 3
---window 5 --band 2` the memo holds 125 entries after the module cases
-(the 125 window symbols) and 261 after the Schur cases, so 136 symbols
-are first met on the Schur side.  The systems pass
-`_tau_schur_terms` and `tmodule._tau_terms` themselves as tau_fn;
-`BarSystem.tau_expand` makes the one copy that the solver changes, and a
+threads.  Reading b_s solves b_top in the module system the caller
+passes, so it adds to `tmodule._tau_terms` and to that system's solved b_x
+only the symbols the module side has not met.  In `run-suite canonical
+--n 2 --D 3 --window 5 --band 2` the memo holds 125 entries after the
+module cases (the 125 window symbols) and 261 after the algebra cases, so
+136 symbols are first met while reading b_s; the suite's tau check of
+each b_s fills `_tau_schur_terms` (220 matrices) and adds no symbol.  The
+systems pass `_tau_schur_terms` and `tmodule._tau_terms` themselves as
+tau_fn; `BarSystem.tau_expand` makes the one copy that the solver changes, and a
 `BarSystem` keeps nothing but its solved b_x.  The grade x_stat is cached
 on each `FlagSymbol` object (`flag_comb.x_stat`).
 
 Output.  `kl_coefficients` reads the stalk dimensions off one coefficient
-of an expansion, given the grade of its system as the statistic; the
+of an expansion, given the dimension statistic of its labels; the
 canonical suite checks that each is nonnegative (`cli._expansion_checks`).
 `compute` writes an expansion as JSON (`expansion_to_json`), optionally
 kept per block in a `CanonicalCache`.
@@ -184,14 +209,16 @@ def _max_label(system: BarSystem, labels):
 # Specialization to the flag module
 
 
-def tmodule_system(n: int, D: int) -> BarSystem:
+def tmodule_system() -> BarSystem:
+    """The flag module's bar system.  A `FlagSymbol` carries n and D, so one
+    system serves every rank."""
     return BarSystem(tau_fn=tmodule._tau_terms, grade=x_stat,
                      sort_key=lambda p: p.values)
 
 
 def canonical_tmodule(p: FlagSymbol, system: BarSystem = None) -> CanonicalExpansion:
     if system is None:
-        system = tmodule_system(p.n, p.D)
+        system = tmodule_system()
     return solve_canonical(system, p)
 
 
@@ -245,14 +272,31 @@ def _tau_schur_terms(s: PeriodicMatrix) -> tuple:
 
 
 def schur_system(n: int, D: int) -> BarSystem:
+    """The Schur algebra's own bar system over matrices.  No suite and no
+    `compute` entity solves with it: `canonical_schur` reads b_s off the
+    module basis.  It stays as the oracle that the tests compare
+    `canonical_schur` with, and as the `tau_expand` kernel that the
+    benchmark times; n and D do not change it."""
     return BarSystem(tau_fn=_tau_schur_terms, grade=y_stat,
                      sort_key=lambda s: s.entries)
 
 
 def canonical_schur(s: PeriodicMatrix, system: BarSystem = None) -> CanonicalExpansion:
+    """b_s = from_column(mu, b_top), top the left coset of largest x_stat in
+    the double coset of s and system a module system (`tmodule_system`).
+
+    Raises ArithmeticError unless [top] has coefficient 1 in
+    `column_vector(s)`, i.e. x_stat(top) = x_stat(mu) + y_stat(s)."""
     if system is None:
-        system = schur_system(s.n, s.D)
-    return solve_canonical(system, s)
+        system = tmodule_system()
+    lam, mu = block_of(s)
+    top = flag_comb.left_cosets(s, lam, mu)[-1][0]
+    gap = x_stat(mu) + y_stat(s) - x_stat(top)
+    if gap:
+        raise ArithmeticError(f"[{top}] has coefficient v^{gap} in [{s}]*[{mu}]")
+    terms = from_column(mu, dict(canonical_tmodule(top, system).terms))
+    return CanonicalExpansion(s, tuple(sorted(terms.items(),
+                                              key=lambda t: t[0].entries)))
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +306,8 @@ def canonical_schur(s: PeriodicMatrix, system: BarSystem = None) -> CanonicalExp
 def kl_coefficients(expansion: CanonicalExpansion, q_label, stat) -> list:
     """Decompose the coefficient of q_label as sum_i dim_i v^{-i + s_p - s_q}.
 
-    stat maps a label to its dimension statistic, the grade of its
-    `BarSystem` (x_stat for symbols, y_stat for matrices); returns the
-    nonzero (i, dim_i) pairs.
+    stat maps a label to its dimension statistic (x_stat for symbols,
+    y_stat for matrices); returns the nonzero (i, dim_i) pairs.
     """
     d = stat(expansion.leading) - stat(q_label)
     c = expansion.coeff(q_label)

@@ -540,15 +540,17 @@ def check_leading_term(s: PeriodicMatrix, span: MonomialSpan) -> dict:
 
 
 def check_canonical_transfer(s: PeriodicMatrix, span: MonomialSpan,
-                    system_high: canonical.BarSystem = None,
-                    system_low: canonical.BarSystem = None) -> dict:
+                             system: canonical.BarSystem = None) -> dict:
     """Transfer of a canonical basis element b_s, s aperiodic: expect 0 when
     the identity-shift goes negative, b_t otherwise (t = s - I is aperiodic
-    with s, since the two differ only on the diagonal)."""
+    with s, since the two differ only on the diagonal).  system is a module
+    system (`canonical.tmodule_system`); it serves both ranks."""
     if not is_aperiodic(s):
         raise ValueError("expected an aperiodic matrix")
+    if system is None:
+        system = canonical.tmodule_system()
     n, Dhigh = s.n, s.D
-    exp = canonical.canonical_schur(s, system_high)
+    exp = canonical.canonical_schur(s, system)
     x = SchurElement(n, Dhigh, exp.as_dict())
     y = transfer_map(x, span)
     t = matrix_minus_identity(s)
@@ -556,7 +558,7 @@ def check_canonical_transfer(s: PeriodicMatrix, span: MonomialSpan,
         verdict = "matches-(a)" if y.is_zero() else "counterexample"
         expected = None
     else:
-        exp_t = canonical.canonical_schur(t, system_low)
+        exp_t = canonical.canonical_schur(t, system)
         expected = SchurElement(n, Dhigh - n, exp_t.as_dict())
         verdict = "matches-(b)" if y == expected else "counterexample"
     return {"matrix": s, "shift": t, "output": y, "expected": expected,

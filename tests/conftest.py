@@ -10,10 +10,6 @@ def span4():
 
 
 @pytest.fixture(scope="session")
-def sys22():
-    return canonical.schur_system(2, 2)
-
-
-@pytest.fixture(scope="session")
-def sys24():
-    return canonical.schur_system(2, 4)
+def tsys():
+    """Shared flag-module bar system; it serves every (n, D)."""
+    return canonical.tmodule_system()

@@ -87,7 +87,7 @@ def test_criterion_6_evaluation_homomorphism():
              _failing(cases), len(cases))
 
 
-def test_criterion_7_transfer(span4, sys24, sys22):
+def test_criterion_7_transfer():
     cfg = cli.RunConfig(n=2, D=2, band=2, word_len=4)
     cases = cli.suite_transfer(cfg)
     by_id = {c["id"]: c for c in cases}
@@ -108,8 +108,8 @@ def test_criterion_8_determinism_roundtrip(tmp_path, capsys):
         fails.append("repeated suite runs differ")
 
     labels = fc.enumerate_flag_symbols(2, 2, 1, 4)
-    fwd = canonical.tmodule_system(2, 2)
-    rev = canonical.tmodule_system(2, 2)
+    fwd = canonical.tmodule_system()
+    rev = canonical.tmodule_system()
     a = {p: canonical.canonical_tmodule(p, fwd).terms for p in labels}
     b = {p: canonical.canonical_tmodule(p, rev).terms for p in reversed(labels)}
     if a != b:

@@ -31,27 +31,27 @@ def test_dominant_is_bar_fixed_alone():
 
 
 def test_solver_is_idempotent_and_tau_fixed():
-    sys_ = canonical.tmodule_system(2, 2)
+    sys_ = canonical.tmodule_system()
     for p in fc.enumerate_flag_symbols(2, 2, 1, 4):
         vec = canonical.canonical_tmodule_vector(p, sys_)
         assert tmodule.tau(vec) == vec
         assert vec.coeff(p) == ONE
 
 
-def test_schur_canonical_unitriangular(sys22):
+def test_schur_canonical_unitriangular(tsys):
     d = fc.delta_matrix(fc.dominant_from_weight(2, 2, (1, 1)))
-    exp = canonical.canonical_schur(d, sys22)
+    exp = canonical.canonical_schur(d, tsys)
     assert exp.coeff(d) == ONE
     for s, c in exp.terms:
         if s != d:
             assert c.in_v_times_z_of_v()
 
 
-def test_kl_coefficients_nonnegative(sys22):
+def test_kl_coefficients_nonnegative(tsys):
     for s in transfer.band_matrices(2, 2, 2):
-        exp = canonical.canonical_schur(s, sys22)
+        exp = canonical.canonical_schur(s, tsys)
         for q, _ in exp.terms:
-            for i, dim in canonical.kl_coefficients(exp, q, sys22.grade):
+            for i, dim in canonical.kl_coefficients(exp, q, fc.y_stat):
                 assert dim > 0 and isinstance(i, int)
 
 
@@ -65,8 +65,8 @@ def test_canonical_suite():
 def test_solver_order_independent():
     # expansions agree when labels are solved in opposite orders
     labels = fc.enumerate_flag_symbols(2, 2, 1, 4)
-    a = canonical.tmodule_system(2, 2)
-    b = canonical.tmodule_system(2, 2)
+    a = canonical.tmodule_system()
+    b = canonical.tmodule_system()
     out_a = {p: canonical.canonical_tmodule(p, a).terms for p in labels}
     out_b = {p: canonical.canonical_tmodule(p, b).terms
              for p in reversed(labels)}
@@ -182,7 +182,7 @@ def solve_canonical_recompute(system, label, cache=None):
 
 
 @pytest.mark.parametrize("make_system, labels", [
-    (lambda: canonical.tmodule_system(2, 3),
+    (canonical.tmodule_system,
      lambda: fc.enumerate_flag_symbols(2, 3, 1, 5)),
     (lambda: canonical.schur_system(2, 3), lambda: transfer.band_matrices(2, 3, 2)),
     (lambda: canonical.schur_system(3, 3), lambda: transfer.band_matrices(3, 3, 1)),
@@ -205,8 +205,8 @@ _ORDER_MATRICES = transfer.band_matrices(2, 2, 2)
 def test_solver_random_order_matches_recompute_route(order_t, order_s):
     for make_system, labels, order in (
             (canonical.tmodule_system, _ORDER_LABELS, order_t),
-            (canonical.schur_system, _ORDER_MATRICES, order_s)):
-        fast, slow = make_system(2, 2), make_system(2, 2)
+            (lambda: canonical.schur_system(2, 2), _ORDER_MATRICES, order_s)):
+        fast, slow = make_system(), make_system()
         for k in order:
             x = labels[k]
             assert canonical.solve_canonical(fast, x) == \
@@ -269,7 +269,7 @@ def test_tau_schur_from_module_memo_matches_parabolic_bar(n, D, band):
 
 
 def test_tau_tmodule_label_reads_memo_and_hands_out_copies():
-    system = canonical.tmodule_system(2, 3)
+    system = canonical.tmodule_system()
     for p in fc.enumerate_flag_symbols(2, 3, 1, 4):
         fresh = dict(tmodule.tau(tmodule.ModuleVector.basis(p)).terms)
         got = system.tau_expand(p)
@@ -337,7 +337,7 @@ def _assert_tau_lowers_grade(system, x):
 
 @pytest.mark.parametrize("n, D", SYMBOL_SIZES)
 def test_tau_tmodule_lowers_x_stat(n, D):
-    system = canonical.tmodule_system(n, D)
+    system = canonical.tmodule_system()
     for p in fc.enumerate_flag_symbols(n, D, 1, 2 * n):
         _assert_tau_lowers_grade(system, p)
 
@@ -347,3 +347,57 @@ def test_tau_schur_lowers_y_stat(n, D, band):
     system = canonical.schur_system(n, D)
     for s in transfer.band_matrices(n, D, band):
         _assert_tau_lowers_grade(system, s)
+
+
+# ---------------------------------------------------------------------------
+# b_s read off the module basis, against the solver over matrices
+
+
+# 1246 band matrices, 171 of them periodic
+ORACLE_SIZES = [(2, 2, 2), (2, 3, 2), (3, 3, 1), (2, 4, 1), (3, 2, 2), (2, 3, 3)]
+
+
+@pytest.mark.parametrize("n, D, band", ORACLE_SIZES)
+def test_canonical_schur_matches_matrix_solver(n, D, band, tsys):
+    oracle = canonical.schur_system(n, D)
+    for s in transfer.band_matrices(n, D, band):
+        assert canonical.canonical_schur(s, tsys) == \
+            canonical.solve_canonical(oracle, s)
+
+
+_ORACLES = {}
+
+
+@st.composite
+def band_matrix(draw):
+    n = draw(st.sampled_from((2, 3)))
+    D = draw(st.integers(2, 4 if n == 2 else 3))
+    band = draw(st.integers(1, 3))
+    cells = draw(st.lists(st.sampled_from(
+        [(i, j) for i in range(1, n + 1) for j in range(i - band, i + band + 1)]),
+        min_size=D, max_size=D))
+    entries = {}
+    for c in cells:
+        entries[c] = entries.get(c, 0) + 1
+    return PeriodicMatrix.make(n, D, entries)
+
+
+@settings(max_examples=40, deadline=None)
+@given(band_matrix())
+def test_canonical_schur_matches_matrix_solver_on_drawn_matrices(s):
+    oracle = _ORACLES.setdefault((s.n, s.D), canonical.schur_system(s.n, s.D))
+    assert canonical.canonical_schur(s) == canonical.solve_canonical(oracle, s)
+
+
+def test_canonical_schur_rejects_a_lower_coset(monkeypatch):
+    # with the left cosets in reverse order the read starts at the coset of
+    # smallest x_stat, whose coefficient in [s]*[mu] is not 1
+    mats = [s for s in transfer.band_matrices(2, 3, 2)
+            if len(fc.left_cosets(s, *canonical.block_of(s))) > 1]
+    assert mats
+    left_cosets = fc.left_cosets
+    monkeypatch.setattr(fc, "left_cosets",
+                        lambda s, lam, mu: left_cosets(s, lam, mu)[::-1])
+    for s in mats:
+        with pytest.raises(ArithmeticError, match="has coefficient v\\^"):
+            canonical.canonical_schur(s)

@@ -46,6 +46,20 @@ def test_invalid_config_names_the_rule(flags, rule, capsys):
     assert capsys.readouterr().err.strip() == f"invalid config: {rule}"
 
 
+@pytest.mark.parametrize("suite, flags", [
+    ("relations", ["--D", "2"]),
+    ("transfer", ["--D", "1", "--band", "1", "--word-len", "2"]),
+])
+def test_rank_one_exits_2_for_relations_and_transfer(suite, flags, capsys):
+    # at n = 1 the residues (i-1) mod n and i mod n coincide, so these suites'
+    # failures there would not be counterexamples
+    assert cli.main(["run-suite", suite, "--n", "1", *flags]) == 2
+    assert capsys.readouterr().err.strip() == (
+        f"invalid config: the {suite} suite needs n >= 2: affine sl_n's "
+        "Chevalley generators need two residues, and (i-1) mod n and i mod n "
+        "coincide at n = 1")
+
+
 def test_zero_band_and_word_len_are_valid():
     cli.RunConfig(band=0, word_len=0).validate()
 

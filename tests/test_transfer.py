@@ -73,16 +73,16 @@ def test_leading_term_on_generator_matrix(span4):
     assert r["ok"] and r["leading"] == ONE
 
 
-def test_canonical_transfer_both_verdicts(span4, sys24, sys22):
+def test_canonical_transfer_both_verdicts(span4, tsys):
     diag = PeriodicMatrix.make(2, 4, {(1, 1): 2, (2, 2): 2})
-    r = transfer.check_canonical_transfer(diag, span4, sys24, sys22)
+    r = transfer.check_canonical_transfer(diag, span4, tsys)
     assert r["verdict"] == "matches-(b)"
     assert r["output"].terms == {
         PeriodicMatrix.make(2, 2, {(1, 1): 1, (2, 2): 1}): ONE}
     # a matrix with an empty diagonal entry transfers to zero
     z = PeriodicMatrix.make(2, 4, {(1, 1): 2, (1, 2): 1, (2, 3): 1})
     if fc.is_aperiodic(z):
-        rz = transfer.check_canonical_transfer(z, span4, sys24, sys22)
+        rz = transfer.check_canonical_transfer(z, span4, tsys)
         assert rz["verdict"] == "matches-(a)"
 
 
