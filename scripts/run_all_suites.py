@@ -11,8 +11,10 @@ VM (Python 3.11, median of three runs; the whole reference set took about
 schur and crystal at n = 3 as well (crystal at D = 4, with symbols whose
 local word is empty and residue 0 wrapping past position 1), and the quick
 sizes run transfer at n = 3 (about 2 s), since the theorems hold for every n.
-Relations and schur also run at n = 4, the smallest rank with two residues
-that commute (a_ij = 0), so that the Serre relations take their m = 1 form.
+Relations, schur and crystal also run at n = 4, the smallest rank with two
+residues that commute (a_ij = 0), so that the Serre relations take their
+m = 1 form and the crystal checks meet residues whose local positions are
+disjoint.
 """
 
 import argparse
@@ -28,6 +30,7 @@ REFERENCE = {
     "relations-n4": dict(n=4, D=3, window=5, word_len=2),
     "crystal": dict(n=2, D=3, window=4),
     "crystal-n3": dict(n=3, D=4, window=5),
+    "crystal-n4": dict(n=4, D=4, window=6),
     "canonical": dict(n=2, D=3, window=5, band=3),
     "canonical-n3": dict(n=3, D=3, window=4, band=1),
     "schur": dict(n=2, D=2, word_len=3),

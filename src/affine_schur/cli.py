@@ -16,6 +16,7 @@ import json
 import os
 import random
 import sys
+from collections import Counter
 from dataclasses import dataclass
 
 from . import canonical, crystal, flag_comb, hecke, schur, tmodule, transfer
@@ -257,49 +258,32 @@ def suite_relations(cfg: RunConfig) -> list:
 # crystal suite: axioms, oracle agreement, string relations
 
 
-def _crystal_cases(cfg: RunConfig, i: int) -> list:
-    symbols = flag_comb.enumerate_flag_symbols(cfg.n, cfg.D, 1, cfg.window)
-    cases = []
-
-    def oracle_case(i):
-        agree = 0
-        total = 0
-        for b in symbols:
-            f_b, e_b = crystal.kashiwara_oracle(b, i)
-            total += 2
-            agree += f_b == crystal.kashiwara_f(b, i)
-            agree += e_b == crystal.kashiwara_e(b, i)
-        return _case(f"crystal/oracle/i{i}", agree == total, f"{agree}/{total}")
-
-    def inverse_case(i):
-        bad = 0
-        for b in symbols:
-            b2 = crystal.kashiwara_f(b, i)
-            if b2 is not None and crystal.kashiwara_e(b2, i) != b:
-                bad += 1
-            b3 = crystal.kashiwara_e(b, i)
-            if b3 is not None and crystal.kashiwara_f(b3, i) != b:
-                bad += 1
-        return _case(f"crystal/inverse/i{i}", bad == 0, f"{len(symbols)} symbols")
-
-    def string_case(i):
-        bad = sum(not crystal.string_relation(b, i) for b in symbols)
-        return _case(f"crystal/strings/i{i}", bad == 0, f"{len(symbols)} chains")
-
-    def uniqueness_case(i):
-        bad = sum(not crystal.bracketing_unique(b, i) for b in symbols)
-        return _case(f"crystal/bracketing-unique/i{i}", bad == 0,
-                     f"{len(symbols)} symbols")
-
-    cases.append(oracle_case(i))
-    cases.append(inverse_case(i))
-    cases.append(string_case(i))
-    cases.append(uniqueness_case(i))
-    return cases
+def _crystal_cases(symbols: list, i: int) -> list:
+    """The oracle, inverse, string and uniqueness cases at residue i.  Each
+    check on (b, i) depends only on the local word of (b, i) (the lemma in
+    `crystal`), so it is decided once per word and each verdict is weighted
+    by the number of symbols that share the word."""
+    words = Counter(crystal.local_word(b, i)[1] for b in symbols)
+    agree = inverse_bad = strings_bad = unique_bad = 0
+    for word, count in words.items():
+        verdict = crystal.word_verdicts(word)
+        agree += count * verdict.oracle_agree
+        inverse_bad += count * verdict.inverse_failures
+        strings_bad += count * (not verdict.strings)
+        unique_bad += count * (not verdict.unique)
+    total = 2 * len(symbols)
+    return [
+        _case(f"crystal/oracle/i{i}", agree == total, f"{agree}/{total}"),
+        _case(f"crystal/inverse/i{i}", inverse_bad == 0, f"{len(symbols)} symbols"),
+        _case(f"crystal/strings/i{i}", strings_bad == 0, f"{len(symbols)} chains"),
+        _case(f"crystal/bracketing-unique/i{i}", unique_bad == 0,
+              f"{len(symbols)} symbols"),
+    ]
 
 
 def suite_crystal(cfg: RunConfig) -> list:
-    return [c for i in range(cfg.n) for c in _crystal_cases(cfg, i)]
+    symbols = flag_comb.enumerate_flag_symbols(cfg.n, cfg.D, 1, cfg.window)
+    return [c for i in range(cfg.n) for c in _crystal_cases(symbols, i)]
 
 
 # ---------------------------------------------------------------------------

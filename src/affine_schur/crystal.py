@@ -22,42 +22,57 @@ t -> k_t carries the computation on [c] at 1 term by term onto the one on
 [b] at i, and both images mod v follow.  For L = 0, e_i and f_i kill [b]
 and both images are None.
 
-The lemma extends to the crystal suite's string and uniqueness checks.
+The lemma extends to the bracketing rule and to every check of the
+crystal suite.  `bracket` scans the values at k_1..k_L in order and
+returns positions, so the partition of (b, i) is that of (c, 1) carried
+along t -> k_t.  f~_i and e~_i flip one unpaired position, so f~_i b and
+e~_i b are f~_1 c and e~_1 c written back onto b (`write_local_word`),
+and None exactly when these are.  Writing back is injective: at n >= 2 it
+rewrites one position of each class of k_1..k_L and nothing else, so
+different words give different symbols.  Hence the oracle agrees with the
+rule on (b, i) exactly when it does on (c, 1).  The inverse check carries
+back too: f~_i b has the local positions of b and the word of f~_1 c, so
+e~_i f~_i b = b exactly when e~_1 f~_1 c = c, and likewise for f~ e~.
 `angle_vector` reads a symbol only through `bracket` and `with_value` at
-the local positions: `bracket` scans the values at k_1..k_L in order,
-<b> rewrites the values at the unpaired positions J and the pairs only,
-and its coefficients v^{n_A} (-v)^{#B} count positions of J by their
-order.  So <b> at i is <c> at 1 carried back along t -> k_t, and so are
-the Kashiwara operators and the divided powers.  The string relation
-(`string_relation`) compares e_i <b> with [#J - l + 1] <e~_i b> and
-f_i <b> with [l + 1] <f~_i b>; carrying back is injective on symbols (it
-rewrites only the classes of k_1..k_L), so the relation holds at (b, i)
-exactly when it holds at (c, 1).  For L = 0, <b> = [b], e_i and f_i kill
-it and both operators return None, so it holds.  `all_bracketings` reads
-the values at k_1..k_L only and returns positions, which t -> k_t carries
-in order, so uniqueness (`bracketing_unique`) is decided on the word too;
-the empty word has only the empty partition.
+the local positions: <b> rewrites the values at the unpaired positions J
+and the pairs only, and its coefficients v^{n_A} (-v)^{#B} count
+positions of J by their order.  So <b> at i is <c> at 1 carried back,
+and so are the divided powers.  The string relation compares e_i <b> with
+[#J - l + 1] <e~_i b> and f_i <b> with [l + 1] <f~_i b>; both sides carry
+back term by term, injectively, so it holds at (b, i) exactly when it
+holds at (c, 1).  `all_bracketings` reads the values at k_1..k_L only and
+returns positions, which t -> k_t carries in order, so the uniqueness of
+the bracketing is decided on the word too.  For L = 0, e_i and f_i kill
+<b> = [b], both operators and both oracle images are None, and the empty
+partition is the only one, so every check passes.
 
-Memos.  `kashiwara_oracle` therefore decomposes once per local word
-(`_local_oracle`): at (n, D, window) = (3, 3, 6) its 648 (symbol, residue)
-pairs share 15 words, one of them empty, so it makes 14 decompositions.
-`string_relation` and `bracketing_unique` decide their verdicts once per
-local word in the same way (`_local_string_relation`, `_local_unique`),
-with 15 entries each at that size.  `bracket` is memoized per (symbol,
-residue) (`_bracket`), since the Kashiwara operators, epsilon and each
-crystal case ask for the same partition again.  All are unbounded
-`lru_cache`s on private helpers that live as long as the process; a
-result is a pure function of its key and immutable (a tuple of words, a
-bool, or a frozen `BracketingPartition`), so it is safe to share.  The
-per-symbol oracle, one decomposition of [b] and no memo, and the
-per-symbol string relation are kept in tests/oracles.py as the
-references.
+Memos.  `word_verdicts` decides the suite's four checks on (c, 1) once per
+local word: how many of f~ and e~ the oracle confirms, how many of
+e~ f~ c = c and f~ e~ c = c fail, the string relation and uniqueness.  The
+suite counts the symbols of each word at each residue and weights each
+verdict by that count, so its reports equal those of the per-symbol
+loops.  At (n, D, window) = (3, 3, 6) the 648 (symbol, residue) pairs
+share 15 words, one of them empty, so the suite makes 14 oracle calls.
+`kashiwara_oracle` also decomposes once per local word (`_local_oracle`),
+for callers that ask per symbol.  `bracket` is memoized per (symbol,
+residue) (`_bracket`), since the Kashiwara operators, `angle_vector` and
+each verdict ask for the same partition again.  All three are unbounded
+`lru_cache`s that live as long as the process.  A local word has at most
+one letter per position class, so a run at D puts at most 2^(D+1) - 1
+words in each word memo.  Keys are immutable (a tuple of 0s and 1s, or a
+symbol and a residue), and a result is a pure function of its key and
+immutable (a tuple of words, a `WordVerdicts` or a frozen
+`BracketingPartition`), so it is safe to share.  tests/oracles.py keeps
+the per-symbol routes as references: the oracle by one decomposition of
+[b] with no memo, the string relation and uniqueness on b itself, and the
+suite's four per-symbol loops.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import tmodule
 from .flag_comb import FlagSymbol
@@ -241,80 +256,74 @@ def _reduce_mod_v(parts: list, i: int, shift: int):
     # v = 0; reduce by evaluating each coefficient at v = 0
     consts = {}
     for p, c in out.items():
-        val = _value_at_zero(c)
-        if val:
-            consts[p] = val
+        num0, den0 = _value_at_zero(c)
+        if num0:
+            consts[p] = (num0, den0)
     if not consts:
         return None
     if len(consts) == 1:
-        (p, a), = consts.items()
-        if a == 1:
+        (p, (num0, den0)), = consts.items()
+        if num0 == den0:
             return p
-    raise ArithmeticError(f"not a crystal class mod v: {consts}")
+    values = {p: f"{a}/{d}" for p, (a, d) in consts.items()}
+    raise ArithmeticError(f"not a crystal class mod v: {values}")
 
 
-def _value_at_zero(c: RationalScalar):
-    """Evaluate at v = 0; raises if the coefficient has a pole there."""
-    from fractions import Fraction
+def _value_at_zero(c: RationalScalar) -> tuple:
+    """(a, d) with c(0) = a / d and d != 0, from the constant terms of the
+    numerator and the denominator; raises if c has a pole at v = 0."""
     num, den = c.num, c.den
     if den.constant_term() == 0:
         raise ArithmeticError("denominator vanishes at v = 0")
-    if num.is_zero():
-        return Fraction(0)
-    if num.min_exp < 0:
+    if not num.is_zero() and num.min_exp < 0:
         raise ArithmeticError("oracle output left the crystal lattice")
-    return Fraction(num.constant_term(), den.constant_term())
+    return num.constant_term(), den.constant_term()
 
 
 # ---------------------------------------------------------------------------
-# Per-word verdicts of the crystal suite: the string relation and the
-# uniqueness of the bracketing partition (brute force)
+# The crystal suite's checks, decided once per local word
 
 
-def string_relation(b: FlagSymbol, i: int) -> bool:
-    """Whether e_i <b> = [#J - l + 1] <e~_i b> and f_i <b> = [l + 1] <f~_i b>
-    (J the unpaired positions, l = epsilon, <x> = 0 for x = None); decided
-    once per local word of (b, i) (see the module docstring)."""
-    tmodule._check_residue(b.n, i)
-    return _local_string_relation(local_word(b, i)[1])
+class WordVerdicts(NamedTuple):
+    """The crystal suite's four checks on the canonical symbol c of a local
+    word at residue 1: of f~_1 c and e~_1 c, how many the sl2-string oracle
+    gives (0-2); of e~ f~ c = c and f~ e~ c = c, where defined, how many
+    fail (0-2); whether the string relation holds; and whether `bracket` is
+    the only partition `all_bracketings` finds."""
+    oracle_agree: int
+    inverse_failures: int
+    strings: bool
+    unique: bool
 
 
 @lru_cache(maxsize=None)
-def _local_string_relation(word: tuple) -> bool:
-    """The string relation on the canonical symbol of a local word at 1;
-    True for the empty word.  Memoized per word for the life of the
-    process."""
+def word_verdicts(word: tuple) -> WordVerdicts:
+    """The four checks on (local_symbol(word), 1); on the empty word every
+    check passes.  Memoized per word for the life of the process (see the
+    module docstring)."""
     if not word:
-        return True
+        return WordVerdicts(2, 0, True, True)
     c = local_symbol(word)
     part = bracket(c, 1)
+    up, down = kashiwara_f(c, 1), kashiwara_e(c, 1)
+    oracle_up, oracle_down = kashiwara_oracle(c, 1)
+    inverse_failures = ((up is not None and kashiwara_e(up, 1) != c)
+                        + (down is not None and kashiwara_f(down, 1) != c))
+    # the string relation: e_1 <c> = [#J - l + 1] <e~_1 c> and
+    # f_1 <c> = [l + 1] <f~_1 c>, J the unpaired positions, l = epsilon and
+    # <None> = 0
     nJ, l = len(part.unpaired), part.epsilon()
     av = tmodule.angle_vector(c, 1)
-    down = kashiwara_e(c, 1)
     expect_e = (ModuleVector.zero(c.n, c.D) if down is None
                 else tmodule.angle_vector(down, 1).scale(quantum_integer(nJ - l + 1)))
-    up = kashiwara_f(c, 1)
     expect_f = (ModuleVector.zero(c.n, c.D) if up is None
                 else tmodule.angle_vector(up, 1).scale(quantum_integer(l + 1)))
-    return tmodule.apply_e(1, av) == expect_e and tmodule.apply_f(1, av) == expect_f
-
-
-def bracketing_unique(b: FlagSymbol, i: int) -> bool:
-    """Whether `bracket` is the only partition `all_bracketings` finds;
-    decided once per local word of (b, i)."""
-    tmodule._check_residue(b.n, i)
-    return _local_unique(local_word(b, i)[1])
-
-
-@lru_cache(maxsize=None)
-def _local_unique(word: tuple) -> bool:
-    """Uniqueness on the canonical symbol of a local word at 1; True for
-    the empty word.  Memoized per word for the life of the process."""
-    if not word:
-        return True
-    c = local_symbol(word)
-    part = bracket(c, 1)
-    return all_bracketings(c, 1) == [(part.unpaired, part.pairs)]
+    return WordVerdicts(
+        oracle_agree=(oracle_up == up) + (oracle_down == down),
+        inverse_failures=inverse_failures,
+        strings=(tmodule.apply_e(1, av) == expect_e
+                 and tmodule.apply_f(1, av) == expect_f),
+        unique=all_bracketings(c, 1) == [(part.unpaired, part.pairs)])
 
 
 def all_bracketings(p: FlagSymbol, i: int) -> list:

@@ -7,8 +7,8 @@ every path a command runs; here it serves only as a reference.
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from affine_schur import (affine_weyl, canonical, crystal, flag_comb, hecke,
-                          schur, tmodule, transfer)
+from affine_schur import (affine_weyl, canonical, cli, crystal, flag_comb,
+                          hecke, schur, tmodule, transfer)
 from affine_schur.flag_comb import FlagSymbol, PeriodicMatrix, x_stat, y_stat
 from affine_schur.hecke import HeckeElement
 from affine_schur.laurent import (LaurentScalar, ONE, RationalScalar,
@@ -202,8 +202,8 @@ def kashiwara_oracle_per_symbol(b: FlagSymbol, i: int) -> tuple:
 
 def string_relation_per_symbol(b: FlagSymbol, i: int) -> bool:
     """e_i <b> = [#J - l + 1] <e~_i b> and f_i <b> = [l + 1] <f~_i b> on b
-    itself: the reference for `crystal.string_relation`, which decides it
-    once per local word."""
+    itself: the reference for the `strings` verdict of
+    `crystal.word_verdicts`, which decides it once per local word."""
     part = crystal.bracket(b, i)
     nJ, l = len(part.unpaired), part.epsilon()
     av = tmodule.angle_vector(b, i)
@@ -217,10 +217,51 @@ def string_relation_per_symbol(b: FlagSymbol, i: int) -> bool:
 
 
 def bracketing_unique_per_symbol(b: FlagSymbol, i: int) -> bool:
-    """The brute-force uniqueness check on b itself: the reference for
-    `crystal.bracketing_unique`."""
+    """The brute-force uniqueness check on b itself: the reference for the
+    `unique` verdict of `crystal.word_verdicts`."""
     part = crystal.bracket(b, i)
     return crystal.all_bracketings(b, i) == [(part.unpaired, part.pairs)]
+
+
+def inverse_failures_per_symbol(b: FlagSymbol, i: int) -> int:
+    """How many of e~ f~ b = b and f~ e~ b = b, where defined, fail: the
+    reference for the `inverse_failures` verdict of
+    `crystal.word_verdicts`."""
+    bad = 0
+    b2 = crystal.kashiwara_f(b, i)
+    if b2 is not None and crystal.kashiwara_e(b2, i) != b:
+        bad += 1
+    b3 = crystal.kashiwara_e(b, i)
+    if b3 is not None and crystal.kashiwara_f(b3, i) != b:
+        bad += 1
+    return bad
+
+
+def crystal_cases_per_symbol(cfg: cli.RunConfig) -> list:
+    """The crystal suite's cases by four loops over the symbols at each
+    residue, every check made on each symbol: the reference for
+    `cli.suite_crystal`, which decides each check once per local word."""
+    symbols = flag_comb.enumerate_flag_symbols(cfg.n, cfg.D, 1, cfg.window)
+    cases = []
+    for i in range(cfg.n):
+        agree = 0
+        for b in symbols:
+            f_b, e_b = crystal.kashiwara_oracle(b, i)
+            agree += f_b == crystal.kashiwara_f(b, i)
+            agree += e_b == crystal.kashiwara_e(b, i)
+        total = 2 * len(symbols)
+        cases.append(cli._case(f"crystal/oracle/i{i}", agree == total,
+                               f"{agree}/{total}"))
+        bad = sum(inverse_failures_per_symbol(b, i) for b in symbols)
+        cases.append(cli._case(f"crystal/inverse/i{i}", bad == 0,
+                               f"{len(symbols)} symbols"))
+        bad = sum(not string_relation_per_symbol(b, i) for b in symbols)
+        cases.append(cli._case(f"crystal/strings/i{i}", bad == 0,
+                               f"{len(symbols)} chains"))
+        bad = sum(not bracketing_unique_per_symbol(b, i) for b in symbols)
+        cases.append(cli._case(f"crystal/bracketing-unique/i{i}", bad == 0,
+                               f"{len(symbols)} symbols"))
+    return cases
 
 
 def epsilon_sign(x: SchurElement, rho_value: LaurentScalar = ONE) -> LaurentScalar:

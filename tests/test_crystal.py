@@ -2,17 +2,19 @@
 
 import itertools
 import json
+import operator
 import signal
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from affine_schur import cli, crystal, flag_comb as fc, tmodule
+from affine_schur import cli, crystal, flag_comb as fc, laurent, tmodule
 from affine_schur.flag_comb import FlagSymbol
 from affine_schur.laurent import (LaurentScalar, ONE, RationalScalar,
                                   quantum_binomial, quantum_factorial)
 
-from oracles import (bracketing_unique_per_symbol, kashiwara_oracle_per_symbol,
+from oracles import (bracketing_unique_per_symbol, crystal_cases_per_symbol,
+                     inverse_failures_per_symbol, kashiwara_oracle_per_symbol,
                      string_relation_per_symbol)
 
 
@@ -171,6 +173,39 @@ def test_string_decomposition_raises_when_top_degree_repeats(monkeypatch):
     assert raised
 
 
+def _rational(num: dict, den: dict | None = None) -> RationalScalar:
+    return RationalScalar(LaurentScalar(num), LaurentScalar(den or {0: 1}))
+
+
+def test_reduce_mod_v_reads_value_one_off_constant_terms():
+    # (2 + v) / (2 + v^2) is 1 at v = 0 though neither constant term is 1;
+    # v / (1 + v) vanishes there
+    p, q = FlagSymbol(2, 1, (1,)), FlagSymbol(2, 1, (2,))
+    u = {p: _rational({0: 2, 1: 1}, {0: 2, 2: 1}), q: _rational({1: 1}, {0: 1, 1: 1})}
+    assert crystal._reduce_mod_v([(0, u)], 1, 0) == p
+    assert crystal._reduce_mod_v([(0, {q: _rational({1: 1})})], 1, 0) is None
+
+
+@pytest.mark.parametrize("u", [
+    {FlagSymbol(2, 1, (1,)): _rational({0: 2})},                   # 2 [p]
+    {FlagSymbol(2, 1, (1,)): _rational({0: 1}, {0: 2, 1: 1})},     # 1/2 [p]
+    {FlagSymbol(2, 1, (1,)): _rational({0: 1}),
+     FlagSymbol(2, 1, (2,)): _rational({0: 1, 1: 1})},             # [p] + [q]
+])
+def test_reduce_mod_v_rejects_what_is_not_a_crystal_class(u):
+    with pytest.raises(ArithmeticError, match="not a crystal class mod v"):
+        crystal._reduce_mod_v([(0, u)], 1, 0)
+
+
+def test_value_at_zero_raises_on_a_pole():
+    with pytest.raises(ArithmeticError, match="left the crystal lattice"):
+        crystal._value_at_zero(_rational({-1: 1, 0: 1}))
+    # the reduced form keeps a nonzero constant term in the denominator, so
+    # only a pair built past the constructor reaches this guard
+    with pytest.raises(ArithmeticError, match="denominator vanishes"):
+        crystal._value_at_zero(laurent._rat(ONE, LaurentScalar.v(1)))
+
+
 def test_oracle_at_rank_one_ends_at_once(capsys):
     # at n = 1 e_i is never nilpotent, so the string decomposition does not
     # exist; the oracle and the suite must say so instead of chaining e_i
@@ -243,14 +278,18 @@ def test_divided_power_is_local(p, data):
     assert direct == back
 
 
+def _verdict_of(b, i):
+    return crystal.word_verdicts(crystal.local_word(b, i)[1])
+
+
 def test_verdicts_match_per_symbol_route_at_benchmark_size():
     # the crystal workload: n = 3, D = 3, window values in [1, 6]
     pairs = 0
     for b in fc.enumerate_flag_symbols(3, 3, 1, 6):
         for i in range(3):
-            assert crystal.string_relation(b, i) == string_relation_per_symbol(b, i), (b, i)
-            assert (crystal.bracketing_unique(b, i)
-                    == bracketing_unique_per_symbol(b, i)), (b, i)
+            verdict = _verdict_of(b, i)
+            assert verdict.strings == string_relation_per_symbol(b, i), (b, i)
+            assert verdict.unique == bracketing_unique_per_symbol(b, i), (b, i)
             pairs += 1
     assert pairs == 648
 
@@ -260,8 +299,62 @@ def test_verdicts_match_per_symbol_route_at_benchmark_size():
 @example(FlagSymbol(3, 2, (3, 6)))  # no position valued 1 or 2
 def test_verdicts_match_per_symbol_route(b):
     for i in range(b.n):
-        assert crystal.string_relation(b, i) == string_relation_per_symbol(b, i), (b, i)
-        assert crystal.bracketing_unique(b, i) == bracketing_unique_per_symbol(b, i), (b, i)
+        verdict = _verdict_of(b, i)
+        assert verdict.strings == string_relation_per_symbol(b, i), (b, i)
+        assert verdict.unique == bracketing_unique_per_symbol(b, i), (b, i)
+
+
+@settings(max_examples=80, deadline=None)
+@given(drawn_symbols, st.data())
+def test_bracketing_rule_is_local(b, data):
+    # the lemma under `word_verdicts`: f~_i and e~_i on b are f~_1 and e~_1
+    # on b's canonical local symbol, written back onto b's positions, and
+    # so the oracle and inverse verdicts of the word are those of b
+    i = data.draw(st.integers(0, b.n - 1))
+    positions, word = crystal.local_word(b, i)
+    verdict = crystal.word_verdicts(word)
+    up, down = crystal.kashiwara_f(b, i), crystal.kashiwara_e(b, i)
+    if word:
+        c = crystal.local_symbol(word)
+        back = [None if q is None else crystal.write_local_word(
+                    b, i, positions, tuple(a - 1 for a in q.values))
+                for q in (crystal.kashiwara_f(c, 1), crystal.kashiwara_e(c, 1))]
+        assert [up, down] == back
+    else:
+        assert up is None and down is None
+    assert verdict.inverse_failures == inverse_failures_per_symbol(b, i)
+    f_b, e_b = crystal.kashiwara_oracle(b, i)
+    assert verdict.oracle_agree == (f_b == up) + (e_b == down)
+
+
+@pytest.mark.parametrize("size", [(2, 3, 4), (3, 3, 6), (3, 4, 5), (4, 4, 6)])
+def test_suite_matches_per_symbol_loops(size):
+    # (4, 4, 6) is the first size with commuting residues (a_ij = 0)
+    n, D, window = size
+    cfg = cli.RunConfig(suite="crystal", n=n, D=D, window=window)
+    assert cli.suite_crystal(cfg) == crystal_cases_per_symbol(cfg)
+
+
+@pytest.mark.parametrize("field, skew", [("oracle_agree", lambda a: a - 1),
+                                         ("inverse_failures", lambda a: a + 1),
+                                         ("strings", operator.not_),
+                                         ("unique", operator.not_)])
+def test_suite_sees_a_wrong_word_verdict(monkeypatch, field, skew):
+    # one word's verdict off by one (a bool flipped) must change the
+    # suite's case records, so the comparison with the per-symbol loops has
+    # teeth
+    cfg = cli.RunConfig(suite="crystal", n=2, D=3, window=4)
+    target = crystal.local_word(FlagSymbol(2, 3, (1, 2, 1)), 1)[1]
+    exact = crystal.word_verdicts
+
+    def skewed(word):
+        verdict = exact(word)
+        if word != target:
+            return verdict
+        return verdict._replace(**{field: skew(getattr(verdict, field))})
+
+    monkeypatch.setattr(crystal, "word_verdicts", skewed)
+    assert cli.suite_crystal(cfg) != crystal_cases_per_symbol(cfg)
 
 
 @settings(max_examples=80, deadline=None)
