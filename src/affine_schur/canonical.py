@@ -92,8 +92,10 @@ module cases (the 125 window symbols) and 261 after the algebra cases, so
 each b_s fills `_tau_schur_terms` (220 matrices) and adds no symbol.  The
 systems pass `_tau_schur_terms` and `tmodule._tau_terms` themselves as
 tau_fn; `BarSystem.tau_expand` makes the one copy that the solver changes, and a
-`BarSystem` keeps nothing but its solved b_x.  The grade x_stat is cached
-on each `FlagSymbol` object (`flag_comb.x_stat`).
+`BarSystem` keeps nothing but its solved b_x.  The grades x_stat and y_stat
+are cached on each label, and every label the suite builds is the one
+interned object for its key (`flag_comb`'s "Memos"), so in that run x_stat
+is counted 261 times, once per symbol.
 
 Output.  `kl_coefficients` reads the stalk dimensions off one coefficient
 of an expansion, given the dimension statistic of its labels; the

@@ -221,7 +221,7 @@ def local_word(b: FlagSymbol, i: int) -> tuple:
 def local_symbol(word: tuple) -> FlagSymbol:
     """The canonical symbol of a nonempty local word: n = 2, values
     1 + word at positions 1..len(word), read at i = 1."""
-    return FlagSymbol(2, len(word), tuple(1 + a for a in word))
+    return FlagSymbol.make(2, len(word), [1 + a for a in word])
 
 
 def write_local_word(b: FlagSymbol, i: int, positions, word: tuple) -> FlagSymbol:

@@ -4,6 +4,20 @@ A flag symbol p is a function Z -> Z with p(j + D) = p(j) + n, stored by its
 window (p(1), ..., p(D)).  A periodic matrix s is an N-valued Z x Z matrix
 with s_{i+n, j+n} = s_{ij} and total mass D over any fundamental strip; it is
 stored on the strip with row index in [1, n].
+
+Memos.  Labels are interned: `FlagSymbol.make` and `PeriodicMatrix.make`
+return one shared object per key, (n, D, window) for symbols and (n, D,
+sorted normalized cells) for matrices, from the tables `_SYMBOLS` and
+`_MATRICES`, which live as long as the process.  Each object computes its
+hash, dominant representative, minimal coset rep and statistic (x_stat or
+y_stat) once, on first use, in fields that take no part in equality, so an
+equal label built directly with the constructor still compares and hashes
+the same.  Sharing is safe because a label is frozen and each cached value
+is a pure function of its key (an immutable symbol, permutation or int); a
+key enters a table only after the constructor validated it, and a table is
+filled by `setdefault`, so two threads that build one label get one object.
+In `run-suite canonical --n 2 --D 3 --window 5 --band 2` the tables hold 261
+symbols and 220 matrices, and x_stat is counted once per symbol.
 """
 
 from __future__ import annotations
@@ -15,22 +29,52 @@ from itertools import product
 from . import affine_weyl
 from .affine_weyl import AffinePermutation
 
+# the intern tables of `FlagSymbol.make` and `PeriodicMatrix.make`: normalized
+# key -> the one shared label (see "Memos" above)
+_SYMBOLS: dict = {}
+_MATRICES: dict = {}
+
 
 @dataclass(frozen=True, slots=True)
 class FlagSymbol:
     n: int
     D: int
     values: tuple
-    # x_stat(self), computed on first use: the canonical solver, the coset
-    # collapse and the stalk readout ask for it again and again
+    # derived data, computed on first use (see "Memos" above): the canonical
+    # solver, the coset collapse and the stalk readout ask for it again and
+    # again
+    _hash: int | None = field(default=None, init=False, compare=False,
+                              repr=False)
     _x_stat: int | None = field(default=None, init=False, compare=False,
                                 repr=False)
+    _dominant: "FlagSymbol | None" = field(default=None, init=False,
+                                           compare=False, repr=False)
+    _min_rep: AffinePermutation | None = field(default=None, init=False,
+                                               compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.values) != self.D:
             raise ValueError("window length must equal D")
         if self.n < 1 or self.D < 1:
             raise ValueError("n and D must be positive")
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.n, self.D, self.values))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    @staticmethod
+    def make(n: int, D: int, values) -> "FlagSymbol":
+        """The shared symbol with this window, built and validated on the
+        first call for its key."""
+        values = tuple(values)
+        key = (n, D, values)
+        p = _SYMBOLS.get(key)
+        if p is None:
+            p = _SYMBOLS.setdefault(key, FlagSymbol(n, D, values))
+        return p
 
     def __call__(self, j: int) -> int:
         q, r = divmod(j - 1, self.D)
@@ -59,16 +103,21 @@ class FlagSymbol:
                 and all(a <= b for a, b in zip(vals, vals[1:])))
 
     def dominant_rep(self) -> "FlagSymbol":
-        """The unique dominant symbol in the orbit (sorted residue values)."""
-        vals = sorted(((v - 1) % self.n) + 1 for v in self.values)
-        return FlagSymbol(self.n, self.D, tuple(vals))
+        """The unique dominant symbol in the orbit (sorted residue values),
+        cached on self."""
+        lam = self._dominant
+        if lam is None:
+            vals = sorted(((v - 1) % self.n) + 1 for v in self.values)
+            lam = FlagSymbol.make(self.n, self.D, vals)
+            object.__setattr__(self, "_dominant", lam)
+        return lam
 
     def act(self, w: AffinePermutation) -> "FlagSymbol":
         """Right action (p)w with (p)w (k) = p(w(k))."""
         if w.rank != self.D:
             raise ValueError("rank mismatch")
-        return FlagSymbol(self.n, self.D,
-                          tuple(self(w(k)) for k in range(1, self.D + 1)))
+        return FlagSymbol.make(self.n, self.D,
+                               [self(w(k)) for k in range(1, self.D + 1)])
 
     def with_value(self, position: int, value: int) -> "FlagSymbol":
         """Replace the value at the given position (periodic: changes the
@@ -76,12 +125,17 @@ class FlagSymbol:
         q, r = divmod(position - 1, self.D)
         vals = list(self.values)
         vals[r] = value - q * self.n
-        return FlagSymbol(self.n, self.D, tuple(vals))
+        return FlagSymbol.make(self.n, self.D, vals)
 
     def min_coset_rep(self) -> AffinePermutation:
-        """Minimal w with (lambda)w = p, lambda the dominant representative."""
-        lam = self.dominant_rep()
-        return affine_weyl.min_coset_rep(self.n, lam.values, self.values)
+        """Minimal w with (lambda)w = p, lambda the dominant representative,
+        cached on self."""
+        w = self._min_rep
+        if w is None:
+            w = affine_weyl.min_coset_rep(self.n, self.dominant_rep().values,
+                                          self.values)
+            object.__setattr__(self, "_min_rep", w)
+        return w
 
     def __repr__(self):
         return f"FlagSymbol(n={self.n}, D={self.D}, {list(self.values)})"
@@ -95,8 +149,8 @@ class FlagSymbol:
         if len(parts) != 3 or not parts[0].startswith("n=") or not parts[1].startswith("D="):
             raise ValueError(f"bad flag symbol text {text!r}")
         body = parts[2]
-        return FlagSymbol(int(parts[0][2:]), int(parts[1][2:]),
-                          tuple(int(x) for x in body.strip("[]").split(",")))
+        return FlagSymbol.make(int(parts[0][2:]), int(parts[1][2:]),
+                               [int(x) for x in body.strip("[]").split(",")])
 
 
 def dominant_from_weight(n: int, D: int, weight) -> FlagSymbol:
@@ -106,7 +160,7 @@ def dominant_from_weight(n: int, D: int, weight) -> FlagSymbol:
     vals = []
     for i, m in enumerate(weight, start=1):
         vals.extend([i] * m)
-    return FlagSymbol(n, D, tuple(vals))
+    return FlagSymbol.make(n, D, vals)
 
 
 def weights(n: int, D: int):
@@ -170,6 +224,8 @@ class PeriodicMatrix:
     # rehash the entries tuple on every lookup
     _hash: int | None = field(default=None, init=False, compare=False,
                               repr=False)
+    _y_stat: int | None = field(default=None, init=False, compare=False,
+                                repr=False)
 
     def __hash__(self):
         h = self._hash
@@ -180,7 +236,9 @@ class PeriodicMatrix:
 
     @staticmethod
     def make(n: int, D: int, entries) -> "PeriodicMatrix":
-        """Build from any {(i, j): value} mapping; rows are normalized to [1, n]."""
+        """The shared matrix of any {(i, j): value} mapping or iterable of
+        ((i, j), value) cells; rows are normalized to [1, n].  The mass is
+        checked on the first call for the normalized key."""
         norm = {}
         items = entries.items() if isinstance(entries, dict) else entries
         for (i, j), val in items:
@@ -191,9 +249,13 @@ class PeriodicMatrix:
             m = -((i - 1) // n)
             key = (i + m * n, j + m * n)
             norm[key] = norm.get(key, 0) + val
-        mat = PeriodicMatrix(n, D, tuple(sorted(norm.items())))
-        if mat.total() != D:
-            raise ValueError(f"total mass {mat.total()} != D={D}")
+        key = (n, D, tuple(sorted(norm.items())))
+        mat = _MATRICES.get(key)
+        if mat is None:
+            mat = PeriodicMatrix(*key)
+            if mat.total() != D:
+                raise ValueError(f"total mass {mat.total()} != D={D}")
+            mat = _MATRICES.setdefault(key, mat)
         return mat
 
     def lookup(self, i: int, j: int) -> int:
@@ -232,7 +294,17 @@ class PeriodicMatrix:
 
 
 def y_stat(s: PeriodicMatrix) -> int:
-    """Sum of s_ij s_kl over {(i, j, k, l) | i >= k, j < l, i in [1, n]}."""
+    """Sum of s_ij s_kl over {(i, j, k, l) | i >= k, j < l, i in [1, n]},
+    cached on s."""
+    y = s._y_stat
+    if y is None:
+        y = _count_y_stat(s)
+        object.__setattr__(s, "_y_stat", y)
+    return y
+
+
+def _count_y_stat(s: PeriodicMatrix) -> int:
+    """y_stat(s), counted afresh."""
     n = s.n
     total = 0
     for (i, j), a in s.entries:  # i in [1, n]
@@ -337,7 +409,7 @@ def symbol_of_matrix(s: PeriodicMatrix, mu: FlagSymbol) -> FlagSymbol:
             raise AssertionError("column mass does not fill the block")
         for k, val in zip(block, rows):
             window[k - 1] = val
-    return FlagSymbol(n, D, tuple(window))
+    return FlagSymbol.make(n, D, window)
 
 
 def _block_symbol(s: PeriodicMatrix, lam: FlagSymbol, mu: FlagSymbol) -> FlagSymbol:
@@ -394,4 +466,4 @@ def left_cosets(s: PeriodicMatrix, lam: FlagSymbol, mu: FlagSymbol) -> tuple:
 def enumerate_flag_symbols(n: int, D: int, lo: int, hi: int) -> list:
     """All flag symbols with window values in [lo, hi], in lexicographic
     order of the window."""
-    return [FlagSymbol(n, D, w) for w in product(range(lo, hi + 1), repeat=D)]
+    return [FlagSymbol.make(n, D, w) for w in product(range(lo, hi + 1), repeat=D)]

@@ -89,7 +89,7 @@ class ModuleVector(SparseVector):
     def from_json(obj: dict) -> "ModuleVector":
         n, D = obj["n"], obj["D"]
         return ModuleVector(n, D, add_scaled({}, (
-            (FlagSymbol(n, D, tuple(t["p"])), LaurentScalar.from_json(t["coeff"]))
+            (FlagSymbol.make(n, D, t["p"]), LaurentScalar.from_json(t["coeff"]))
             for t in obj["terms"])))
 
 

@@ -45,6 +45,7 @@ dual-route case remains an independent check.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product as iter_product
@@ -354,12 +355,20 @@ class MonomialSpan:
     and `_insert` scales (the image's transfer minus the added lows) by the
     pivot's inverse, as it scales vec, so every row keeps this invariant
     and `solve` returns the transfer of x.
+
+    `_reduce` performs the subtractions of a scan over every row in
+    insertion order, visiting only the rows whose pivot is in vec.  Row k
+    holds no pivot of an earlier row (it was reduced by all of them), so
+    subtracting row k brings into vec only pivots of later rows; a heap of
+    row indices, seeded from vec's support and fed by each subtracted row's
+    pivots, yields the rows to check in increasing order.
     """
     n: int
     D: int
     monomials: list = field(default_factory=list)
     images: list = field(default_factory=list)
     _rows: list = field(default_factory=list)   # (pivot, vec, low)
+    _pivot_row: dict = field(default_factory=dict)  # pivot -> row index
     _frontier: dict = field(default_factory=dict)  # anchor -> last words
     _grown: dict = field(default_factory=dict)  # anchor -> word length
 
@@ -372,12 +381,24 @@ class MonomialSpan:
 
     def _reduce(self, vec: dict):
         low = {}
-        for pivot, rvec, rlow in self._rows:
+        rows, pivot_row = self._rows, self._pivot_row
+        heap = [k for k in map(pivot_row.get, vec) if k is not None]
+        heapq.heapify(heap)
+        last = -1
+        while heap:
+            k = heapq.heappop(heap)
+            if k <= last:
+                continue
+            last = k
+            pivot, rvec, rlow = rows[k]
             c = vec.get(pivot)
             if c is None:
                 continue
             add_scaled(vec, rvec, -c)
             add_scaled(low, rlow, c)
+            for j in map(pivot_row.get, rvec):
+                if j is not None and j > k:
+                    heapq.heappush(heap, j)
         return vec, low
 
     def _insert(self, mono: UdotMonomial, image: SchurElement,
@@ -394,6 +415,7 @@ class MonomialSpan:
         pivot = min(vec, key=lambda s: s.entries)
         inv = RationalScalar.one() / vec[pivot]
         low = add_scaled(self._vec_of(low_image), low, -RationalScalar.one())
+        self._pivot_row[pivot] = len(self._rows)
         self._rows.append((pivot, {s: inv * c for s, c in vec.items()},
                            {s: inv * c for s, c in low.items()}))
         return True

@@ -384,6 +384,21 @@ def phi_of_reduction(m: UdotMonomial, D: int) -> SchurElement:
 # The span that solves for word coefficients
 
 
+def reduce_by_full_scan(rows, vec: dict):
+    """transfer.MonomialSpan._reduce as it was before its pivot index: scan
+    every row (pivot, rvec, rlow) in order and subtract it when vec holds
+    its pivot, adding the same multiple of rlow to low.  Returns (vec, low);
+    vec is reduced in place."""
+    low = {}
+    for pivot, rvec, rlow in rows:
+        c = vec.get(pivot)
+        if c is None:
+            continue
+        add_scaled(vec, rvec, -c)
+        add_scaled(low, rlow, c)
+    return vec, low
+
+
 @dataclass
 class CombinationSpan:
     """transfer.MonomialSpan as it was before its rows carried their
@@ -402,14 +417,7 @@ class CombinationSpan:
         return {s: RationalScalar.from_laurent(c) for s, c in x.terms.items()}
 
     def _reduce(self, vec: dict):
-        combo = {}
-        for pivot, rvec, rcombo in self._rows:
-            c = vec.get(pivot)
-            if c is None:
-                continue
-            add_scaled(vec, rvec, -c)
-            add_scaled(combo, rcombo, c)
-        return vec, combo
+        return reduce_by_full_scan(self._rows, vec)
 
     def _insert(self, mono: UdotMonomial, image: SchurElement) -> bool:
         """Add image as a row unless it reduces to 0; True if it did."""

@@ -96,9 +96,11 @@ def matrix_listings(draw):
 def test_matrix_hash_agrees_with_equality(listings):
     n, D, cells, moved = listings
     a = PeriodicMatrix.make(n, D, cells)
-    hash(a)  # a caches its hash; b is still fresh
+    hash(a)  # a caches its hash; the directly built c is still fresh
     b = PeriodicMatrix.make(n, D, moved)
-    assert a == b and hash(a) == hash(b)
+    c = PeriodicMatrix(n, D, a.entries)
+    assert c is not a and c._hash is None
+    assert a == b == c and hash(a) == hash(b) == hash(c)
     assert hash(a) == hash((n, D, a.entries))  # the dataclass hash
     assert repr(a) == repr(b) and a.to_json() == b.to_json()
     assert "_hash" not in repr(a) and "_hash" not in str(a.to_json())
@@ -118,6 +120,38 @@ def test_symbol_x_stat_cache_agrees_with_a_fresh_count(p):
     assert "_x_stat" not in repr(p)
     other = FlagSymbol(p.n, p.D + 1, p.values + (1,))
     assert other != p and {p: 0, fresh: 1, other: 2} == {p: 1, other: 2}
+
+
+@given(symbols, matrix_listings())
+def test_make_interns_labels_and_caches_their_statistics(p, listings):
+    n, D, cells, moved = listings
+    made = FlagSymbol.make(p.n, p.D, list(p.values))
+    assert made == p and made is FlagSymbol.make(p.n, p.D, p.values)
+    assert made is FlagSymbol.from_text(p.to_text())
+    twin = FlagSymbol(p.n, p.D, p.values)
+    lam = made.dominant_rep()
+    assert lam is made.dominant_rep() and lam is lam.dominant_rep()
+    assert lam == twin.dominant_rep() and lam.is_dominant()
+    assert made.min_coset_rep() is made.min_coset_rep()
+    assert made.min_coset_rep() == aw.min_coset_rep(p.n, lam.values, p.values)
+    assert fc.x_stat(made) == fc._count_x_stat(twin)
+    s = PeriodicMatrix.make(n, D, cells)
+    assert s is PeriodicMatrix.make(n, D, moved)
+    assert s is PeriodicMatrix.make(n, D, dict(reversed(moved)))
+    assert fc.y_stat(s) == fc._count_y_stat(PeriodicMatrix(n, D, s.entries))
+    assert s._y_stat == fc.y_stat(s)
+
+
+@given(symbols, matrix_listings())
+def test_make_rejects_invalid_labels_every_time(p, listings):
+    n, D, cells, _ = listings
+    tables = (dict(fc._SYMBOLS), dict(fc._MATRICES))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="window length"):
+            FlagSymbol.make(p.n, p.D, p.values + (1,))
+        with pytest.raises(ValueError, match="total mass"):
+            PeriodicMatrix.make(n, D + 1, cells)
+    assert (fc._SYMBOLS, fc._MATRICES) == tables
 
 
 def test_enumerate_window():

@@ -3,7 +3,7 @@
 from dataclasses import dataclass, field
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from affine_schur import canonical, flag_comb as fc, schur, transfer
 from affine_schur.flag_comb import PeriodicMatrix
@@ -12,8 +12,8 @@ from affine_schur.schur import SchurElement, UdotMonomial
 from affine_schur.vector import add_scaled
 
 from oracles import (CombinationSpan, combination_transfer_map, epsilon_sign,
-                     omega_route, phi_of_reduction, reduce_monomial,
-                     resolve_weights)
+                     omega_route, phi_of_reduction, reduce_by_full_scan,
+                     reduce_monomial, resolve_weights)
 
 
 def test_frozen_conventions():
@@ -464,6 +464,45 @@ def test_span_row_bound(monkeypatch):
     assert len(span.monomials) == 16
     with pytest.raises(RuntimeError, match="16 rows"):
         span.grow(anchors, 2)
+
+
+# a few labels in pivot order, so that drawn rows overlap and cancel often
+_PIVOT_LABELS = sorted(transfer.band_matrices(2, 2, 1), key=lambda s: s.entries)[:5]
+_small_coeffs = st.builds(lambda c, e: LaurentScalar({e: c}),
+                          st.sampled_from((-2, -1, 1, 2)), st.integers(-1, 1))
+
+
+def _label_vector(*cells) -> SchurElement:
+    return SchurElement(2, 2, add_scaled(
+        {}, ((_PIVOT_LABELS[k], LaurentScalar.const(c)) for k, c in cells)))
+
+
+@st.composite
+def label_vectors(draw) -> SchurElement:
+    return SchurElement(2, 2, add_scaled({}, [
+        (draw(st.sampled_from(_PIVOT_LABELS)), draw(_small_coeffs))
+        for _ in range(draw(st.integers(0, 5)))]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(label_vectors(), label_vectors()), min_size=1,
+                max_size=8))
+# rows with pivots 0, 1, 2; the last vector holds row 2's pivot, which row 0
+# cancels and row 1 brings back, so only a visit of row 2 after row 1
+# reduces it to 0
+@example([(_label_vector((0, 1), (2, 1)), _label_vector((3, 1))),
+          (_label_vector((1, 1), (2, 1)), _label_vector((4, 1))),
+          (_label_vector((2, 1)), _label_vector((3, 1), (4, 1))),
+          (_label_vector((0, 1), (1, -1), (2, 1)), _label_vector())])
+def test_pivot_indexed_reduce_matches_full_scan(insertions):
+    """Before each insertion, MonomialSpan._reduce gives the (vec, low) of
+    the full scan over the rows, with the same dict order."""
+    span = transfer.MonomialSpan(2, 2)
+    for image, low_image in insertions:
+        got = span._reduce(span._vec_of(image))
+        want = reduce_by_full_scan(span._rows, span._vec_of(image))
+        assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
+        span._insert(None, image, low_image)
 
 
 def test_leading_term_verdicts_with_outside_matrices():
