@@ -97,11 +97,16 @@ are cached on each label, and every label the suite builds is the one
 interned object for its key (`flag_comb`'s "Memos"), so in that run x_stat
 is counted 261 times, once per symbol.
 
-Output.  `kl_coefficients` reads the stalk dimensions off one coefficient
-of an expansion, given the dimension statistic of its labels; the
-canonical suite checks that each is nonnegative (`cli._expansion_checks`).
-`compute` writes an expansion as JSON (`expansion_to_json`), optionally
-kept per block in a `CanonicalCache`.
+Output.  A canonical element is the basis vector it is: `canonical_tmodule`
+returns b_p as a `tmodule.ModuleVector` and `canonical_schur` returns b_s
+as a `schur.SchurElement`, each a flat {label: scalar} dict in no order.
+`kl_coefficients` reads the stalk dimensions off one coefficient of b_x,
+given x and the dimension statistic of its labels; the canonical suite
+checks that each is nonnegative (`cli._expansion_checks`).  Order is fixed
+only where it is visible: `compute` writes b_x as JSON with its terms
+sorted by label (`expansion_to_json`), optionally kept per block in a
+`CanonicalCache`, and a failing check names the first bad label in that
+order.
 """
 
 from __future__ import annotations
@@ -112,7 +117,7 @@ import tempfile
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from . import flag_comb, hecke, tmodule
+from . import flag_comb, hecke, schur, tmodule
 from .flag_comb import FlagSymbol, PeriodicMatrix, x_stat, y_stat
 from .laurent import LaurentScalar, ONE
 from .vector import add_scaled
@@ -127,7 +132,7 @@ class BarSystem:
     every other label of the support has a grade below grade(label).
     `tau_expand` checks both on every call, so the bar-support order is
     acyclic on every label the solver reaches.  sort_key breaks ties of the
-    grade and orders the terms of an expansion.
+    grade when the solver picks its next label.
     """
     tau_fn: object
     grade: object
@@ -147,23 +152,9 @@ class BarSystem:
         return out
 
 
-@dataclass(frozen=True)
-class CanonicalExpansion:
-    leading: object
-    terms: tuple  # ((label, scalar), ...) sorted by sort key
-
-    def coeff(self, label) -> LaurentScalar:
-        for x, c in self.terms:
-            if x == label:
-                return c
-        return LaurentScalar.zero()
-
-    def as_dict(self) -> dict:
-        return dict(self.terms)
-
-
-def solve_canonical(system: BarSystem, label) -> CanonicalExpansion:
-    """The unique tau-fixed b = [label] + sum of vZ[v]-corrections."""
+def solve_canonical(system: BarSystem, label) -> dict:
+    """The unique tau-fixed b = [label] + sum of vZ[v]-corrections, as a
+    fresh {label: scalar} dict."""
     canon = system._canon
     # frames (x, b, d) with d = tau(b) - b; a frame waits while the b_y
     # its next step needs is solved on top of it
@@ -190,9 +181,7 @@ def solve_canonical(system: BarSystem, label) -> CanonicalExpansion:
         if y in d:
             raise ArithmeticError(f"correction at {y} did not clear the discrepancy")
 
-    b = canon[label]
-    return CanonicalExpansion(label, tuple(sorted(b.items(),
-                                                  key=lambda t: system.sort_key(t[0]))))
+    return dict(canon[label])
 
 
 def _frame(system: BarSystem, x) -> tuple:
@@ -218,15 +207,11 @@ def tmodule_system() -> BarSystem:
                      sort_key=lambda p: p.values)
 
 
-def canonical_tmodule(p: FlagSymbol, system: BarSystem = None) -> CanonicalExpansion:
+def canonical_tmodule(p: FlagSymbol, system: BarSystem = None) -> tmodule.ModuleVector:
+    """b_p, solved in system (a fresh `tmodule_system` by default)."""
     if system is None:
         system = tmodule_system()
-    return solve_canonical(system, p)
-
-
-def canonical_tmodule_vector(p: FlagSymbol, system: BarSystem = None) -> tmodule.ModuleVector:
-    exp = canonical_tmodule(p, system)
-    return tmodule.ModuleVector(p.n, p.D, dict(exp.terms))
+    return tmodule.ModuleVector(p.n, p.D, solve_canonical(system, p))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +268,7 @@ def schur_system(n: int, D: int) -> BarSystem:
                      sort_key=lambda s: s.entries)
 
 
-def canonical_schur(s: PeriodicMatrix, system: BarSystem = None) -> CanonicalExpansion:
+def canonical_schur(s: PeriodicMatrix, system: BarSystem = None) -> "schur.SchurElement":
     """b_s = from_column(mu, b_top), top the left coset of largest x_stat in
     the double coset of s and system a module system (`tmodule_system`).
 
@@ -296,38 +281,44 @@ def canonical_schur(s: PeriodicMatrix, system: BarSystem = None) -> CanonicalExp
     gap = x_stat(mu) + y_stat(s) - x_stat(top)
     if gap:
         raise ArithmeticError(f"[{top}] has coefficient v^{gap} in [{s}]*[{mu}]")
-    terms = from_column(mu, dict(canonical_tmodule(top, system).terms))
-    return CanonicalExpansion(s, tuple(sorted(terms.items(),
-                                              key=lambda t: t[0].entries)))
+    return schur.SchurElement(s.n, s.D,
+                              from_column(mu, canonical_tmodule(top, system).terms))
 
 
 # ---------------------------------------------------------------------------
 # KL-type coefficient extraction
 
 
-def kl_coefficients(expansion: CanonicalExpansion, q_label, stat) -> list:
-    """Decompose the coefficient of q_label as sum_i dim_i v^{-i + s_p - s_q}.
+def kl_coefficients(leading, vec, q_label, stat) -> list:
+    """Decompose the coefficient of q_label in vec, the canonical element of
+    leading, as sum_i dim_i v^{-i + s_p - s_q}.
 
     stat maps a label to its dimension statistic (x_stat for symbols,
     y_stat for matrices); returns the nonzero (i, dim_i) pairs.
     """
-    d = stat(expansion.leading) - stat(q_label)
-    c = expansion.coeff(q_label)
-    return [(d - e, a) for e, a in sorted(c.items())]
+    d = stat(leading) - stat(q_label)
+    return [(d - e, a) for e, a in sorted(vec.coeff(q_label).items())]
 
 
 # ---------------------------------------------------------------------------
 # Export and cache
 
 
-def expansion_to_json(exp: CanonicalExpansion) -> dict:
-    if isinstance(exp.leading, FlagSymbol):
-        enc = lambda p: list(p.values)
-    else:
-        enc = lambda s: [[i, j, v] for (i, j), v in s.entries]
-    return {"leading": enc(exp.leading),
-            "terms": [{"label": enc(x), "coeff": c.to_json()}
-                      for x, c in exp.terms]}
+def label_to_json(x) -> list:
+    """A flag symbol as its window, a matrix as its [i, j, value] cells.
+    Sorting labels of one kind by this list sorts symbols by window and
+    matrices by entries."""
+    if isinstance(x, FlagSymbol):
+        return list(x.values)
+    return [[i, j, v] for (i, j), v in x.entries]
+
+
+def expansion_to_json(leading, vec) -> dict:
+    """The canonical element vec of leading, its terms sorted by label."""
+    terms = sorted(((label_to_json(x), c) for x, c in vec.terms.items()),
+                   key=lambda t: t[0])
+    return {"leading": label_to_json(leading),
+            "terms": [{"label": x, "coeff": c.to_json()} for x, c in terms]}
 
 
 class CanonicalCache:

@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import os
-import random
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from . import affine_weyl
 from .flag_comb import FlagSymbol, PeriodicMatrix, x_stat, y_stat
 from .hecke import HeckeElement
 from .laurent import LaurentScalar, ONE, quantum_integer
-from .schur import SchurElement, UdotMonomial
+from .schur import UdotMonomial
 from .tmodule import ModuleVector
 
 CACHE_ENV = "AFFINE_SCHUR_CACHE"
@@ -44,7 +43,6 @@ class RunConfig:
     word_len: int = 4        # monomial / Hecke word length bound
     suite: str = "relations"
     fmt: str = "json"
-    seed: int = 0
 
     def validate(self):
         if min(self.n, self.D, self.window) < 1:
@@ -237,12 +235,13 @@ def _ystat_cases(cfg: RunConfig):
         if y_stat(flag_comb.delta_matrix(lam)) != 0:
             bad.append((lam, "diag"))
         for i in range(n):
-            e_mat, f_mat = flag_comb.generator_matrices(lam, i)
             up, down = flag_comb.residue_classes(n, i)
-            if e_mat is not None and y_stat(e_mat) != wt[up] - 1:
-                bad.append((lam, i, "e"))
-            if f_mat is not None and y_stat(f_mat) != wt[down]:
-                bad.append((lam, i, "f"))
+            for k in range(1, wt[up] + 1):
+                e_mat, f_mat = flag_comb.generator_matrices(lam, i, k)
+                if y_stat(e_mat) != k * (wt[up] - k):
+                    bad.append((lam, i, k, "e"))
+                if y_stat(f_mat) != k * wt[down]:
+                    bad.append((lam, i, k, "f"))
     yield _case(f"stats/y-generators/n{n}D{D}", not bad, f"violations: {bad}")
 
 
@@ -290,16 +289,20 @@ def suite_crystal(cfg: RunConfig) -> list:
 # canonical suite: both triangular bases and their compatibility
 
 
-def _expansion_checks(exp, stat) -> str:
-    if exp.coeff(exp.leading) != ONE:
+def _expansion_checks(leading, vec, stat) -> str:
+    """The first failure of the canonical element vec of leading, or "":
+    coefficient 1 at leading, every other coefficient in vZ[v], and
+    nonnegative stalk dimensions.  The first failing label in
+    `canonical.label_to_json` order is the one reported."""
+    if vec.coeff(leading) != ONE:
         return "leading coefficient is not 1"
-    for q, c in exp.terms:
-        if q != exp.leading and not c.in_v_times_z_of_v():
-            return f"off-diagonal coefficient {c} outside vZ[v]"
-        for _, dim in canonical.kl_coefficients(exp, q, stat):
-            if dim < 0:
-                return f"negative stalk dimension at {q}"
-    return ""
+    errs = {}
+    for q, c in vec.terms.items():
+        if q != leading and not c.in_v_times_z_of_v():
+            errs[q] = f"off-diagonal coefficient {c} outside vZ[v]"
+        elif any(dim < 0 for _, dim in canonical.kl_coefficients(leading, vec, q, stat)):
+            errs[q] = f"negative stalk dimension at {q}"
+    return errs[min(errs, key=canonical.label_to_json)] if errs else ""
 
 
 def suite_canonical(cfg: RunConfig) -> list:
@@ -308,35 +311,30 @@ def suite_canonical(cfg: RunConfig) -> list:
 
     tsys = canonical.tmodule_system()
     for p in flag_comb.enumerate_flag_symbols(n, D, 1, cfg.window):
-        exp = canonical.canonical_tmodule(p, tsys)
-        err = _expansion_checks(exp, tsys.grade)
-        vec = ModuleVector(n, D, exp.as_dict())
-        if not err and tmodule.tau(vec) != vec:
+        b = canonical.canonical_tmodule(p, tsys)
+        err = _expansion_checks(p, b, tsys.grade)
+        if not err and tmodule.tau(b) != b:
             err = "not tau-fixed"
         cases.append(_case(f"canonical/module/{p.values}", not err, err))
 
     # tau-fixed, 1 at s and vZ[v] elsewhere: by the uniqueness lemma this
     # alone certifies that the b_s read off the module basis is canonical
     mats = transfer.band_matrices(n, D, cfg.band)
-    sexp = {}
+    bases = {}
     for s in mats:
-        exp = canonical.canonical_schur(s, tsys)
-        sexp[s] = exp
-        err = _expansion_checks(exp, y_stat)
-        if not err:
-            el = SchurElement(n, D, exp.as_dict())
-            if schur.tau_schur(el) != el:
-                err = "not tau-fixed"
+        b = bases[s] = canonical.canonical_schur(s, tsys)
+        err = _expansion_checks(s, b, y_stat)
+        if not err and schur.tau_schur(b) != b:
+            err = "not tau-fixed"
         cases.append(_case(f"canonical/algebra/{dict(s.entries)}", not err, err))
 
     # b_s([lambda]) is 0 or a canonical module basis vector (blockwise
     # v^{x_lambda} compatibility of the two bases); b_s was read off the
     # module basis by the column map, so this checks the Hecke route
     # `act_on_module` against it
-    for s, exp in sexp.items():
+    for s, b in bases.items():
         lam = flag_comb.dominant_from_weight(n, D, s.col_weight())
-        el = SchurElement(n, D, exp.as_dict())
-        img = schur.act_on_module(el, ModuleVector.basis(lam))
+        img = schur.act_on_module(b, ModuleVector.basis(lam))
         if img.is_zero():
             ok, note = True, "0"
         else:
@@ -345,7 +343,7 @@ def suite_canonical(cfg: RunConfig) -> list:
                 ok, note = False, "image not congruent to a basis class mod v"
             else:
                 p, = consts
-                ok = img == canonical.canonical_tmodule_vector(p, tsys)
+                ok = img == canonical.canonical_tmodule(p, tsys)
                 note = f"b_{list(p.values)}" if ok else "image is not canonical"
         cases.append(_case(f"canonical/compat/{dict(s.entries)}", ok, note))
     return cases
@@ -379,33 +377,23 @@ def suite_schur(cfg: RunConfig) -> list:
         cases.append(_case(f"phi/{rel}", not violations,
                            f"violations: {violations}{note}"))
 
-    # tau equivariance on generators and random monomials
-    bad = []
-    for mu in weights:
-        for letters in [(("a", mu),)] + [((g, i, 1), ("a", mu))
-                                         for g in "ef" for i in range(n)]:
-            x = img(letters)
-            if schur.tau_schur(x) != x:
-                bad.append(letters)
-    rng = random.Random(cfg.seed)
-    checked = 0
-    while checked < 200:
-        mu = rng.choice(weights)
-        length = rng.randint(0, cfg.word_len)
-        letters = tuple((rng.choice("ef"), rng.randrange(n), 1)
-                        for _ in range(length)) + (("a", mu),)
-        x = img(letters)
-        checked += 1
-        if schur.tau_schur(x) != x:
-            bad.append(letters)
+    # tau equivariance on every word a_mu g_1 ... g_k, k <= max(1, word_len):
+    # a word with its weight letter last has the image of one with its
+    # weight letter first, so this covers the generators from both sides
+    max_len = max(1, cfg.word_len)
+    images = {m: schur.phi_monomial(m, D)
+              for m in transfer.enumerate_monomials(n, D, max_len)}
+    bad = [m.letters for m, x in images.items() if schur.tau_schur(x) != x]
     cases.append(_case("phi/tau-equivariance", not bad,
-                       f"generators + {checked} random monomials; violations: {bad}"))
+                       f"{len(images)} monomials, length <= {max_len}; "
+                       f"violations: {bad}"))
 
     # action through phi equals the direct module formulas
     bad = 0
     total = 0
-    for m in transfer.enumerate_monomials(n, D, cfg.word_len):
-        x = schur.phi_monomial(m, D)
+    for m, x in images.items():
+        if len(m.letters) > cfg.word_len + 1:
+            continue
         for lam in flag_comb.all_dominant(n, D):
             direct = tmodule.apply_word(m.letters, ModuleVector.basis(lam))
             via = (ModuleVector.zero(n, D) if x.is_zero()
@@ -546,12 +534,14 @@ def _cache(args) -> "canonical.CanonicalCache | None":
 
 
 def _cached_expansion(cache, n, D, lam_wt, mu_wt, key, solve):
+    """The JSON of a canonical element, from the cache when it is stored
+    there; solve() computes it otherwise."""
     if cache is None:
-        return canonical.expansion_to_json(solve())
+        return solve()
     stored = cache.load(n, D, lam_wt, mu_wt).get(key)
     if stored is not None:
         return stored
-    payload = canonical.expansion_to_json(solve())
+    payload = solve()
     cache.store(n, D, lam_wt, mu_wt, key, payload)
     return payload
 
@@ -568,7 +558,7 @@ def compute(args) -> int:
         p = _parse_symbol(args.p)
         payload = _cached_expansion(
             _cache(args), p.n, p.D, p.weight(), None, p.to_text(),
-            lambda: canonical.canonical_tmodule(p))
+            lambda: canonical.expansion_to_json(p, canonical.canonical_tmodule(p)))
         print(json.dumps(payload, sort_keys=True, indent=1), file=out)
     elif args.entity == "canonical-s":
         s = _parse_matrix(args.s)
@@ -576,7 +566,7 @@ def compute(args) -> int:
         key = json.dumps(s.to_json()["entries"])
         payload = _cached_expansion(
             _cache(args), s.n, s.D, lam.weight(), mu.weight(), key,
-            lambda: canonical.canonical_schur(s))
+            lambda: canonical.expansion_to_json(s, canonical.canonical_schur(s)))
         print(json.dumps(payload, sort_keys=True, indent=1), file=out)
     elif args.entity == "crystal-graph":
         graph = crystal.crystal_graph(args.n, args.D, 1, args.window)
@@ -622,7 +612,6 @@ def _build_parser() -> argparse.ArgumentParser:
     rs.add_argument("--band", type=int, default=2)
     rs.add_argument("--word-len", type=int, default=4)
     rs.add_argument("--format", choices=FORMATS, default="json")
-    rs.add_argument("--seed", type=int, default=0)
     rs.add_argument("--out", default="", help="report path (default stdout)")
 
     cp = sub.add_parser("compute", help="compute a single quantity")
@@ -644,8 +633,7 @@ def main(argv=None) -> int:
         return compute(args)
 
     cfg = RunConfig(n=args.n, D=args.D, window=args.window, band=args.band,
-                    word_len=args.word_len, suite=args.suite, fmt=args.format,
-                    seed=args.seed)
+                    word_len=args.word_len, suite=args.suite, fmt=args.format)
     try:
         cfg.validate()
     except ValueError as e:

@@ -336,11 +336,14 @@ def delta_matrix(lam: FlagSymbol) -> PeriodicMatrix:
                                {(i, i): m for i, m in enumerate(wt, start=1) if m})
 
 
-def generator_matrices(lam: FlagSymbol, i: int):
-    """The pair (e-matrix, f-matrix) attached to a dominant symbol and a
-    residue i in [0, n-1]:  delta(lam) - E_{ii} + E_{i,i+1} and its transpose.
+def generator_matrices(lam: FlagSymbol, i: int, k: int):
+    """The pair (e-matrix, f-matrix) of the divided powers e_i^(k) and
+    f_i^(k) at a dominant symbol and a residue i in [0, n-1]:
+    delta(lam) - k E_rr + k E_{r,r+1} and its transpose, r the row of the
+    class that e_i raises.  Each divided power is the characteristic
+    function of one orbit, so its image is this one basis element.
 
-    Returns (None, None) when the subtraction would go negative.
+    Returns (None, None) when lam_r < k.
     """
     n, D = lam.n, lam.D
     if not 0 <= i < n:
@@ -349,11 +352,11 @@ def generator_matrices(lam: FlagSymbol, i: int):
         raise ValueError("expected a dominant symbol")
     row = residue_classes(n, i)[0] + 1  # literal row index in [1, n]
     wt = lam.weight()
-    if wt[row - 1] < 1:
+    if wt[row - 1] < k:
         return None, None
-    cells = {(k, k): m for k, m in enumerate(wt, start=1) if m}
-    cells[(row, row)] = cells.get((row, row), 0) - 1
-    cells[(row, row + 1)] = cells.get((row, row + 1), 0) + 1
+    cells = {(r, r): m for r, m in enumerate(wt, start=1) if m}
+    cells[(row, row)] = cells.get((row, row), 0) - k
+    cells[(row, row + 1)] = cells.get((row, row + 1), 0) + k
     e_mat = PeriodicMatrix.make(n, D, cells)
     return e_mat, e_mat.transpose()
 

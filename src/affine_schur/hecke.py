@@ -114,15 +114,11 @@ def mul_by_simple(h: HeckeElement, i: int, side: str = "right") -> HeckeElement:
     return HeckeElement(D, out)
 
 
-def mul_by_rotation(h: HeckeElement, k: int, side: str = "right") -> HeckeElement:
-    """h * T_{rho^k} or T_{rho^k} * h; rotations have length zero."""
+def mul_by_rotation(h: HeckeElement, k: int) -> HeckeElement:
+    """h * T_{rho^k}; rotations have length zero."""
     D = h.rank
     rho = affine_weyl.rotation(D, k)
-    if side == "right":
-        return HeckeElement(D, {w * rho: c for w, c in h.terms.items()})
-    if side == "left":
-        return HeckeElement(D, {rho * w: c for w, c in h.terms.items()})
-    raise ValueError(f"bad side {side!r}")
+    return HeckeElement(D, {w * rho: c for w, c in h.terms.items()})
 
 
 def mul(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:

@@ -8,9 +8,13 @@ Multiplication reads the product back from the action on the flag module
 nu is fixed by its value on the dominant [nu], so a*[t] for t of column nu
 is `canonical.from_column(nu, a*column_vector(t))`.  Also: the generator
 images of the quantum-algebra homomorphism, monomial evaluation, the sign
-character at D = n, and the block twist psi.  The sign character needs no
-Hecke algebra: on its one block [s] is a single v^{y_s} T_w, and
-`epsilon_degrees` reads its value off the matrix.
+character at D = n, and the block twist psi.  A divided power e_i^(k) or
+f_i^(k) at a weight is the characteristic function of one orbit, as in the
+Beilinson-Lusztig-MacPherson construction, so its image is the single
+basis element of `flag_comb.generator_matrices`, and monomial evaluation
+multiplies by it once.  The sign character needs no Hecke algebra: on its
+one block [s] is a single v^{y_s} T_w, and `epsilon_degrees` reads its
+value off the matrix.
 
 Action on the flag module.  `act_on_module` is the sum of c_s c_p [s]*[p]
 over the terms c_s [s] of the Schur element and c_p [p] of the module
@@ -38,7 +42,7 @@ from functools import lru_cache
 from . import canonical, flag_comb, hecke, tmodule
 from .flag_comb import FlagSymbol, PeriodicMatrix, x_stat, y_stat
 from .hecke import HeckeElement
-from .laurent import LaurentScalar, ONE, divide_exact, quantum_factorial
+from .laurent import LaurentScalar, ONE
 from .vector import SparseVector, add_scaled
 
 
@@ -162,23 +166,23 @@ def phi_idempotent(n: int, D: int, mu) -> SchurElement:
     return SchurElement.basis(flag_comb.delta_matrix(lam))
 
 
-def phi_e(n: int, D: int, i: int, lam_weight) -> SchurElement:
-    """Image of a_{lam} e_i: the displaced diagonal matrix, or 0."""
+def phi_e(n: int, D: int, i: int, lam_weight, k: int = 1) -> SchurElement:
+    """Image of a_{lam} e_i^(k): the displaced diagonal matrix, or 0."""
     if sum(lam_weight) != D:
         return SchurElement.zero(n, D)
     lam = flag_comb.dominant_from_weight(n, D, lam_weight)
-    e_mat, _ = flag_comb.generator_matrices(lam, i)
+    e_mat, _ = flag_comb.generator_matrices(lam, i, k)
     if e_mat is None:
         return SchurElement.zero(n, D)
     return SchurElement.basis(e_mat)
 
 
-def phi_f(n: int, D: int, i: int, lam_weight) -> SchurElement:
-    """Image of f_i a_{lam}: the transpose displacement, or 0."""
+def phi_f(n: int, D: int, i: int, lam_weight, k: int = 1) -> SchurElement:
+    """Image of f_i^(k) a_{lam}: the transpose displacement, or 0."""
     if sum(lam_weight) != D:
         return SchurElement.zero(n, D)
     lam = flag_comb.dominant_from_weight(n, D, lam_weight)
-    _, f_mat = flag_comb.generator_matrices(lam, i)
+    _, f_mat = flag_comb.generator_matrices(lam, i, k)
     if f_mat is None:
         return SchurElement.zero(n, D)
     return SchurElement.basis(f_mat)
@@ -239,37 +243,32 @@ def _wshift(n: int, kind: str, i: int, k: int) -> tuple:
 
 def _mul_gen(x: SchurElement, kind: str, i: int, k: int,
              left: bool) -> SchurElement:
-    """Left (left=True) or right multiplication by e_i^(k) or f_i^(k)."""
+    """Left (left=True) or right multiplication by e_i^(k) or f_i^(k): each
+    block of x times the one basis element `phi_e` or `phi_f` gives at its
+    weight.  At n = 1 the two value classes of the residue coincide and
+    e_0 e_0 is not divisible by [2], so k >= 2 raises ArithmeticError, as
+    `tmodule.divided` does."""
+    if k >= 2 and x.n == 1 and not x.is_zero():
+        raise ArithmeticError(f"divided power of order {k} needs n >= 2")
     out = {}
-    shift = _wshift(x.n, kind, i, 1)
+    shift = _wshift(x.n, kind, i, k)
     sign = 1 if left else -1
     for terms in x.blocks().values():
+        s = next(iter(terms))
+        old_wt = s.row_weight() if left else s.col_weight()
+        new_wt = tuple(a + sign * b for a, b in zip(old_wt, shift))
+        # the left side checks the new weight for e and f, the right side
+        # only for f
+        if (left or kind == "f") and any(m < 0 for m in new_wt):
+            continue
+        # phi_e takes the letter's left weight, phi_f its right weight
+        if kind == "e":
+            g = phi_e(x.n, x.D, i, new_wt if left else old_wt, k)
+        else:
+            g = phi_f(x.n, x.D, i, old_wt if left else new_wt, k)
         piece = SchurElement(x.n, x.D, terms)
-        for _ in range(k):
-            if piece.is_zero():
-                break
-            s = next(iter(piece.terms))
-            old_wt = s.row_weight() if left else s.col_weight()
-            new_wt = tuple(a + sign * b for a, b in zip(old_wt, shift))
-            # the left side checks the new weight for e and f, the right
-            # side only for f
-            if (left or kind == "f") and any(m < 0 for m in new_wt):
-                piece = SchurElement.zero(x.n, x.D)
-                break
-            # phi_e takes the letter's left weight, phi_f its right weight
-            if kind == "e":
-                g = phi_e(x.n, x.D, i, new_wt if left else old_wt)
-            else:
-                g = phi_f(x.n, x.D, i, old_wt if left else new_wt)
-            piece = schur_mul(g, piece) if left else schur_mul(piece, g)
-        add_scaled(out, _divide(piece, quantum_factorial(k)).terms)
+        add_scaled(out, (schur_mul(g, piece) if left else schur_mul(piece, g)).terms)
     return SchurElement(x.n, x.D, out)
-
-
-def _divide(x: SchurElement, d: LaurentScalar) -> SchurElement:
-    if d.is_one():
-        return x
-    return SchurElement(x.n, x.D, {s: divide_exact(c, d) for s, c in x.terms.items()})
 
 
 def phi_monomial(m: UdotMonomial, D: int) -> SchurElement:

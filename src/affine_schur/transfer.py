@@ -36,11 +36,13 @@ periodic unit matrix and row sums over all integer rows l:
               beta = sum_{l>p} (s_{l,c} - s_{l,c-1}).
 
 An empty sum is the zero product.  The oracle is the Hecke route,
-schur.schur_mul([s], phi_e or phi_f) (one product in H_D per basis pair);
-tests/test_transfer.py compares the two on every band
-matrix of a few small ranks and on Hypothesis-drawn band matrices at
-n = 2..4, D <= 5.  schur.phi_monomial stays on the Hecke route, so the
-dual-route case remains an independent check.
+schur.schur_mul([s], phi_e or phi_f), which acts through one Hecke
+product per basis pair (schur._act_basis); tests/test_transfer.py
+compares the two on every band matrix of a few small ranks and on
+Hypothesis-drawn band matrices at n = 2..4, D <= 5.  schur.phi_monomial
+stays on the Hecke route, a divided power e_i^(k) or f_i^(k) being one
+product by its single basis element (flag_comb.generator_matrices), so
+the dual-route case remains an independent check.
 """
 
 from __future__ import annotations
@@ -571,17 +573,13 @@ def check_canonical_transfer(s: PeriodicMatrix, span: MonomialSpan,
         raise ValueError("expected an aperiodic matrix")
     if system is None:
         system = canonical.tmodule_system()
-    n, Dhigh = s.n, s.D
-    exp = canonical.canonical_schur(s, system)
-    x = SchurElement(n, Dhigh, exp.as_dict())
-    y = transfer_map(x, span)
+    y = transfer_map(canonical.canonical_schur(s, system), span)
     t = matrix_minus_identity(s)
     if t is None:
         verdict = "matches-(a)" if y.is_zero() else "counterexample"
         expected = None
     else:
-        exp_t = canonical.canonical_schur(t, system)
-        expected = SchurElement(n, Dhigh - n, exp_t.as_dict())
+        expected = canonical.canonical_schur(t, system)
         verdict = "matches-(b)" if y == expected else "counterexample"
     return {"matrix": s, "shift": t, "output": y, "expected": expected,
             "verdict": verdict}

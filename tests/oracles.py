@@ -6,6 +6,7 @@ every path a command runs; here it serves only as a reference.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from unittest import mock
 
 from affine_schur import (affine_weyl, canonical, cli, crystal, flag_comb,
                           hecke, schur, tmodule, transfer)
@@ -283,6 +284,47 @@ def inv_monomial(c: LaurentScalar) -> LaurentScalar:
     if a * a != 1:
         raise ArithmeticError("calibration constant must be invertible")
     return LaurentScalar({-e: a})
+
+
+# ---------------------------------------------------------------------------
+# Divided powers as k generator products
+
+
+def mul_gen_k_fold(x: SchurElement, kind: str, i: int, k: int,
+                   left: bool) -> SchurElement:
+    """schur._mul_gen as it was before a divided power was one basis
+    element: each block multiplied k times by e_i or f_i, then divided by
+    [k]! exactly."""
+    out = {}
+    shift = schur._wshift(x.n, kind, i, 1)
+    sign = 1 if left else -1
+    for terms in x.blocks().values():
+        piece = SchurElement(x.n, x.D, terms)
+        for _ in range(k):
+            if piece.is_zero():
+                break
+            s = next(iter(piece.terms))
+            old_wt = s.row_weight() if left else s.col_weight()
+            new_wt = tuple(a + sign * b for a, b in zip(old_wt, shift))
+            if (left or kind == "f") and any(m < 0 for m in new_wt):
+                piece = SchurElement.zero(x.n, x.D)
+                break
+            if kind == "e":
+                g = schur.phi_e(x.n, x.D, i, new_wt if left else old_wt)
+            else:
+                g = schur.phi_f(x.n, x.D, i, old_wt if left else new_wt)
+            piece = (schur.schur_mul(g, piece) if left
+                     else schur.schur_mul(piece, g))
+        fact = quantum_factorial(k)
+        add_scaled(out, {s: divide_exact(c, fact) for s, c in piece.terms.items()})
+    return SchurElement(x.n, x.D, out)
+
+
+def phi_monomial_k_fold(m: UdotMonomial, D: int) -> SchurElement:
+    """schur.phi_monomial with every Chevalley letter multiplied by
+    mul_gen_k_fold."""
+    with mock.patch.object(schur, "_mul_gen", mul_gen_k_fold):
+        return phi_monomial(m, D)
 
 
 # ---------------------------------------------------------------------------

@@ -110,8 +110,8 @@ def test_criterion_8_determinism_roundtrip(tmp_path, capsys):
     labels = fc.enumerate_flag_symbols(2, 2, 1, 4)
     fwd = canonical.tmodule_system()
     rev = canonical.tmodule_system()
-    a = {p: canonical.canonical_tmodule(p, fwd).terms for p in labels}
-    b = {p: canonical.canonical_tmodule(p, rev).terms for p in reversed(labels)}
+    a = {p: canonical.canonical_tmodule(p, fwd) for p in labels}
+    b = {p: canonical.canonical_tmodule(p, rev) for p in reversed(labels)}
     if a != b:
         fails.append("solver output depends on processing order")
 

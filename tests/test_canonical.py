@@ -18,41 +18,59 @@ from oracles import hecke_to_matrix_terms, tau_schur_by_parabolic_bar
 
 def test_module_basis_frozen_example():
     # b_{(2,1)} = [(2,1)] + v [(1,2)]
-    exp = canonical.canonical_tmodule(FlagSymbol(2, 2, (2, 1)))
-    assert exp.as_dict() == {FlagSymbol(2, 2, (2, 1)): ONE,
-                             FlagSymbol(2, 2, (1, 2)): LaurentScalar.v(1)}
+    b = canonical.canonical_tmodule(FlagSymbol(2, 2, (2, 1)))
+    assert b == tmodule.ModuleVector(2, 2, {FlagSymbol(2, 2, (2, 1)): ONE,
+                                            FlagSymbol(2, 2, (1, 2)): LaurentScalar.v(1)})
 
 
 def test_dominant_is_bar_fixed_alone():
     # dominant standard vectors are already canonical
     for lam in fc.all_dominant(2, 3):
-        exp = canonical.canonical_tmodule(lam)
-        assert exp.as_dict() == {lam: ONE}
+        assert canonical.canonical_tmodule(lam) == tmodule.ModuleVector.basis(lam)
 
 
 def test_solver_is_idempotent_and_tau_fixed():
     sys_ = canonical.tmodule_system()
     for p in fc.enumerate_flag_symbols(2, 2, 1, 4):
-        vec = canonical.canonical_tmodule_vector(p, sys_)
+        vec = canonical.canonical_tmodule(p, sys_)
         assert tmodule.tau(vec) == vec
         assert vec.coeff(p) == ONE
 
 
+def test_solve_canonical_hands_out_copies():
+    system = canonical.tmodule_system()
+    p = FlagSymbol(2, 2, (2, 1))
+    b = canonical.solve_canonical(system, p)
+    b.clear()
+    assert canonical.solve_canonical(system, p) == \
+        {p: ONE, FlagSymbol(2, 2, (1, 2)): LaurentScalar.v(1)}
+
+
 def test_schur_canonical_unitriangular(tsys):
     d = fc.delta_matrix(fc.dominant_from_weight(2, 2, (1, 1)))
-    exp = canonical.canonical_schur(d, tsys)
-    assert exp.coeff(d) == ONE
-    for s, c in exp.terms:
+    b = canonical.canonical_schur(d, tsys)
+    assert b.coeff(d) == ONE
+    for s, c in b.terms.items():
         if s != d:
             assert c.in_v_times_z_of_v()
 
 
 def test_kl_coefficients_nonnegative(tsys):
     for s in transfer.band_matrices(2, 2, 2):
-        exp = canonical.canonical_schur(s, tsys)
-        for q, _ in exp.terms:
-            for i, dim in canonical.kl_coefficients(exp, q, fc.y_stat):
+        b = canonical.canonical_schur(s, tsys)
+        for q in b.terms:
+            for i, dim in canonical.kl_coefficients(s, b, q, fc.y_stat):
                 assert dim > 0 and isinstance(i, int)
+
+
+def test_expansion_checks_report_the_first_bad_label_in_label_order():
+    p = FlagSymbol(2, 2, (2, 1))
+    vec = tmodule.ModuleVector(2, 2, {p: ONE,
+                                      FlagSymbol(2, 2, (1, 2)): LaurentScalar.v(-1),
+                                      FlagSymbol(2, 2, (0, 3)): LaurentScalar.v(-2)})
+    err = cli._expansion_checks(p, vec, fc.x_stat)
+    assert err == f"off-diagonal coefficient {LaurentScalar.v(-2)} outside vZ[v]"
+    assert cli._expansion_checks(p, canonical.canonical_tmodule(p), fc.x_stat) == ""
 
 
 def test_canonical_suite():
@@ -67,9 +85,8 @@ def test_solver_order_independent():
     labels = fc.enumerate_flag_symbols(2, 2, 1, 4)
     a = canonical.tmodule_system()
     b = canonical.tmodule_system()
-    out_a = {p: canonical.canonical_tmodule(p, a).terms for p in labels}
-    out_b = {p: canonical.canonical_tmodule(p, b).terms
-             for p in reversed(labels)}
+    out_a = {p: canonical.canonical_tmodule(p, a) for p in labels}
+    out_b = {p: canonical.canonical_tmodule(p, b) for p in reversed(labels)}
     assert out_a == out_b
 
 
@@ -95,8 +112,8 @@ def test_off_diagonal_term_of_equal_grade_detected():
 
 
 def test_export_and_cache(tmp_path):
-    exp = canonical.canonical_tmodule(FlagSymbol(2, 2, (2, 1)))
-    payload = canonical.expansion_to_json(exp)
+    p = FlagSymbol(2, 2, (2, 1))
+    payload = canonical.expansion_to_json(p, canonical.canonical_tmodule(p))
     text = json.dumps(payload, sort_keys=True)
     assert json.loads(text) == payload
     cache = canonical.CanonicalCache(tmp_path)
@@ -176,9 +193,7 @@ def solve_canonical_recompute(system, label, cache=None):
         cache[x] = b
         return b
 
-    b = canon(label)
-    return canonical.CanonicalExpansion(
-        label, tuple(sorted(b.items(), key=lambda t: system.sort_key(t[0]))))
+    return dict(canon(label))
 
 
 @pytest.mark.parametrize("make_system, labels", [
@@ -233,10 +248,10 @@ def test_solver_chain_deeper_than_recursion_limit():
     try:
         with pytest.raises(RecursionError):
             solve_canonical_recompute(system, N)
-        exp = canonical.solve_canonical(system, N)
+        b = canonical.solve_canonical(system, N)
     finally:
         sys.setrecursionlimit(old)
-    assert exp.as_dict() == {N: ONE, N - 1: v}
+    assert b == {N: ONE, N - 1: v}
     for k in range(1, N):
         assert system._canon[k] == {k: ONE, k - 1: v}
     assert system._canon[0] == {0: ONE}
@@ -362,7 +377,7 @@ def test_canonical_schur_matches_matrix_solver(n, D, band, tsys):
     oracle = canonical.schur_system(n, D)
     for s in transfer.band_matrices(n, D, band):
         assert canonical.canonical_schur(s, tsys) == \
-            canonical.solve_canonical(oracle, s)
+            SchurElement(n, D, canonical.solve_canonical(oracle, s))
 
 
 _ORACLES = {}
@@ -386,7 +401,8 @@ def band_matrix(draw):
 @given(band_matrix())
 def test_canonical_schur_matches_matrix_solver_on_drawn_matrices(s):
     oracle = _ORACLES.setdefault((s.n, s.D), canonical.schur_system(s.n, s.D))
-    assert canonical.canonical_schur(s) == canonical.solve_canonical(oracle, s)
+    assert canonical.canonical_schur(s) == \
+        SchurElement(s.n, s.D, canonical.solve_canonical(oracle, s))
 
 
 def test_canonical_schur_rejects_a_lower_coset(monkeypatch):

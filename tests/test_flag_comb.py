@@ -56,11 +56,28 @@ def test_delta_matrix_and_generators():
     lam = fc.dominant_from_weight(2, 3, (2, 1))
     d = fc.delta_matrix(lam)
     assert fc.y_stat(d) == 0
-    e_mat, f_mat = fc.generator_matrices(lam, 1)
+    e_mat, f_mat = fc.generator_matrices(lam, 1, 1)
     assert e_mat.row_weight() == (2, 1)
     # e lowers a residue-2 entry into residue 1 on the column side
     assert e_mat.col_weight() == (1, 2)
     assert f_mat == e_mat.transpose() or f_mat.col_weight() == (2, 1)
+
+
+@pytest.mark.parametrize("n, D", [(2, 3), (3, 3), (3, 4), (4, 2)])
+def test_generator_matrices_vanish_exactly_below_k(n, D):
+    # e_i^(k) 1_lam needs k units in the class that e_i raises
+    for lam in fc.all_dominant(n, D):
+        wt = lam.weight()
+        for i in range(n):
+            up = fc.residue_classes(n, i)[0]
+            for k in range(D + 2):
+                e_mat, f_mat = fc.generator_matrices(lam, i, k)
+                if wt[up] < k:
+                    assert e_mat is None and f_mat is None
+                else:
+                    assert f_mat == e_mat.transpose()
+                    assert e_mat.row_weight() == wt
+                    assert e_mat.lookup(up + 1, up + 2) >= k
 
 
 def test_aperiodicity():
@@ -164,7 +181,7 @@ def test_enumerate_window():
 def test_order_hint_consistency():
     lam = fc.dominant_from_weight(2, 4, (2, 2))
     d = fc.delta_matrix(lam)
-    e_mat, _ = fc.generator_matrices(lam, 1)
+    e_mat, _ = fc.generator_matrices(lam, 1, 1)
     # the generator matrix dominates its own diagonal shift in the
     # standard order used for triangularity reports
     assert fc.order_hint(d, d) == "equal"

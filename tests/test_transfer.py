@@ -67,7 +67,7 @@ def test_periodic_basis_outside_domain(span4, monkeypatch):
 
 def test_leading_term_on_generator_matrix(span4):
     lam = fc.dominant_from_weight(2, 4, (2, 2))
-    e_mat, _ = fc.generator_matrices(lam, 1)
+    e_mat, _ = fc.generator_matrices(lam, 1, 1)
     s = PeriodicMatrix.make(2, 4, dict(e_mat.entries))
     r = transfer.check_leading_term(s, span4)
     assert r["ok"] and r["leading"] == ONE
