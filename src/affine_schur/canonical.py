@@ -38,64 +38,45 @@ The labels b_y still to be solved sit on an explicit stack, so the depth of
 the bar-support order is not bounded by Python's recursion limit.  Both
 updates are `vector.add_scaled` on plain {label: scalar} dicts.
 
-The column map.  An element z of column nu (its terms in blocks (lam, nu))
-is fixed by its value z*[nu] = v^{x_nu} z on the dominant [nu].
-`column_vector(s)` gives [s]*[nu] = v^{x_nu + y_s} T_s with no Hecke
-product, T_s being the sum of the left-coset sums T_q = v^{-x_q} [q] over
-the left S_lam-cosets q inside the double coset of s
-(`flag_comb.left_cosets`).  `from_column` goes back: `hecke.collapse`
-gathers z's coordinates v^{x_r - x_nu} c_r on the T_r into double cosets
-[t] = v^{y_t} T_t, and raises ArithmeticError if a left coset of some
-double coset is missing or carries another coefficient.  `schur.schur_mul`
-reads products back through it.
-
 Tau on the labels.  Neither side bars a whole coset sum, and both read
 one memo.  On the flag module, tau([p]) is the per-symbol memo
-`tmodule._tau_terms(p)`, which bars the minimal coset rep of p alone.
-Tau is bar on the module and v^{-2 x_mu} bar on a (lam, mu) block, so
-tau(x*m) = tau(x)*tau(m), and tau([mu]) = [mu] as bar(P_mu) = v^{2 x_mu}
-P_mu.  So tau([s]) has the value tau(column_vector(s)) on [mu], a sum of
-entries of the module memo (`_tau_schur_terms`; it bars nothing itself).
+`tmodule._tau_terms(p)`, which bars the minimal coset rep of p alone; tau
+on the Schur algebra sums its entries (`schur`'s "Tau on the labels").
 
 The Schur basis.  Let s lie in block (lam, mu) and let top be its left
-coset of largest x_stat, the last of `flag_comb.left_cosets(s, lam, mu)`.
-The coefficient of [q] in column_vector(s) is v^{x_mu + y_s - x_q}, and
-x_top = x_mu + y_s (the longest element of the double coset lies in top),
-so [s]*[mu] = [top] + (vZ[v] on the other cosets of s).  Every other t
-of column mu has the exponents x_mu + y_t - x_q >= 0 in [t]*[mu], on its
-own cosets, which are disjoint from those of s; as b_s has coefficients in
-vZ[v] off s, b_s*[mu] = [top] + (vZ[v] on symbols other than top).  It is tau-fixed, as
+coset of largest x_stat, the last of `flag_comb.left_cosets(s)`.  By the
+column map of `schur`, the coefficient of [q] in `schur.column_vector(s)`
+is v^{x_mu + y_s - x_q}, and x_top = x_mu + y_s (the longest element of the
+double coset lies in top), so [s]*[mu] = [top] + (vZ[v] on the other
+cosets of s).  Every other t of column mu has the exponents
+x_mu + y_t - x_q >= 0 in [t]*[mu], on its own cosets, which are disjoint
+from those of s; as b_s has coefficients in vZ[v] off s,
+b_s*[mu] = [top] + (vZ[v] on symbols other than top).  It is tau-fixed, as
 tau(b_s*[mu]) = tau(b_s)*tau([mu]) = b_s*[mu], so it is b_top by the
 uniqueness half of the lemma; and the column map is injective on column
-mu.  Hence b_s = from_column(mu, b_top), read with no second solve (the
-affine form of Du's identification of b_s with the Kazhdan-Lusztig element
-of the longest element of its double coset).  `canonical_schur` raises
-ArithmeticError unless x_top = x_mu + y_s.  The uniqueness lemma also
-certifies the result on its own: an element that is tau-fixed, has
+mu.  Hence b_s = schur.from_column(mu, b_top), read with no second solve
+(the affine form of Du's identification of b_s with the Kazhdan-Lusztig
+element of the longest element of its double coset).  `canonical_schur`
+raises ArithmeticError unless x_top = x_mu + y_s.  The uniqueness lemma
+also certifies the result on its own: an element that is tau-fixed, has
 coefficient 1 at s and every other coefficient in vZ[v] is b_s, since the
 difference of two such is tau-fixed with all coefficients in vZ[v], and its
 coefficient at a label of largest grade is then bar-invariant, so 0.
 
-Memos.  `block_of` is memoized per matrix, and tau([s]) on the Schur side
-per matrix s (`_tau_schur_terms`), each in an unbounded `lru_cache` that
-lives as long as the process.  Both are pure functions of the matrix: the
-block is fixed by the row and column weights, and tau([s]) by s and the
-quadratic relation, which `hecke` fixes and nothing else changes.
-`PeriodicMatrix` and `FlagSymbol` are frozen and the cached values are
-tuples, so the memos are safe to share between callers, `BarSystem`s and
-threads.  Reading b_s solves b_top in the module system the caller
-passes, so it adds to `tmodule._tau_terms` and to that system's solved b_x
-only the symbols the module side has not met.  In `run-suite canonical
---n 2 --D 3 --window 5 --band 2` the memo holds 125 entries after the
-module cases (the 125 window symbols) and 261 after the algebra cases, so
-136 symbols are first met while reading b_s; the suite's tau check of
-each b_s fills `_tau_schur_terms` (220 matrices) and adds no symbol.  The
-systems pass `_tau_schur_terms` and `tmodule._tau_terms` themselves as
-tau_fn; `BarSystem.tau_expand` makes the one copy that the solver changes, and a
-`BarSystem` keeps nothing but its solved b_x.  The grades x_stat and y_stat
-are cached on each label, and every label the suite builds is the one
-interned object for its key (`flag_comb`'s "Memos"), so in that run x_stat
-is counted 261 times, once per symbol.
+Memos.  The tau memos are `tmodule._tau_terms` per symbol and
+`schur._tau_terms` per matrix (`schur`'s "Memos"), and the block of a
+matrix is `flag_comb.block_of`.  Reading b_s solves b_top in the module
+system the caller passes, so it adds to `tmodule._tau_terms` and to that
+system's solved b_x only the symbols the module side has not met.  In
+`run-suite canonical --n 2 --D 3 --window 5 --band 2` the memo holds 125
+entries after the module cases (the 125 window symbols) and 261 after the
+algebra cases, so 136 symbols are first met while reading b_s.  The
+systems pass `schur._tau_terms` and `tmodule._tau_terms` themselves as
+tau_fn; `BarSystem.tau_expand` makes the one copy that the solver changes,
+and a `BarSystem` keeps nothing but its solved b_x.  The grades x_stat and
+y_stat are cached on each label, and every label the suite builds is the
+one interned object for its key (`flag_comb`'s "Memos"), so in that run
+x_stat is counted 261 times, once per symbol.
 
 Output.  A canonical element is the basis vector it is: `canonical_tmodule`
 returns b_p as a `tmodule.ModuleVector` and `canonical_schur` returns b_s
@@ -115,11 +96,10 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
-from functools import lru_cache
 
-from . import flag_comb, hecke, schur, tmodule
-from .flag_comb import FlagSymbol, PeriodicMatrix, x_stat, y_stat
-from .laurent import LaurentScalar, ONE
+from . import flag_comb, schur, tmodule
+from .flag_comb import FlagSymbol, PeriodicMatrix, block_of, x_stat, y_stat
+from .laurent import ONE
 from .vector import add_scaled
 
 
@@ -218,71 +198,32 @@ def canonical_tmodule(p: FlagSymbol, system: BarSystem = None) -> tmodule.Module
 # Specialization to the Schur algebra
 
 
-@lru_cache(maxsize=None)
-def block_of(s: PeriodicMatrix) -> tuple:
-    """The block (lam, mu) of [s]: the dominant symbols of its row and
-    column weights."""
-    lam = flag_comb.dominant_from_weight(s.n, s.D, s.row_weight())
-    mu = flag_comb.dominant_from_weight(s.n, s.D, s.col_weight())
-    return lam, mu
-
-
-def column_vector(s: PeriodicMatrix) -> tmodule.ModuleVector:
-    """[s]*[mu], mu the column symbol of s, with no Hecke product: the sum
-    of v^{x_mu + y_s - x_q} [q] over `flag_comb.left_cosets(s, lam, mu)`."""
-    lam, mu = block_of(s)
-    top = x_stat(mu) + y_stat(s)
-    return tmodule.ModuleVector(s.n, s.D, {
-        q: LaurentScalar.monomial(1, top - x_stat(q))
-        for q, _ in flag_comb.left_cosets(s, lam, mu)})
-
-
-def from_column(nu: FlagSymbol, coords: dict) -> dict:
-    """The terms {t: c} of the z in column nu with z*[nu] = sum of c_r [r]
-    over coords {r: c_r}; the row symbol of each t is read from r."""
-    xnu = x_stat(nu)
-
-    def coset(r):
-        t = flag_comb.matrix_of_pair(r, nu)
-        return t, [q for q, _ in flag_comb.left_cosets(t, r.dominant_rep(), nu)]
-
-    return hecke.collapse({r: c.shift(x_stat(r) - xnu) for r, c in coords.items()},
-                          coset, y_stat)
-
-
-@lru_cache(maxsize=None)
-def _tau_schur_terms(s: PeriodicMatrix) -> tuple:
-    """tau([s]) as a tuple of (matrix, coeff) pairs, computed once per s:
-    the z of column mu with z*[mu] = tau(column_vector(s))."""
-    mu = block_of(s)[1]
-    return tuple(from_column(mu, tmodule.tau(column_vector(s)).terms).items())
-
-
 def schur_system(n: int, D: int) -> BarSystem:
     """The Schur algebra's own bar system over matrices.  No suite and no
     `compute` entity solves with it: `canonical_schur` reads b_s off the
     module basis.  It stays as the oracle that the tests compare
     `canonical_schur` with, and as the `tau_expand` kernel that the
     benchmark times; n and D do not change it."""
-    return BarSystem(tau_fn=_tau_schur_terms, grade=y_stat,
+    return BarSystem(tau_fn=schur._tau_terms, grade=y_stat,
                      sort_key=lambda s: s.entries)
 
 
 def canonical_schur(s: PeriodicMatrix, system: BarSystem = None) -> "schur.SchurElement":
-    """b_s = from_column(mu, b_top), top the left coset of largest x_stat in
-    the double coset of s and system a module system (`tmodule_system`).
+    """b_s = schur.from_column(mu, b_top), top the left coset of largest
+    x_stat in the double coset of s and system a module system
+    (`tmodule_system`).
 
     Raises ArithmeticError unless [top] has coefficient 1 in
-    `column_vector(s)`, i.e. x_stat(top) = x_stat(mu) + y_stat(s)."""
+    `schur.column_vector(s)`, i.e. x_stat(top) = x_stat(mu) + y_stat(s)."""
     if system is None:
         system = tmodule_system()
-    lam, mu = block_of(s)
-    top = flag_comb.left_cosets(s, lam, mu)[-1][0]
+    mu = block_of(s)[1]
+    top = flag_comb.left_cosets(s)[-1][0]
     gap = x_stat(mu) + y_stat(s) - x_stat(top)
     if gap:
         raise ArithmeticError(f"[{top}] has coefficient v^{gap} in [{s}]*[{mu}]")
     return schur.SchurElement(s.n, s.D,
-                              from_column(mu, canonical_tmodule(top, system).terms))
+                              schur.from_column(mu, canonical_tmodule(top, system).terms))
 
 
 # ---------------------------------------------------------------------------

@@ -230,18 +230,17 @@ def _xdiff_cases(cfg: RunConfig):
 def _ystat_cases(cfg: RunConfig):
     n, D = cfg.n, cfg.D
     bad = []
-    for lam in flag_comb.all_dominant(n, D):
-        wt = lam.weight()
-        if y_stat(flag_comb.delta_matrix(lam)) != 0:
-            bad.append((lam, "diag"))
+    for wt in flag_comb.weights(n, D):
+        if y_stat(flag_comb.delta_matrix(wt)) != 0:
+            bad.append((wt, "diag"))
         for i in range(n):
             up, down = flag_comb.residue_classes(n, i)
             for k in range(1, wt[up] + 1):
-                e_mat, f_mat = flag_comb.generator_matrices(lam, i, k)
+                e_mat, f_mat = flag_comb.generator_matrices(wt, i, k)
                 if y_stat(e_mat) != k * (wt[up] - k):
-                    bad.append((lam, i, k, "e"))
+                    bad.append((wt, i, k, "e"))
                 if y_stat(f_mat) != k * wt[down]:
-                    bad.append((lam, i, k, "f"))
+                    bad.append((wt, i, k, "f"))
     yield _case(f"stats/y-generators/n{n}D{D}", not bad, f"violations: {bad}")
 
 
@@ -328,23 +327,15 @@ def suite_canonical(cfg: RunConfig) -> list:
             err = "not tau-fixed"
         cases.append(_case(f"canonical/algebra/{dict(s.entries)}", not err, err))
 
-    # b_s([lambda]) is 0 or a canonical module basis vector (blockwise
-    # v^{x_lambda} compatibility of the two bases); b_s was read off the
-    # module basis by the column map, so this checks the Hecke route
-    # `act_on_module` against it
+    # b_s*[mu] = b_top, mu the column symbol of s and top its left coset of
+    # largest x_stat (the compatibility of the two bases in `canonical`);
+    # b_s was read off the module basis by the column map, so this checks
+    # the Hecke route `act_on_module` against it
     for s, b in bases.items():
-        lam = flag_comb.dominant_from_weight(n, D, s.col_weight())
-        img = schur.act_on_module(b, ModuleVector.basis(lam))
-        if img.is_zero():
-            ok, note = True, "0"
-        else:
-            consts = {p for p, c in img.terms.items() if c.constant_term() != 0}
-            if len(consts) != 1:
-                ok, note = False, "image not congruent to a basis class mod v"
-            else:
-                p, = consts
-                ok = img == canonical.canonical_tmodule(p, tsys)
-                note = f"b_{list(p.values)}" if ok else "image is not canonical"
+        top = flag_comb.left_cosets(s)[-1][0]
+        img = schur.act_on_module(b, ModuleVector.basis(flag_comb.block_of(s)[1]))
+        ok = img == canonical.canonical_tmodule(top, tsys)
+        note = f"b_{list(top.values)}" if ok else "image is not canonical"
         cases.append(_case(f"canonical/compat/{dict(s.entries)}", ok, note))
     return cases
 
@@ -562,10 +553,9 @@ def compute(args) -> int:
         print(json.dumps(payload, sort_keys=True, indent=1), file=out)
     elif args.entity == "canonical-s":
         s = _parse_matrix(args.s)
-        lam, mu = canonical.block_of(s)
         key = json.dumps(s.to_json()["entries"])
         payload = _cached_expansion(
-            _cache(args), s.n, s.D, lam.weight(), mu.weight(), key,
+            _cache(args), s.n, s.D, s.row_weight(), s.col_weight(), key,
             lambda: canonical.expansion_to_json(s, canonical.canonical_schur(s)))
         print(json.dumps(payload, sort_keys=True, indent=1), file=out)
     elif args.entity == "crystal-graph":

@@ -74,7 +74,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from . import tmodule
+from . import flag_comb, tmodule
 from .flag_comb import FlagSymbol
 from .laurent import RationalScalar, quantum_binomial, quantum_integer
 from .tmodule import ModuleVector, divided
@@ -85,7 +85,6 @@ _R_MINUS_ONE = -RationalScalar.one()
 
 @dataclass(frozen=True)
 class BracketingPartition:
-    residue: int
     unpaired: tuple   # J, sorted positions
     pairs: tuple      # ((k, l), ...) with k < l, sorted by k
 
@@ -132,7 +131,7 @@ def _bracket(p: FlagSymbol, i: int) -> BracketingPartition:
             else:
                 unpaired_hi.append(k)
     J = tuple(unpaired_hi + stack)
-    return BracketingPartition(i, J, tuple(sorted(pairs)),
+    return BracketingPartition(J, tuple(sorted(pairs)),
                                _split=len(unpaired_hi))
 
 
@@ -372,7 +371,6 @@ def crystal_graph(n: int, D: int, lo: int, hi: int) -> dict:
     Returns {"vertices": [...], "edges": [(b, i, b')], "boundary": [...]}
     where boundary lists edges whose target leaves the window.
     """
-    from . import flag_comb
     vertices = flag_comb.enumerate_flag_symbols(n, D, lo, hi)
     vset = set(vertices)
     edges, boundary = [], []

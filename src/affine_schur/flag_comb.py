@@ -18,6 +18,13 @@ key enters a table only after the constructor validated it, and a table is
 filled by `setdefault`, so two threads that build one label get one object.
 In `run-suite canonical --n 2 --D 3 --window 5 --band 2` the tables hold 261
 symbols and 220 matrices, and x_stat is counted once per symbol.
+
+`block_of` is memoized per matrix in an unbounded `lru_cache` that lives as
+long as the process, and so are `double_coset_min_rep` and `left_cosets`.
+Each is a pure function of the matrix (the block is fixed by its row and
+column weights, and the other two by the matrix and its block) and a tuple
+or a permutation of frozen values, so the memos are safe to share between
+callers and threads.
 """
 
 from __future__ import annotations
@@ -96,11 +103,6 @@ class FlagSymbol:
                 out.append(j + (diff // self.n) * self.D)
         out.sort()
         return out
-
-    def is_dominant(self) -> bool:
-        vals = self.values
-        return (1 <= vals[0] and vals[-1] <= self.n
-                and all(a <= b for a, b in zip(vals, vals[1:])))
 
     def dominant_rep(self) -> "FlagSymbol":
         """The unique dominant symbol in the orbit (sorted residue values),
@@ -329,35 +331,31 @@ def matrix_of_pair(p: FlagSymbol, q: FlagSymbol) -> PeriodicMatrix:
     return PeriodicMatrix.make(p.n, p.D, counts)
 
 
-def delta_matrix(lam: FlagSymbol) -> PeriodicMatrix:
-    """The diagonal matrix of a dominant symbol: entry (i, i) = weight_i."""
-    wt = lam.weight()
-    return PeriodicMatrix.make(lam.n, lam.D,
-                               {(i, i): m for i, m in enumerate(wt, start=1) if m})
+def delta_matrix(wt) -> PeriodicMatrix:
+    """The diagonal matrix of a weight, 1_wt: entry (i, i) = wt_i."""
+    return PeriodicMatrix.make(len(wt), sum(wt),
+                               {(i, i): m for i, m in enumerate(wt, start=1)})
 
 
-def generator_matrices(lam: FlagSymbol, i: int, k: int):
-    """The pair (e-matrix, f-matrix) of the divided powers e_i^(k) and
-    f_i^(k) at a dominant symbol and a residue i in [0, n-1]:
-    delta(lam) - k E_rr + k E_{r,r+1} and its transpose, r the row of the
+def generator_matrices(wt, i: int, k: int):
+    """The pair (e-matrix, f-matrix) of the divided powers e_i^(k) 1_wt and
+    f_i^(k) at a weight wt and a residue i in [0, n-1], n = len(wt):
+    delta(wt) - k E_rr + k E_{r,r+1} and its transpose, r the row of the
     class that e_i raises.  Each divided power is the characteristic
     function of one orbit, so its image is this one basis element.
 
-    Returns (None, None) when lam_r < k.
+    Returns (None, None) when wt_r < k.
     """
-    n, D = lam.n, lam.D
+    n = len(wt)
     if not 0 <= i < n:
         raise ValueError(f"residue {i} out of range [0, {n - 1}]")
-    if not lam.is_dominant():
-        raise ValueError("expected a dominant symbol")
     row = residue_classes(n, i)[0] + 1  # literal row index in [1, n]
-    wt = lam.weight()
     if wt[row - 1] < k:
         return None, None
-    cells = {(r, r): m for r, m in enumerate(wt, start=1) if m}
-    cells[(row, row)] = cells.get((row, row), 0) - k
+    cells = {(r, r): m for r, m in enumerate(wt, start=1)}
+    cells[(row, row)] -= k
     cells[(row, row + 1)] = cells.get((row, row + 1), 0) + k
-    e_mat = PeriodicMatrix.make(n, D, cells)
+    e_mat = PeriodicMatrix.make(n, sum(wt), cells)
     return e_mat, e_mat.transpose()
 
 
@@ -389,14 +387,19 @@ def order_hint(t: PeriodicMatrix, s: PeriodicMatrix) -> str:
     return "consistent"
 
 
-def symbol_of_matrix(s: PeriodicMatrix, mu: FlagSymbol) -> FlagSymbol:
-    """A flag symbol p with matrix_of_pair(p, mu) = s, built canonically.
+@lru_cache(maxsize=None)
+def block_of(s: PeriodicMatrix) -> tuple:
+    """The block (lam, mu) of [s]: the dominant symbols of its row and
+    column weights."""
+    return (dominant_from_weight(s.n, s.D, s.row_weight()),
+            dominant_from_weight(s.n, s.D, s.col_weight()))
 
-    mu must be dominant with weight equal to the column weight of s.
-    """
-    if not mu.is_dominant() or mu.weight() != s.col_weight():
-        raise ValueError("mu must be dominant with the column weight of s")
+
+def symbol_of_matrix(s: PeriodicMatrix) -> FlagSymbol:
+    """A flag symbol p with matrix_of_pair(p, mu) = s, mu the column symbol
+    of s, built canonically."""
     n, D = s.n, s.D
+    mu = block_of(s)[1]
     window = [None] * D
     for j0 in range(1, n + 1):
         block = mu.preimage(j0)  # consecutive positions in [1, D] with mu-value j0
@@ -408,35 +411,18 @@ def symbol_of_matrix(s: PeriodicMatrix, mu: FlagSymbol) -> FlagSymbol:
                 m = (j0 - j) // n
                 rows.extend([i + m * n] * cnt)
         rows.sort()
-        if len(rows) != len(block):
-            raise AssertionError("column mass does not fill the block")
-        for k, val in zip(block, rows):
+        for k, val in zip(block, rows, strict=True):
             window[k - 1] = val
     return FlagSymbol.make(n, D, window)
 
 
-def _block_symbol(s: PeriodicMatrix, lam: FlagSymbol, mu: FlagSymbol) -> FlagSymbol:
-    """symbol_of_matrix(s, mu), checked to lie in the orbit of lam."""
-    p = symbol_of_matrix(s, mu)
-    if p.dominant_rep() != lam:
-        raise ValueError("s is not in the (lam, mu) block")
-    return p
-
-
-def double_coset_min_rep(s: PeriodicMatrix, lam: FlagSymbol, mu: FlagSymbol) -> AffinePermutation:
-    """The minimal element of the double coset S_lam w S_mu attached to s,
-    certified by matrix_of_pair((lam)w, mu) = s.
-
-    Memoized per (s, lam, mu) for the life of the process: the result is a
-    pure function of the key and an immutable permutation.
-    """
-    return _double_coset_min_rep(s, lam, mu)
-
-
 @lru_cache(maxsize=None)
-def _double_coset_min_rep(s: PeriodicMatrix, lam: FlagSymbol, mu: FlagSymbol) -> AffinePermutation:
-    """w = p.min_coset_rep(), p = symbol_of_matrix(s, mu).  It is minimal in
-    S_lam w S_mu:
+def double_coset_min_rep(s: PeriodicMatrix) -> AffinePermutation:
+    """The minimal element of the double coset S_lam w S_mu attached to s,
+    (lam, mu) its block, certified by matrix_of_pair((lam)w, mu) = s.
+
+    It is w = p.min_coset_rep(), p = symbol_of_matrix(s), which is minimal
+    in S_lam w S_mu:
     - p is weakly increasing on every mu-block, because its rows are sorted;
     - w is minimal in S_lam w by construction;
     - for adjacent k, k+1 in one mu-block, if p(k) < p(k+1), then
@@ -444,22 +430,28 @@ def _double_coset_min_rep(s: PeriodicMatrix, lam: FlagSymbol, mu: FlagSymbol) ->
       p(k) = p(k+1), `min_coset_rep` assigns the two positions in
       increasing order;
     - so w has no right descent in S_mu, and w is the minimal element of
-      S_lam w S_mu."""
-    return _block_symbol(s, lam, mu).min_coset_rep()
+      S_lam w S_mu.
+
+    Memoized per matrix for the life of the process: the result is a pure
+    function of the key and an immutable permutation.
+    """
+    return symbol_of_matrix(s).min_coset_rep()
 
 
 @lru_cache(maxsize=None)
-def left_cosets(s: PeriodicMatrix, lam: FlagSymbol, mu: FlagSymbol) -> tuple:
-    """The left S_lam-cosets inside the double coset of s, as pairs (q, w_q)
-    of the symbol q = (lam)w_q and the minimal rep w_q, sorted by (length,
-    window) of w_q; T_s = P_lam * sum of T_{w_q} with lengths adding.
+def left_cosets(s: PeriodicMatrix) -> tuple:
+    """The left S_lam-cosets inside the double coset of s, (lam, mu) its
+    block, as pairs (q, w_q) of the symbol q = (lam)w_q and the minimal rep
+    w_q, sorted by (length, window) of w_q; T_s = P_lam * sum of T_{w_q}
+    with lengths adding.
 
-    The symbols are the S_mu-orbit of p = symbol_of_matrix(s, mu), so the
-    double coset is never enumerated.  Memoized per (s, lam, mu) for the
-    life of the process: the result is a pure function of the key and a
-    tuple of immutable values.
+    The symbols are the S_mu-orbit of p = symbol_of_matrix(s), so the
+    double coset is never enumerated.  Memoized per matrix for the life of
+    the process: the result is a pure function of the key and a tuple of
+    immutable values.
     """
-    p = _block_symbol(s, lam, mu)
+    p = symbol_of_matrix(s)
+    mu = block_of(s)[1]
     orbit = {p.act(u) for u in affine_weyl.young_subgroup_elements(s.D, mu.values)}
     pairs = [(q, q.min_coset_rep()) for q in orbit]
     pairs.sort(key=lambda t: (t[1].length(), t[1].window))

@@ -8,7 +8,7 @@ underlying the Schur algebra.  The quadratic relation is
 here goes through `vector.add_scaled`.  `collapse` is the one way from a
 finer coset basis to a coarser one: `tmodule.from_hecke_block` uses it from
 the T_w basis to flag symbols (left S_lambda cosets), for the Schur
-algebra's action on the flag module, and `canonical.from_column` from left
+algebra's action on the flag module, and `schur.from_column` from left
 cosets to matrices (double cosets), for the Schur product and tau.
 
 Parabolic bar.  Write P_lam for the sum of T_u over the Young subgroup
@@ -24,7 +24,7 @@ bar(P_lam h) = v^{2 l(w_lam)} P_lam bar(h) needs bar(h) alone, and
 `bar_parabolic` returns it on the T_q.  Its one caller is the flag
 module's per-symbol tau memo, `tmodule._tau_terms`, which bars a single
 minimal coset rep; tau on the Schur algebra sums entries of that memo
-(`canonical._tau_schur_terms`) and bars nothing itself.  So both bases bar
+(`schur._tau_terms`) and bars nothing itself.  So both bases bar
 only minimal coset representatives (Deodhar, J. Algebra 111, 1987).
 
 Memo.  `bar` keeps bar(T_w) for every w it has met, in the module-level
@@ -97,20 +97,12 @@ def _tw_times_simple(rank: int, window: tuple, i: int):
     return ((w, _Q_LOW), (ws, _VM2))
 
 
-def mul_by_simple(h: HeckeElement, i: int, side: str = "right") -> HeckeElement:
-    """h * T_{s_i} (side='right') or T_{s_i} * h (side='left')."""
-    if side not in ("right", "left"):
-        raise ValueError(f"bad side {side!r}")
+def mul_by_simple(h: HeckeElement, i: int) -> HeckeElement:
+    """h * T_{s_i}."""
     D = h.rank
     out = {}
     for w, c in h.terms.items():
-        if side == "right":
-            pairs = _tw_times_simple(D, w.window, i)
-        else:
-            # T_{s_i} T_w = (T_{w^-1} T_{s_i})^anti; use descent of w^-1
-            pairs = ((u.inverse(), c2)
-                     for u, c2 in _tw_times_simple(D, w.inverse().window, i))
-        add_scaled(out, pairs, c)
+        add_scaled(out, _tw_times_simple(D, w.window, i), c)
     return HeckeElement(D, out)
 
 
@@ -136,9 +128,9 @@ def mul(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
     return HeckeElement(D, out)
 
 
-def mul_by_simple_inverse(h: HeckeElement, i: int, side: str = "right") -> HeckeElement:
-    """h * T_{s_i}^{-1} (or on the left); T_s^{-1} = v^2 T_s + (v^2 - 1)."""
-    return mul_by_simple(h, i, side).scale(_VP2) + h.scale(_VP2_M1)
+def mul_by_simple_inverse(h: HeckeElement, i: int) -> HeckeElement:
+    """h * T_{s_i}^{-1}; T_s^{-1} = v^2 T_s + (v^2 - 1)."""
+    return mul_by_simple(h, i).scale(_VP2) + h.scale(_VP2_M1)
 
 
 def inverse_of_Tw(w: AffinePermutation) -> HeckeElement:
@@ -208,7 +200,7 @@ def double_coset_sum(lam: flag_comb.FlagSymbol, mu: flag_comb.FlagSymbol,
     if s.row_weight() != lam.weight() or s.col_weight() != mu.weight():
         raise ValueError("s is not in the (lam, mu) block")
     D = s.D
-    rep = flag_comb.double_coset_min_rep(s, lam, mu)
+    rep = flag_comb.double_coset_min_rep(s)
     elems = affine_weyl.double_coset_elements(D, lam.values, rep, mu.values)
     return HeckeElement(D, {w: ONE for w in elems})
 
@@ -274,10 +266,8 @@ def x_element(D: int, j: int) -> HeckeElement:
         # inverse of the translation by the first fundamental coweight
         t1 = affine_weyl.translation(D, [1] + [0] * (D - 1))
         return inverse_of_Tw(t1)
-    prev = x_element(D, j - 1)
-    h = mul_by_simple(prev, j - 1, side="left")
-    h = mul_by_simple(h, j - 1, side="right")
-    return h.scale(_VP2)
+    h = mul(HeckeElement.t(affine_weyl.simple(D, j - 1)), x_element(D, j - 1))
+    return mul_by_simple(h, j - 1).scale(_VP2)
 
 
 @lru_cache(maxsize=None)
@@ -288,7 +278,5 @@ def x_inverse(D: int, j: int) -> HeckeElement:
     if j == 1:
         t1 = affine_weyl.translation(D, [1] + [0] * (D - 1))
         return HeckeElement.t(t1)
-    prev = x_inverse(D, j - 1)
-    h = mul_by_simple_inverse(prev, j - 1, side="left")
-    h = mul_by_simple_inverse(h, j - 1, side="right")
-    return h.scale(_VM2)
+    h = mul(inverse_of_Tw(affine_weyl.simple(D, j - 1)), x_inverse(D, j - 1))
+    return mul_by_simple_inverse(h, j - 1).scale(_VM2)

@@ -2,19 +2,30 @@
 
 Elements are flat combinations {matrix: scalar}, a `vector.SparseVector`;
 their grouping into (lam, mu) blocks is derived (`SchurElement.blocks`) from
-`canonical.block_of`, and every sum goes through `vector.add_scaled`.
+`flag_comb.block_of`, and every sum goes through `vector.add_scaled`.
 Multiplication reads the product back from the action on the flag module
 (one source of truth, no structure-constant tables): an element of column
 nu is fixed by its value on the dominant [nu], so a*[t] for t of column nu
-is `canonical.from_column(nu, a*column_vector(t))`.  Also: the generator
-images of the quantum-algebra homomorphism, monomial evaluation, the sign
-character at D = n, and the block twist psi.  A divided power e_i^(k) or
-f_i^(k) at a weight is the characteristic function of one orbit, as in the
+is `from_column(nu, a*column_vector(t))`.  Also: the generator images of
+the quantum-algebra homomorphism, monomial evaluation, the sign character
+at D = n, and the block twist psi.  A divided power e_i^(k) or f_i^(k) at a
+weight is the characteristic function of one orbit, as in the
 Beilinson-Lusztig-MacPherson construction, so its image is the single
 basis element of `flag_comb.generator_matrices`, and monomial evaluation
 multiplies by it once.  The sign character needs no Hecke algebra: on its
 one block [s] is a single v^{y_s} T_w, and `epsilon_degrees` reads its
 value off the matrix.
+
+The column map.  An element z of column nu (its terms in blocks (lam, nu))
+is fixed by its value z*[nu] = v^{x_nu} z on the dominant [nu].
+`column_vector(s)` gives [s]*[nu] = v^{x_nu + y_s} T_s with no Hecke
+product, T_s being the sum of the left-coset sums T_q = v^{-x_q} [q] over
+the left S_lam-cosets q inside the double coset of s
+(`flag_comb.left_cosets`).  `from_column` goes back: `hecke.collapse`
+gathers z's coordinates v^{x_r - x_nu} c_r on the T_r into double cosets
+[t] = v^{y_t} T_t, and raises ArithmeticError if a left coset of some
+double coset is missing or carries another coefficient.  `schur_mul` reads
+products back through it, and `canonical.canonical_schur` reads b_s.
 
 Action on the flag module.  `act_on_module` is the sum of c_s c_p [s]*[p]
 over the terms c_s [s] of the Schur element and c_p [p] of the module
@@ -22,25 +33,37 @@ vector, p in the column orbit of s.  Each basis product [s]*[p] goes
 through the Hecke realization once, the double-coset sum of s times
 T_{w_p} collapsed onto symbols by `tmodule.from_hecke_block`; this is the
 only Hecke product of the Schur algebra, and `_act_basis` the only place
-that expands a matrix into its double-coset sum.  It is kept in the memo
-`_act_basis`: an unbounded `lru_cache` keyed by the pair (s, p) that
-lives as long as the process.  An entry is a pure function of the pair
-and the quadratic relation, which `hecke` fixes, and a tuple of frozen
-values, so the memo is safe to share between callers and threads.
-`schur_mul` fills it too, with the pairs of a term of its left factor and
-a left coset of a term of its right factor; in `run-suite transfer --n 2
---D 1 --band 1 --word-len 3` it ends with 92 entries (116 hits).  The
-lower terms of a canonical b_s are other matrices of the same band, and
-the canonical suite acts on dominant vectors [mu] only, so it expands
-each double coset once, not once for every b_s that contains it.
+that expands a matrix into its double-coset sum.
+
+Tau on the labels.  Tau is bar on the module and v^{-2 x_mu} bar on a
+(lam, mu) block, so tau(x*m) = tau(x)*tau(m), and tau([mu]) = [mu] as
+bar(P_mu) = v^{2 x_mu} P_mu.  So tau([s]) has the value
+tau(column_vector(s)) on [mu], a sum of entries of the module's per-symbol
+memo `tmodule._tau_terms` (`_tau_terms`), and it bars nothing itself.
+
+Memos.  tau([s]) is memoized per matrix s in `_tau_terms`, beside the
+module's `tmodule._tau_terms`, and [s]*[p] per pair (s, p) in
+`_act_basis`, each an unbounded `lru_cache` that lives as long as the
+process.  An entry is a pure function of its key and the quadratic
+relation, which `hecke` fixes and nothing else changes, and a tuple of
+frozen values, so the memos are safe to share between callers,
+`canonical.BarSystem`s and threads.  In `run-suite canonical --n 2 --D 3
+--window 5 --band 2` the suite's tau check of each b_s fills `_tau_terms`
+(220 matrices) and adds no symbol to the module memo.  `schur_mul` fills
+`_act_basis` with the pairs of a term of its left factor and a left coset
+of a term of its right factor; in `run-suite transfer --n 2 --D 1 --band 1
+--word-len 3` it ends with 92 entries (116 hits).  The lower terms of a
+canonical b_s are other matrices of the same band, and the canonical suite
+acts on dominant vectors [mu] only, so it expands each double coset once,
+not once for every b_s that contains it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from . import canonical, flag_comb, hecke, tmodule
-from .flag_comb import FlagSymbol, PeriodicMatrix, x_stat, y_stat
+from . import flag_comb, hecke, tmodule
+from .flag_comb import FlagSymbol, PeriodicMatrix, block_of, x_stat, y_stat
 from .hecke import HeckeElement
 from .laurent import LaurentScalar, ONE
 from .vector import SparseVector, add_scaled
@@ -67,7 +90,7 @@ class SchurElement(SparseVector):
         """The terms grouped by block: {(lam, mu): {s: scalar}}."""
         out = {}
         for s, c in self.terms.items():
-            out.setdefault(canonical.block_of(s), {})[s] = c
+            out.setdefault(block_of(s), {})[s] = c
         return out
 
     def _sorted_blocks(self) -> list:
@@ -117,9 +140,31 @@ def schur_mul(a: SchurElement, b: SchurElement) -> SchurElement:
         raise ValueError("shape mismatch")
     out = {}
     for t, c in b.terms.items():
-        img = act_on_module(a, canonical.column_vector(t))
-        add_scaled(out, canonical.from_column(canonical.block_of(t)[1], img.terms), c)
+        img = act_on_module(a, column_vector(t))
+        add_scaled(out, from_column(block_of(t)[1], img.terms), c)
     return SchurElement(a.n, a.D, out)
+
+
+def column_vector(s: PeriodicMatrix) -> tmodule.ModuleVector:
+    """[s]*[mu], mu the column symbol of s, with no Hecke product: the sum
+    of v^{x_mu + y_s - x_q} [q] over `flag_comb.left_cosets(s)`."""
+    top = x_stat(block_of(s)[1]) + y_stat(s)
+    return tmodule.ModuleVector(s.n, s.D, {
+        q: LaurentScalar.monomial(1, top - x_stat(q))
+        for q, _ in flag_comb.left_cosets(s)})
+
+
+def from_column(nu: FlagSymbol, coords: dict) -> dict:
+    """The terms {t: c} of the z in column nu with z*[nu] = sum of c_r [r]
+    over coords {r: c_r}; the row symbol of each t is read from r."""
+    xnu = x_stat(nu)
+
+    def coset(r):
+        t = flag_comb.matrix_of_pair(r, nu)
+        return t, [q for q, _ in flag_comb.left_cosets(t)]
+
+    return hecke.collapse({r: c.shift(x_stat(r) - xnu) for r, c in coords.items()},
+                          coset, y_stat)
 
 
 def act_on_module(x: SchurElement, vec) -> "tmodule.ModuleVector":
@@ -131,7 +176,7 @@ def act_on_module(x: SchurElement, vec) -> "tmodule.ModuleVector":
         vec_blocks.setdefault(p.dominant_rep(), []).append((p, c))
     out = {}
     for s, c in x.terms.items():
-        for p, cp in vec_blocks.get(canonical.block_of(s)[1], ()):
+        for p, cp in vec_blocks.get(block_of(s)[1], ()):
             add_scaled(out, _act_basis(s, p), c * cp)
     return tmodule.ModuleVector(x.n, x.D, out)
 
@@ -146,7 +191,7 @@ def _act_basis(s: PeriodicMatrix, p: FlagSymbol) -> tuple:
     H_{lam,mu}, v^{y_s} times the sum of T_w over its double coset, sends
     T_mu T_{w_p} to [s] T_{w_p}; the image is collapsed back onto
     lam-labels."""
-    lam, mu = canonical.block_of(s)
+    lam, mu = block_of(s)
     block = hecke.double_coset_sum(lam, mu, s).scale(LaurentScalar.v(y_stat(s)))
     h = hecke.mul(block, HeckeElement.t(p.min_coset_rep()))
     xp = x_stat(p)
@@ -158,20 +203,28 @@ def _act_basis(s: PeriodicMatrix, p: FlagSymbol) -> tuple:
 # Generator images of the quantum-algebra homomorphism
 
 
+def _of_rank(n: int, D: int, wt) -> bool:
+    """Whether the weight wt sums to D; one that does must be a nonnegative
+    n-tuple (ValueError otherwise)."""
+    if sum(wt) != D:
+        return False
+    if len(wt) != n or min(wt) < 0:
+        raise ValueError("weight must be a nonnegative n-tuple summing to D")
+    return True
+
+
 def phi_idempotent(n: int, D: int, mu) -> SchurElement:
-    """Image of the weight idempotent: [delta lam] if sum(mu) = D, else 0."""
-    if sum(mu) != D:
+    """Image of the weight idempotent: [delta mu] if sum(mu) = D, else 0."""
+    if not _of_rank(n, D, mu):
         return SchurElement.zero(n, D)
-    lam = flag_comb.dominant_from_weight(n, D, mu)
-    return SchurElement.basis(flag_comb.delta_matrix(lam))
+    return SchurElement.basis(flag_comb.delta_matrix(mu))
 
 
 def phi_e(n: int, D: int, i: int, lam_weight, k: int = 1) -> SchurElement:
     """Image of a_{lam} e_i^(k): the displaced diagonal matrix, or 0."""
-    if sum(lam_weight) != D:
+    if not _of_rank(n, D, lam_weight):
         return SchurElement.zero(n, D)
-    lam = flag_comb.dominant_from_weight(n, D, lam_weight)
-    e_mat, _ = flag_comb.generator_matrices(lam, i, k)
+    e_mat, _ = flag_comb.generator_matrices(lam_weight, i, k)
     if e_mat is None:
         return SchurElement.zero(n, D)
     return SchurElement.basis(e_mat)
@@ -179,10 +232,9 @@ def phi_e(n: int, D: int, i: int, lam_weight, k: int = 1) -> SchurElement:
 
 def phi_f(n: int, D: int, i: int, lam_weight, k: int = 1) -> SchurElement:
     """Image of f_i^(k) a_{lam}: the transpose displacement, or 0."""
-    if sum(lam_weight) != D:
+    if not _of_rank(n, D, lam_weight):
         return SchurElement.zero(n, D)
-    lam = flag_comb.dominant_from_weight(n, D, lam_weight)
-    _, f_mat = flag_comb.generator_matrices(lam, i, k)
+    _, f_mat = flag_comb.generator_matrices(lam_weight, i, k)
     if f_mat is None:
         return SchurElement.zero(n, D)
     return SchurElement.basis(f_mat)
@@ -305,8 +357,16 @@ def phi_monomial(m: UdotMonomial, D: int) -> SchurElement:
 def tau_schur(x: SchurElement) -> SchurElement:
     out = {}
     for s, c in x.terms.items():
-        add_scaled(out, canonical._tau_schur_terms(s), c.bar())
+        add_scaled(out, _tau_terms(s), c.bar())
     return SchurElement(x.n, x.D, out)
+
+
+@lru_cache(maxsize=None)
+def _tau_terms(s: PeriodicMatrix) -> tuple:
+    """tau([s]) as a tuple of (matrix, coeff) pairs, computed once per s:
+    the z of column mu with z*[mu] = tau(column_vector(s))."""
+    return tuple(from_column(block_of(s)[1],
+                             tmodule.tau(column_vector(s)).terms).items())
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +402,7 @@ def psi_twist(x: SchurElement, sign: int = 1) -> SchurElement:
     """Blockwise scalar v^{sign * (sum window(lam) - sum window(mu))}."""
     terms = {}
     for s, c in x.terms.items():
-        lam, mu = canonical.block_of(s)
+        lam, mu = block_of(s)
         terms[s] = c.shift(sign * (sum(lam.values) - sum(mu.values)))
     return SchurElement(x.n, x.D, terms)
 

@@ -31,7 +31,7 @@ is the antilinear sum of these images.  They are memoized in `_tau_terms`,
 an unbounded `lru_cache` keyed by the symbol p (its n and D included) that
 lives as long as the process.  The canonical-basis solver on the flag
 module reads the same memo, and so does tau on the Schur algebra
-(`canonical._tau_schur_terms`), which sums the entries of the left cosets
+(`schur._tau_terms`), which sums the entries of the left cosets
 inside a double coset instead of barring again.  An entry is a pure
 function of p and the quadratic relation, which `hecke` fixes and nothing
 else changes, and it is a tuple of (symbol, scalar) pairs of frozen values,
@@ -76,9 +76,6 @@ class ModuleVector(SparseVector):
         bits = [f"({c})*[{list(p.values)}]"
                 for p, c in sorted(self.terms.items(), key=lambda t: t[0].values)]
         return " + ".join(bits)
-
-    def weights(self) -> set:
-        return {p.weight() for p in self.terms}
 
     def to_json(self) -> dict:
         return {"n": self.n, "D": self.D,

@@ -78,6 +78,11 @@ MAX_ROWS = 100_000
 MAX_WORD_LEN = 8
 
 
+class OutsideSpanError(ValueError):
+    """The element is not in the monomial span up to MAX_WORD_LEN, so
+    `transfer_map` cannot solve for its transfer."""
+
+
 # ---------------------------------------------------------------------------
 # The comultiplication route: tensor-leg evaluation of monomials
 
@@ -88,10 +93,12 @@ def _basis_gen(s: PeriodicMatrix, kind: str, i: int) -> tuple:
     as a tuple of (matrix, scalar) pairs; empty when the product is zero."""
     n, D = s.n, s.D
     step = 1 if kind == "e" else -1
-    res = i if kind == "e" else i + 1
+    # the class of the columns whose entries move (to c + step)
+    up, down = flag_comb.residue_classes(n, i)
+    cls = up if kind == "e" else down
     out = []
     for (p, c), val in s.entries:
-        if (c - res) % n:
+        if (c - 1) % n != cls:
             continue
         # the translate of entry (l, j) into column c sits at row
         # l + c - j, above row p (e) or below it (f) exactly when
@@ -135,7 +142,7 @@ def _omega_step(n: int, terms: dict, kind: str, i: int) -> dict:
     return out
 
 
-def _split_tensor(n: int, D1: int, D2: int, wt: tuple) -> dict:
+def _split_tensor(n: int, D1: int, wt: tuple) -> dict:
     """The idempotent a_wt across the rank split: every [delta w1] x
     [delta w2] with w1 + w2 = wt and sum(w1) = D1, coefficient 1."""
     terms = {}
@@ -143,9 +150,7 @@ def _split_tensor(n: int, D1: int, D2: int, wt: tuple) -> dict:
         w2 = tuple(b - a for a, b in zip(w1, wt))
         if min(w2) < 0:
             continue
-        s1 = flag_comb.delta_matrix(flag_comb.dominant_from_weight(n, D1, w1))
-        s2 = flag_comb.delta_matrix(flag_comb.dominant_from_weight(n, D2, w2))
-        terms[(s1, s2)] = ONE
+        terms[(flag_comb.delta_matrix(w1), flag_comb.delta_matrix(w2))] = ONE
     return terms
 
 
@@ -161,7 +166,7 @@ def omega_route(m: UdotMonomial, D1: int, D2: int) -> dict:
     wt = head[0][1]
     if sum(wt) != D1 + D2:
         return {}
-    terms = _split_tensor(m.n, D1, D2, wt)
+    terms = _split_tensor(m.n, D1, wt)
     for kind, i, _k in letters:
         terms = _omega_step(m.n, terms, kind, i)
     return terms
@@ -260,7 +265,7 @@ def route_pairs(n: int, D: int, max_len: int):
                             _mul_gen_right_cached(low, kind, i))
 
     for lam in flag_comb.weights(n, D + n):
-        yield from walk((("a", lam),), _split_tensor(n, n, D, lam),
+        yield from walk((("a", lam),), _split_tensor(n, n, lam),
                         _lowered_idempotent(n, D, lam))
 
 
@@ -462,7 +467,8 @@ class MonomialSpan:
 def transfer_map(x: SchurElement, span: MonomialSpan) -> SchurElement:
     """The rank-lowering map: solve x in the span at rank D + n, whose rows
     carry their transfers to rank D, growing the span's search from x's row
-    weights up to MAX_WORD_LEN."""
+    weights up to MAX_WORD_LEN.  Raises OutsideSpanError when x is not in
+    the span by then, and ValueError when the span is at another rank."""
     n = x.n
     if span.D != x.D or span.n != n:
         raise ValueError("span rank mismatch")
@@ -478,9 +484,9 @@ def transfer_map(x: SchurElement, span: MonomialSpan) -> SchurElement:
         low = span.solve(x)
     if low is None:
         residual, _ = span._reduce(span._vec_of(x))
-        raise ValueError(f"element outside the monomial span up to word "
-                         f"length {grown}; residual support "
-                         f"{sorted(residual, key=lambda s: s.entries)}")
+        raise OutsideSpanError(f"element outside the monomial span up to word "
+                               f"length {grown}; residual support "
+                               f"{sorted(residual, key=lambda s: s.entries)}")
     for s, c in low.items():
         if not c.is_laurent():
             raise ArithmeticError(
@@ -545,7 +551,7 @@ def check_leading_term(s: PeriodicMatrix, span: MonomialSpan) -> dict:
                 "reason": "a diagonal entry is below 1"}
     try:
         y = transfer_map(SchurElement.basis(s), span)
-    except ValueError:
+    except OutsideSpanError:
         # [s] need not lie in the image of the evaluation homomorphism
         # (its canonical correction terms can carry periodic labels), and
         # the transfer is only computable there

@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from unittest import mock
 
-from affine_schur import (affine_weyl, canonical, cli, crystal, flag_comb,
-                          hecke, schur, tmodule, transfer)
+from affine_schur import (affine_weyl, cli, crystal, flag_comb, hecke, schur,
+                          tmodule, transfer)
 from affine_schur.flag_comb import FlagSymbol, PeriodicMatrix, x_stat, y_stat
 from affine_schur.hecke import HeckeElement
 from affine_schur.laurent import (LaurentScalar, ONE, RationalScalar,
@@ -140,19 +140,19 @@ def hecke_to_matrix_terms(lam: FlagSymbol, mu: FlagSymbol, h: HeckeElement) -> d
 
     def coset(w):
         t = flag_comb.matrix_of_pair(lam.act(w), mu)
-        rep = flag_comb.double_coset_min_rep(t, lam, mu)
+        rep = flag_comb.double_coset_min_rep(t)
         return t, affine_weyl.double_coset_elements(lam.D, lam.values, rep, mu.values)
 
     return hecke.collapse(h.terms, coset, y_stat)
 
 
-def left_cosets_to_matrix_terms(lam: FlagSymbol, mu: FlagSymbol, coords: dict) -> dict:
+def left_cosets_to_matrix_terms(mu: FlagSymbol, coords: dict) -> dict:
     """Collapse coordinates {q: c} on the left-coset sums T_q, q in the
-    orbit of lam, onto the [t] basis of the (lam, mu) block."""
+    orbit of some lam, onto the [t] basis of the (lam, mu) block."""
 
     def coset(q):
         t = flag_comb.matrix_of_pair(q, mu)
-        return t, [r for r, _ in flag_comb.left_cosets(t, lam, mu)]
+        return t, [r for r, _ in flag_comb.left_cosets(t)]
 
     return hecke.collapse(coords, coset, y_stat)
 
@@ -174,7 +174,7 @@ def schur_mul_by_hecke(a: SchurElement, b: SchurElement) -> SchurElement:
                 continue
             for t, c in bterms.items():
                 prod = {}
-                for _, w in flag_comb.left_cosets(t, mu, nu):
+                for _, w in flag_comb.left_cosets(t):
                     add_scaled(prod, hecke.mul(ah, HeckeElement.t(w)).terms,
                                c.shift(y_stat(t)))
                 add_scaled(out, hecke_to_matrix_terms(lam, nu, HeckeElement(a.D, prod)))
@@ -184,11 +184,11 @@ def schur_mul_by_hecke(a: SchurElement, b: SchurElement) -> SchurElement:
 def tau_schur_by_parabolic_bar(s: PeriodicMatrix) -> dict:
     """tau([s]) from one parabolic bar of the sum of the minimal left-coset
     reps T_{w_q} in the double coset of s: the reference for
-    `canonical._tau_schur_terms`, which sums the module's per-symbol tau
-    memo instead."""
-    lam, mu = canonical.block_of(s)
-    h = HeckeElement(s.D, {w: ONE for _, w in flag_comb.left_cosets(s, lam, mu)})
-    terms = left_cosets_to_matrix_terms(lam, mu, hecke.bar_parabolic(lam, h))
+    `schur._tau_terms`, which sums the module's per-symbol tau memo
+    instead."""
+    lam, mu = flag_comb.block_of(s)
+    h = HeckeElement(s.D, {w: ONE for _, w in flag_comb.left_cosets(s)})
+    terms = left_cosets_to_matrix_terms(mu, hecke.bar_parabolic(lam, h))
     twist = -2 * x_stat(mu) - y_stat(s)
     return {t: c.shift(twist) for t, c in terms.items()}
 
@@ -399,7 +399,7 @@ def omega_route(m: UdotMonomial, D1: int, D2: int) -> dict:
     gens, weights = res
     if sum(weights[0]) != D1 + D2:
         return {}
-    terms = transfer._split_tensor(n, D1, D2, weights[0])
+    terms = transfer._split_tensor(n, D1, weights[0])
     divisor = ONE
     for kind, i, k in gens:
         divisor = divisor * quantum_factorial(k)
@@ -536,8 +536,8 @@ def combination_transfer_map(x: SchurElement, span: CombinationSpan,
         span.grow(anchors, grown)
         combo = span.solve(x)
     if combo is None:
-        raise ValueError(f"element outside the monomial span up to word "
-                         f"length {grown}")
+        raise transfer.OutsideSpanError(f"element outside the monomial span "
+                                        f"up to word length {grown}")
     out = {}
     for m, c in combo.items():
         add_scaled(out, ((s, RationalScalar.from_laurent(a))

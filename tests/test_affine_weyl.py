@@ -6,7 +6,7 @@ from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
 
-from affine_schur import affine_weyl as aw, canonical, flag_comb as fc, transfer
+from affine_schur import affine_weyl as aw, flag_comb as fc, transfer
 from oracles import (double_coset_by_bfs, min_double_coset_rep_by_descent,
                      young_generators, young_subgroup_by_bfs)
 
@@ -126,7 +126,8 @@ def test_cached_cosets_match_fresh_enumeration(case):
     assert aw.double_coset_elements(D, list(lam), rep, list(mu)) == by_length(fresh)
     lam_f, mu_f = fc.FlagSymbol(n, D, lam), fc.FlagSymbol(n, D, mu)
     s = fc.matrix_of_pair(lam_f.act(w), mu_f)
-    assert fc.double_coset_min_rep(s, lam_f, mu_f) == rep
+    assert fc.block_of(s) == (lam_f, mu_f)
+    assert fc.double_coset_min_rep(s) == rep
 
 
 @lru_cache(maxsize=None)
@@ -142,8 +143,8 @@ def band_matrices_and_elements(draw):
     Young subgroups."""
     n, D = draw(st.integers(2, 4)), draw(st.integers(1, 5))
     s = draw(st.sampled_from(_band_matrices(n, D, draw(st.integers(1, 2)))))
-    lam, mu = canonical.block_of(s)
-    d = fc.symbol_of_matrix(s, mu).min_coset_rep()
+    lam, mu = fc.block_of(s)
+    d = fc.symbol_of_matrix(s).min_coset_rep()
     u = draw(st.sampled_from(sorted(young_by_blocks(D, lam.values), key=lambda x: x.window)))
     y = draw(st.sampled_from(sorted(young_by_blocks(D, mu.values), key=lambda x: x.window)))
     return s, u * d * y
@@ -154,11 +155,11 @@ def band_matrices_and_elements(draw):
 def test_built_cosets_match_search_on_band_matrices(case):
     s, w = case
     D = s.D
-    lam, mu = canonical.block_of(s)
+    lam, mu = fc.block_of(s)
     assert fc.matrix_of_pair(lam.act(w), mu) == s
     fresh = {u * w * y for u in young_by_blocks(D, lam.values)
              for y in young_by_blocks(D, mu.values)}
-    rep = fc.double_coset_min_rep(s, lam, mu)
+    rep = fc.double_coset_min_rep(s)
     shortest = min(u.length() for u in fresh)
     assert [u for u in fresh if u.length() == shortest] == [rep]
     assert rep == min_double_coset_rep_by_descent(D, lam.values, w, mu.values)

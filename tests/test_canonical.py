@@ -47,7 +47,7 @@ def test_solve_canonical_hands_out_copies():
 
 
 def test_schur_canonical_unitriangular(tsys):
-    d = fc.delta_matrix(fc.dominant_from_weight(2, 2, (1, 1)))
+    d = fc.delta_matrix((1, 1))
     b = canonical.canonical_schur(d, tsys)
     assert b.coeff(d) == ONE
     for s, c in b.terms.items():
@@ -260,7 +260,7 @@ def test_solver_chain_deeper_than_recursion_limit():
 def tau_schur_by_double_cosets(s: PeriodicMatrix) -> dict:
     """The route that the parabolic bar replaced: bar the whole double-coset
     sum of [s] and collapse the T_w basis back onto double cosets."""
-    lam, mu = canonical.block_of(s)
+    lam, mu = fc.block_of(s)
     h = hecke.bar(hecke.double_coset_sum(lam, mu, s).scale(
         LaurentScalar.v(fc.y_stat(s))))
     twist = LaurentScalar.v(-2 * fc.x_stat(mu))
@@ -274,13 +274,13 @@ BAND_SIZES = [(2, 2, 2), (2, 3, 2), (2, 4, 1), (3, 3, 2), (3, 4, 1)]
 @pytest.mark.parametrize("n, D, band", BAND_SIZES)
 def test_tau_schur_matches_double_coset_route(n, D, band):
     for s in transfer.band_matrices(n, D, band):
-        assert dict(canonical._tau_schur_terms(s)) == tau_schur_by_double_cosets(s)
+        assert dict(schur._tau_terms(s)) == tau_schur_by_double_cosets(s)
 
 
 @pytest.mark.parametrize("n, D, band", [(2, 3, 2), (3, 3, 1), (2, 4, 1)])
 def test_tau_schur_from_module_memo_matches_parabolic_bar(n, D, band):
     for s in transfer.band_matrices(n, D, band):
-        assert dict(canonical._tau_schur_terms(s)) == tau_schur_by_parabolic_bar(s)
+        assert dict(schur._tau_terms(s)) == tau_schur_by_parabolic_bar(s)
 
 
 def test_tau_tmodule_label_reads_memo_and_hands_out_copies():
@@ -310,8 +310,10 @@ def test_block_of_memo_matches_fresh_computation():
     for s in transfer.band_matrices(2, 3, 2):
         fresh = (fc.dominant_from_weight(2, 3, s.row_weight()),
                  fc.dominant_from_weight(2, 3, s.col_weight()))
-        assert canonical.block_of(s) == fresh
-        assert canonical.block_of(s) is canonical.block_of(s)
+        assert fc.block_of(s) == fresh
+        assert fc.block_of(s) is fc.block_of(s)
+    # the benchmark's kernels read the memo through `canonical`
+    assert canonical.block_of is fc.block_of
 
 
 # every symbol with window values in [1, 2n] at these (n, D) is checked
@@ -337,8 +339,8 @@ def test_x_stat_is_coset_length(n, D):
 def test_y_stat_is_double_coset_length(n, D, band):
     # y_stat(s) = l(longest element of the double coset of s) - l(w_mu)
     for s in transfer.band_matrices(n, D, band):
-        lam, mu = canonical.block_of(s)
-        rep = fc.double_coset_min_rep(s, lam, mu)
+        lam, mu = fc.block_of(s)
+        rep = fc.double_coset_min_rep(s)
         coset = aw.double_coset_elements(D, lam.values, rep, mu.values)
         l_w_mu = _longest_length(aw.young_subgroup_elements(D, mu.values))
         assert fc.y_stat(s) == _longest_length(coset) - l_w_mu
@@ -409,11 +411,11 @@ def test_canonical_schur_rejects_a_lower_coset(monkeypatch):
     # with the left cosets in reverse order the read starts at the coset of
     # smallest x_stat, whose coefficient in [s]*[mu] is not 1
     mats = [s for s in transfer.band_matrices(2, 3, 2)
-            if len(fc.left_cosets(s, *canonical.block_of(s))) > 1]
+            if len(fc.left_cosets(s)) > 1]
     assert mats
     left_cosets = fc.left_cosets
     monkeypatch.setattr(fc, "left_cosets",
-                        lambda s, lam, mu: left_cosets(s, lam, mu)[::-1])
+                        lambda s: left_cosets(s)[::-1])
     for s in mats:
         with pytest.raises(ArithmeticError, match="has coefficient v\\^"):
             canonical.canonical_schur(s)

@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from affine_schur import cli, canonical, flag_comb as fc, schur, tmodule, transfer
+from affine_schur import cli, flag_comb as fc, schur, tmodule, transfer
 from affine_schur.flag_comb import FlagSymbol, PeriodicMatrix
 from affine_schur.laurent import LaurentScalar, ONE
 from affine_schur.schur import SchurElement, UdotMonomial
@@ -19,8 +19,7 @@ from oracles import (act_on_module_by_blocks, block_to_hecke, epsilon_sign,
 
 def unit_on_weights(n, D, weights):
     """Sum of the idempotents [delta lam] over the given weights."""
-    return SchurElement(n, D, {fc.delta_matrix(fc.dominant_from_weight(n, D, wt)): ONE
-                               for wt in weights})
+    return SchurElement(n, D, {fc.delta_matrix(wt): ONE for wt in weights})
 
 
 def test_unit_and_idempotents():
@@ -118,6 +117,16 @@ def test_phi_monomial_zero_off_rank():
     assert schur.phi_monomial(m, 4).is_zero()  # weight sums to 2, rank 4
 
 
+@pytest.mark.parametrize("wt", [(1, 1, 0), (3, -1), (-1, 3)])
+def test_phi_images_reject_malformed_weights_of_the_rank(wt):
+    # a weight that sums to the rank must be a nonnegative n-tuple
+    for image in (lambda: schur.phi_idempotent(2, 2, wt),
+                  lambda: schur.phi_e(2, 2, 1, wt),
+                  lambda: schur.phi_f(2, 2, 1, wt)):
+        with pytest.raises(ValueError, match="nonnegative n-tuple"):
+            image()
+
+
 def test_schur_suite():
     cfg = cli.RunConfig(n=2, D=2, word_len=3)
     cases = cli.suite_schur(cfg)
@@ -163,7 +172,7 @@ def elements_and_vectors(draw):
                           min_size=1, max_size=4))
     syms = []
     for s, _ in terms:
-        mu = canonical.block_of(s)[1]
+        mu = fc.block_of(s)[1]
         vals = draw(st.permutations(mu.values))
         lifts = draw(st.lists(st.integers(-1, 1), min_size=D, max_size=D))
         syms.append(FlagSymbol(n, D, tuple(v + n * k for v, k in zip(vals, lifts))))
@@ -197,19 +206,19 @@ def drawn_band_matrices(draw):
 
 def _column_by_hecke(s):
     """[s]*[mu] by the Hecke route of the action memo, mu the column of s."""
-    return dict(schur._act_basis(s, canonical.block_of(s)[1]))
+    return dict(schur._act_basis(s, fc.block_of(s)[1]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(drawn_band_matrices())
 def test_column_vector_matches_hecke_action(s):
-    assert canonical.column_vector(s).terms == _column_by_hecke(s)
+    assert schur.column_vector(s).terms == _column_by_hecke(s)
 
 
 @pytest.mark.parametrize("n, D, band", [(2, 3, 2), (3, 3, 1)])
 def test_column_vector_matches_hecke_action_on_every_band_matrix(n, D, band):
     for s in transfer.band_matrices(n, D, band):
-        assert canonical.column_vector(s).terms == _column_by_hecke(s)
+        assert schur.column_vector(s).terms == _column_by_hecke(s)
 
 
 @st.composite
@@ -255,8 +264,7 @@ def test_schur_suite_at_rank_three():
 
 def test_epsilon_sign_character():
     # the unit of the standard block maps to 1, a simple T to -1 via [s]
-    std = FlagSymbol(2, 2, (1, 2))
-    d = fc.delta_matrix(std)
+    d = fc.delta_matrix((1, 1))
     assert epsilon_sign(SchurElement.basis(d)) == ONE
     x = schur.phi_e(2, 2, 1, (1, 1))
     y = schur.phi_f(2, 2, 1, (1, 1))

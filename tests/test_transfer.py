@@ -61,16 +61,24 @@ def test_transfer_linear_in_scalars(span4):
 def test_periodic_basis_outside_domain(span4, monkeypatch):
     s = PeriodicMatrix.make(2, 4, {(1, 1): 1, (2, 2): 1, (1, 2): 1, (2, 3): 1})
     monkeypatch.setattr(transfer, "MAX_WORD_LEN", 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(transfer.OutsideSpanError):
         transfer.transfer_map(SchurElement.basis(s), span4)
 
 
 def test_leading_term_on_generator_matrix(span4):
-    lam = fc.dominant_from_weight(2, 4, (2, 2))
-    e_mat, _ = fc.generator_matrices(lam, 1, 1)
+    e_mat, _ = fc.generator_matrices((2, 2), 1, 1)
     s = PeriodicMatrix.make(2, 4, dict(e_mat.entries))
     r = transfer.check_leading_term(s, span4)
     assert r["ok"] and r["leading"] == ONE
+
+
+@pytest.mark.parametrize("span_n, span_D", [(2, 5), (3, 4)])
+def test_leading_term_raises_on_a_span_of_another_rank(span_n, span_D):
+    # only an element outside the span is outside the computable domain; a
+    # span of another (n, D) is the caller's error and is not skipped
+    s = PeriodicMatrix.make(2, 4, {(1, 1): 2, (2, 2): 2})
+    with pytest.raises(ValueError, match="span rank mismatch"):
+        transfer.check_leading_term(s, transfer.MonomialSpan(span_n, span_D))
 
 
 def test_canonical_transfer_both_verdicts(span4, tsys):

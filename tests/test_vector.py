@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from affine_schur import affine_weyl, canonical, flag_comb as fc, tmodule, transfer
+from affine_schur import affine_weyl, flag_comb as fc, schur, tmodule, transfer
 from affine_schur.hecke import HeckeElement
 from affine_schur.laurent import LaurentScalar, RationalScalar
 from affine_schur.tmodule import ModuleVector
@@ -100,7 +100,7 @@ def test_module_collapse_inverts_expansion():
 
 def test_matrix_collapse_inverts_expansion():
     for s in transfer.band_matrices(2, 3, 2):
-        lam, mu = canonical.block_of(s)
+        lam, mu = fc.block_of(s)
         h = block_to_hecke({s: COEFF}, lam, mu)
         assert hecke_to_matrix_terms(lam, mu, h) == {s: COEFF}
 
@@ -108,17 +108,17 @@ def test_matrix_collapse_inverts_expansion():
 def _on_column(s, coords_on_cosets):
     """Coordinates {q: c} on the left-coset sums T_q as the vector
     sum of c v^{x_mu - x_q} [q] that from_column reads, mu the column of s."""
-    xmu = fc.x_stat(canonical.block_of(s)[1])
+    xmu = fc.x_stat(fc.block_of(s)[1])
     return {q: c.shift(xmu - fc.x_stat(q)) for q, c in coords_on_cosets.items()}
 
 
 def test_left_coset_collapse_inverts_expansion():
     for s in transfer.band_matrices(2, 3, 2):
-        lam, mu = canonical.block_of(s)
-        coords = {q: COEFF for q, _ in fc.left_cosets(s, lam, mu)}
-        assert canonical.from_column(mu, _on_column(s, coords)) == \
+        mu = fc.block_of(s)[1]
+        coords = {q: COEFF for q, _ in fc.left_cosets(s)}
+        assert schur.from_column(mu, _on_column(s, coords)) == \
             {s: COEFF.shift(-fc.y_stat(s))}
-        assert canonical.from_column(mu, canonical.column_vector(s).scale(COEFF).terms) \
+        assert schur.from_column(mu, schur.column_vector(s).scale(COEFF).terms) \
             == {s: COEFF}
 
 
@@ -129,8 +129,8 @@ S_WIDE = fc.PeriodicMatrix.make(2, 3, {(1, 3): 1, (2, 3): 2})
 @pytest.mark.parametrize("spoil", ["changed", "dropped"])
 @pytest.mark.parametrize("at", [0, -1])
 def test_left_coset_collapse_rejects_non_constant_double_coset(spoil, at):
-    lam, mu = canonical.block_of(S_WIDE)
-    qs = [q for q, _ in fc.left_cosets(S_WIDE, lam, mu)]
+    mu = fc.block_of(S_WIDE)[1]
+    qs = [q for q, _ in fc.left_cosets(S_WIDE)]
     assert len(qs) == 3
     coords = {q: COEFF for q in qs}
     if spoil == "changed":
@@ -138,4 +138,4 @@ def test_left_coset_collapse_rejects_non_constant_double_coset(spoil, at):
     else:
         del coords[qs[at]]
     with pytest.raises(ArithmeticError, match="not constant"):
-        canonical.from_column(mu, _on_column(S_WIDE, coords))
+        schur.from_column(mu, _on_column(S_WIDE, coords))
