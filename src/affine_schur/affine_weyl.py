@@ -21,7 +21,7 @@ that callers look up, so that a caller can rebind or wrap them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import groupby, permutations, product
 
@@ -30,6 +30,11 @@ from itertools import groupby, permutations, product
 class AffinePermutation:
     rank: int
     window: tuple
+    # hash((rank, window)), the dataclass hash, computed on first use: the
+    # Hecke products and the bar memo key dicts by permutations and would
+    # otherwise rehash the window on every lookup
+    _hash: int | None = field(default=None, init=False, compare=False,
+                              repr=False)
 
     def __post_init__(self):
         D = self.rank
@@ -37,6 +42,13 @@ class AffinePermutation:
             raise ValueError("window length must equal rank")
         if len({w % D for w in self.window}) != D:
             raise ValueError("window entries must be distinct mod D")
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.rank, self.window))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     def __call__(self, k: int) -> int:
         q, r = divmod(k - 1, self.rank)
@@ -117,6 +129,7 @@ class AffinePermutation:
 
 _SET_RANK = AffinePermutation.rank.__set__
 _SET_WINDOW = AffinePermutation.window.__set__
+_SET_HASH = AffinePermutation._hash.__set__
 
 
 def _trusted(rank: int, window: tuple) -> AffinePermutation:
@@ -126,6 +139,7 @@ def _trusted(rank: int, window: tuple) -> AffinePermutation:
     out = object.__new__(AffinePermutation)
     _SET_RANK(out, rank)
     _SET_WINDOW(out, window)
+    _SET_HASH(out, None)
     return out
 
 

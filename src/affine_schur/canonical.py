@@ -22,9 +22,10 @@ it expands and raises ArithmeticError otherwise.
 
 Discrepancy.  `solve_canonical` builds b_x as b = [x] + sum of p_y b_y and
 keeps d = tau(b) - b beside it, starting from d = tau([x]) - [x].  A step
-picks the label y of largest grade in the support of d (the first by
-sort_key among equals), splits gamma = d[y] as p - bar(p) with p in vZ[v],
-and sets b <- b + p b_y.  Since b_y is tau-fixed and tau is antilinear,
+picks the label y of largest grade in the support of d (the least label
+among equals, in `flag_comb`'s label order), splits gamma = d[y] as
+p - bar(p) with p in vZ[v], and sets b <- b + p b_y.  Since b_y is
+tau-fixed and tau is antilinear,
 
     tau(b + p b_y) - (b + p b_y) = d + bar(p) b_y - p b_y = d - gamma b_y,
 
@@ -33,7 +34,10 @@ Every y has a smaller grade than x, so b keeps coefficient 1 at x, and b_y
 has coefficient 1 at y and is otherwise supported on smaller grades, so the
 update clears d at y and adds labels only of smaller grade; the solver
 checks that d[y] is gone, so the loop, which ends when d = 0, cannot
-revisit a label.
+revisit a label.  The tie-break fixes only the order of the steps, not
+the result: b_x is the unique tau-fixed element in [x] + sum of vZ[v] [y]
+(the uniqueness half of the lemma, see "The Schur basis"), so any order of
+the labels of equal grade solves the same b_x and the same b_y.
 The labels b_y still to be solved sit on an explicit stack, so the depth of
 the bar-support order is not bounded by Python's recursion limit.  Both
 updates are `vector.add_scaled` on plain {label: scalar} dicts.
@@ -111,12 +115,13 @@ class BarSystem:
     unitriangular for the grade: the coefficient at label is exactly 1 and
     every other label of the support has a grade below grade(label).
     `tau_expand` checks both on every call, so the bar-support order is
-    acyclic on every label the solver reaches.  sort_key breaks ties of the
-    grade when the solver picks its next label.
+    acyclic on every label the solver reaches.  Labels must be ordered
+    (`<`): among labels of equal grade the solver picks the least one
+    next.  The order cannot change a solved b_x, which is unique (see
+    "Discrepancy" above).
     """
     tau_fn: object
     grade: object
-    sort_key: object
     _canon: dict = field(default_factory=dict)
 
     def tau_expand(self, label) -> dict:
@@ -172,8 +177,8 @@ def _frame(system: BarSystem, x) -> tuple:
 
 
 def _max_label(system: BarSystem, labels):
-    """The label of largest grade, the first by sort_key among equals."""
-    return min(labels, key=lambda y: (-system.grade(y), system.sort_key(y)))
+    """The label of largest grade, the least label among equals."""
+    return min(labels, key=lambda y: (-system.grade(y), y))
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +188,7 @@ def _max_label(system: BarSystem, labels):
 def tmodule_system() -> BarSystem:
     """The flag module's bar system.  A `FlagSymbol` carries n and D, so one
     system serves every rank."""
-    return BarSystem(tau_fn=tmodule._tau_terms, grade=x_stat,
-                     sort_key=lambda p: p.values)
+    return BarSystem(tau_fn=tmodule._tau_terms, grade=x_stat)
 
 
 def canonical_tmodule(p: FlagSymbol, system: BarSystem = None) -> tmodule.ModuleVector:
@@ -204,8 +208,7 @@ def schur_system(n: int, D: int) -> BarSystem:
     module basis.  It stays as the oracle that the tests compare
     `canonical_schur` with, and as the `tau_expand` kernel that the
     benchmark times; n and D do not change it."""
-    return BarSystem(tau_fn=schur._tau_terms, grade=y_stat,
-                     sort_key=lambda s: s.entries)
+    return BarSystem(tau_fn=schur._tau_terms, grade=y_stat)
 
 
 def canonical_schur(s: PeriodicMatrix, system: BarSystem = None) -> "schur.SchurElement":
@@ -246,9 +249,7 @@ def kl_coefficients(leading, vec, q_label, stat) -> list:
 
 
 def label_to_json(x) -> list:
-    """A flag symbol as its window, a matrix as its [i, j, value] cells.
-    Sorting labels of one kind by this list sorts symbols by window and
-    matrices by entries."""
+    """A flag symbol as its window, a matrix as its [i, j, value] cells."""
     if isinstance(x, FlagSymbol):
         return list(x.values)
     return [[i, j, v] for (i, j), v in x.entries]
@@ -256,10 +257,9 @@ def label_to_json(x) -> list:
 
 def expansion_to_json(leading, vec) -> dict:
     """The canonical element vec of leading, its terms sorted by label."""
-    terms = sorted(((label_to_json(x), c) for x, c in vec.terms.items()),
-                   key=lambda t: t[0])
     return {"leading": label_to_json(leading),
-            "terms": [{"label": x, "coeff": c.to_json()} for x, c in terms]}
+            "terms": [{"label": label_to_json(x), "coeff": c.to_json()}
+                      for x, c in sorted(vec.terms.items())]}
 
 
 class CanonicalCache:

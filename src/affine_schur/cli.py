@@ -291,8 +291,8 @@ def suite_crystal(cfg: RunConfig) -> list:
 def _expansion_checks(leading, vec, stat) -> str:
     """The first failure of the canonical element vec of leading, or "":
     coefficient 1 at leading, every other coefficient in vZ[v], and
-    nonnegative stalk dimensions.  The first failing label in
-    `canonical.label_to_json` order is the one reported."""
+    nonnegative stalk dimensions.  The least failing label is the one
+    reported."""
     if vec.coeff(leading) != ONE:
         return "leading coefficient is not 1"
     errs = {}
@@ -301,7 +301,7 @@ def _expansion_checks(leading, vec, stat) -> str:
             errs[q] = f"off-diagonal coefficient {c} outside vZ[v]"
         elif any(dim < 0 for _, dim in canonical.kl_coefficients(leading, vec, q, stat)):
             errs[q] = f"negative stalk dimension at {q}"
-    return errs[min(errs, key=canonical.label_to_json)] if errs else ""
+    return errs[min(errs)] if errs else ""
 
 
 def suite_canonical(cfg: RunConfig) -> list:
@@ -519,6 +519,14 @@ def _parse_matrix(text: str) -> PeriodicMatrix:
                          f"(expected n=..;D=..;[[i,j,v],...]): {e}")
 
 
+def _check_sizes(**sizes):
+    """Exit as a parse error does unless `run-suite` accepts these sizes."""
+    try:
+        RunConfig(**sizes).validate()
+    except ValueError as e:
+        raise SystemExit(f"invalid sizes: {e}")
+
+
 def _cache(args) -> "canonical.CanonicalCache | None":
     root = args.cache or os.environ.get(CACHE_ENV, "")
     return canonical.CanonicalCache(root) if root else None
@@ -559,6 +567,7 @@ def compute(args) -> int:
             lambda: canonical.expansion_to_json(s, canonical.canonical_schur(s)))
         print(json.dumps(payload, sort_keys=True, indent=1), file=out)
     elif args.entity == "crystal-graph":
+        _check_sizes(n=args.n, D=args.D, window=args.window, suite="crystal")
         graph = crystal.crystal_graph(args.n, args.D, 1, args.window)
         if args.format == "dot":
             print(crystal.graph_to_dot(graph), file=out)
@@ -571,6 +580,7 @@ def compute(args) -> int:
             raise SystemExit("transfer lowers the rank by n; need D > n")
         if not flag_comb.is_aperiodic(s):
             raise SystemExit("transfer expects an aperiodic matrix")
+        _check_sizes(n=s.n, suite="transfer")
         span = transfer.MonomialSpan(s.n, s.D)
         r = transfer.check_canonical_transfer(s, span)
         print(json.dumps(
@@ -596,12 +606,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     rs = sub.add_parser("run-suite", help="run a verification suite")
     rs.add_argument("suite", choices=SUITES)
-    rs.add_argument("--n", type=int, default=2)
-    rs.add_argument("--D", type=int, default=2)
-    rs.add_argument("--window", type=int, default=4)
-    rs.add_argument("--band", type=int, default=2)
-    rs.add_argument("--word-len", type=int, default=4)
-    rs.add_argument("--format", choices=FORMATS, default="json")
+    rs.add_argument("--n", type=int, default=RunConfig.n)
+    rs.add_argument("--D", type=int, default=RunConfig.D)
+    rs.add_argument("--window", type=int, default=RunConfig.window)
+    rs.add_argument("--band", type=int, default=RunConfig.band)
+    rs.add_argument("--word-len", type=int, default=RunConfig.word_len)
+    rs.add_argument("--format", choices=FORMATS, default=RunConfig.fmt)
     rs.add_argument("--out", default="", help="report path (default stdout)")
 
     cp = sub.add_parser("compute", help="compute a single quantity")
@@ -609,9 +619,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                        "canonical-s", "crystal-graph", "transfer"))
     cp.add_argument("--p", default="", help="flag symbol, n=..;D=..;[v1,...,vD]")
     cp.add_argument("--s", default="", help="matrix, n=..;D=..;[[i,j,v],...]")
-    cp.add_argument("--n", type=int, default=2)
-    cp.add_argument("--D", type=int, default=2)
-    cp.add_argument("--window", type=int, default=4)
+    cp.add_argument("--n", type=int, default=RunConfig.n)
+    cp.add_argument("--D", type=int, default=RunConfig.D)
+    cp.add_argument("--window", type=int, default=RunConfig.window)
     cp.add_argument("--format", choices=("json", "dot"), default="json")
     cp.add_argument("--cache", default="", help=f"cache root (or ${CACHE_ENV})")
     return ap

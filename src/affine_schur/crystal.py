@@ -53,24 +53,20 @@ suite counts the symbols of each word at each residue and weights each
 verdict by that count, so its reports equal those of the per-symbol
 loops.  At (n, D, window) = (3, 3, 6) the 648 (symbol, residue) pairs
 share 15 words, one of them empty, so the suite makes 14 oracle calls.
-`kashiwara_oracle` also decomposes once per local word (`_local_oracle`),
-for callers that ask per symbol.  `bracket` is memoized per (symbol,
-residue) (`_bracket`), since the Kashiwara operators, `angle_vector` and
-each verdict ask for the same partition again.  All three are unbounded
-`lru_cache`s that live as long as the process.  A local word has at most
-one letter per position class, so a run at D puts at most 2^(D+1) - 1
-words in each word memo.  Keys are immutable (a tuple of 0s and 1s, or a
-symbol and a residue), and a result is a pure function of its key and
-immutable (a tuple of words, a `WordVerdicts` or a frozen
-`BracketingPartition`), so it is safe to share.  tests/oracles.py keeps
-the per-symbol routes as references: the oracle by one decomposition of
-[b] with no memo, the string relation and uniqueness on b itself, and the
-suite's four per-symbol loops.
+`word_verdicts` is an unbounded `lru_cache` that lives as long as the
+process.  A local word has at most one letter per position class, so a
+run at D puts at most 2^(D+1) - 1 words in it.  A key is a tuple of 0s
+and 1s and a value is an immutable `WordVerdicts`, a pure function of the
+key, so the memo is safe to share.  `kashiwara_oracle` and `bracket` keep
+no memo: the suite reaches the oracle only through `word_verdicts`, once
+per word, and a repeated `bracket` call rescans at most 2D positions.
+tests/oracles.py keeps the per-symbol routes as references: the oracle by
+one decomposition of [b] itself, the string relation and
+uniqueness on b itself, and the suite's four per-symbol loops.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -83,17 +79,10 @@ from .vector import add_scaled
 _R_MINUS_ONE = -RationalScalar.one()
 
 
-@dataclass(frozen=True)
-class BracketingPartition:
+class BracketingPartition(NamedTuple):
     unpaired: tuple   # J, sorted positions
     pairs: tuple      # ((k, l), ...) with k < l, sorted by k
-
-    def epsilon(self) -> int:
-        """Number of unpaired (i+1)-values: the l of the chain structure."""
-        return self._split
-
-    # filled in by bracket(); kept explicit to avoid recomputing p
-    _split: int = 0
+    epsilon: int      # unpaired (i+1)-values: the l of the chain structure
 
 
 def bracket(p: FlagSymbol, i: int) -> BracketingPartition:
@@ -113,11 +102,6 @@ def bracket(p: FlagSymbol, i: int) -> BracketingPartition:
     partition that does, for the uniqueness check.
     """
     tmodule._check_residue(p.n, i)
-    return _bracket(p, i)
-
-
-@lru_cache(maxsize=None)
-def _bracket(p: FlagSymbol, i: int) -> BracketingPartition:
     positions = sorted(p.preimage(i) + p.preimage(i + 1))
     stack = []
     pairs = []
@@ -131,8 +115,7 @@ def _bracket(p: FlagSymbol, i: int) -> BracketingPartition:
             else:
                 unpaired_hi.append(k)
     J = tuple(unpaired_hi + stack)
-    return BracketingPartition(J, tuple(sorted(pairs)),
-                               _split=len(unpaired_hi))
+    return BracketingPartition(J, tuple(sorted(pairs)), len(unpaired_hi))
 
 
 def kashiwara_f(b: FlagSymbol, i: int):
@@ -199,15 +182,18 @@ def string_decomposition(x: ModuleVector, i: int) -> list:
 
 def kashiwara_oracle(b: FlagSymbol, i: int) -> tuple:
     """(f~_i b, e~_i b) from one string decomposition of [b], each reduced
-    mod v L_D; None where the string ends.  The decomposition is made once
-    per local word of (b, i), on its canonical symbol (see the module
+    mod v L_D; None where the string ends.  The decomposition is made on
+    the canonical symbol of the local word of (b, i) (see the module
     docstring), and each image is written back onto b's positions."""
     if b.n < 2:
         raise ValueError("the sl2-string oracle needs n >= 2")
     positions, word = local_word(b, i)
-    return tuple(None if image is None
-                 else write_local_word(b, i, positions, image)
-                 for image in _local_oracle(word))
+    if not word:
+        return None, None
+    parts = string_decomposition(ModuleVector.basis(local_symbol(word)), 1)
+    return tuple(None if q is None
+                 else write_local_word(b, i, positions, [a - 1 for a in q.values])
+                 for q in (_reduce_mod_v(parts, 1, shift) for shift in (1, -1)))
 
 
 def local_word(b: FlagSymbol, i: int) -> tuple:
@@ -229,20 +215,6 @@ def write_local_word(b: FlagSymbol, i: int, positions, word: tuple) -> FlagSymbo
         if b(k) != i + a:
             b = b.with_value(k, i + a)
     return b
-
-
-@lru_cache(maxsize=None)
-def _local_oracle(word: tuple) -> tuple:
-    """The oracle's two images on the canonical symbol of a local word, as
-    words; (None, None) for the empty word, whose [b] is its own string.
-    Memoized per word for the life of the process: the result is a pure
-    function of the word and a tuple of tuples, safe to share."""
-    if not word:
-        return None, None
-    parts = string_decomposition(ModuleVector.basis(local_symbol(word)), 1)
-    images = (_reduce_mod_v(parts, 1, shift) for shift in (1, -1))
-    return tuple(None if q is None else tuple(a - 1 for a in q.values)
-                 for q in images)
 
 
 def _reduce_mod_v(parts: list, i: int, shift: int):
@@ -311,7 +283,7 @@ def word_verdicts(word: tuple) -> WordVerdicts:
     # the string relation: e_1 <c> = [#J - l + 1] <e~_1 c> and
     # f_1 <c> = [l + 1] <f~_1 c>, J the unpaired positions, l = epsilon and
     # <None> = 0
-    nJ, l = len(part.unpaired), part.epsilon()
+    nJ, l = len(part.unpaired), part.epsilon
     av = tmodule.angle_vector(c, 1)
     expect_e = (ModuleVector.zero(c.n, c.D) if down is None
                 else tmodule.angle_vector(down, 1).scale(quantum_integer(nJ - l + 1)))

@@ -5,6 +5,12 @@ window (p(1), ..., p(D)).  A periodic matrix s is an N-valued Z x Z matrix
 with s_{i+n, j+n} = s_{ij} and total mass D over any fundamental strip; it is
 stored on the strip with row index in [1, n].
 
+Order.  Labels are ordered: symbols compare by (n, D, window) and matrices
+by (n, D, entries), and the cached fields below take no part.  Within one
+(n, D), symbols sort by window and matrices by their sorted cells.  Every
+report that lists labels sorts them in this order, and the canonical
+solver breaks ties of the grade by it.
+
 Memos.  Labels are interned: `FlagSymbol.make` and `PeriodicMatrix.make`
 return one shared object per key, (n, D, window) for symbols and (n, D,
 sorted normalized cells) for matrices, from the tables `_SYMBOLS` and
@@ -20,11 +26,13 @@ In `run-suite canonical --n 2 --D 3 --window 5 --band 2` the tables hold 261
 symbols and 220 matrices, and x_stat is counted once per symbol.
 
 `block_of` is memoized per matrix in an unbounded `lru_cache` that lives as
-long as the process, and so are `double_coset_min_rep` and `left_cosets`.
-Each is a pure function of the matrix (the block is fixed by its row and
-column weights, and the other two by the matrix and its block) and a tuple
-or a permutation of frozen values, so the memos are safe to share between
-callers and threads.
+long as the process, and so is `left_cosets`.  Each is a pure function of
+the matrix (the block is fixed by its row and column weights, and the
+cosets by the matrix and its block) and a tuple of frozen values, so the
+memos are safe to share between callers and threads.
+`double_coset_min_rep` has no memo of its own: the min rep it returns is
+cached on the symbol that `symbol_of_matrix` builds, so a repeated call
+only rebuilds that symbol's window.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ _SYMBOLS: dict = {}
 _MATRICES: dict = {}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, order=True)
 class FlagSymbol:
     n: int
     D: int
@@ -216,7 +224,7 @@ def _count_x_stat(p: FlagSymbol) -> int:
     return total
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, order=True)
 class PeriodicMatrix:
     n: int
     D: int
@@ -416,7 +424,6 @@ def symbol_of_matrix(s: PeriodicMatrix) -> FlagSymbol:
     return FlagSymbol.make(n, D, window)
 
 
-@lru_cache(maxsize=None)
 def double_coset_min_rep(s: PeriodicMatrix) -> AffinePermutation:
     """The minimal element of the double coset S_lam w S_mu attached to s,
     (lam, mu) its block, certified by matrix_of_pair((lam)w, mu) = s.
@@ -431,9 +438,6 @@ def double_coset_min_rep(s: PeriodicMatrix) -> AffinePermutation:
       increasing order;
     - so w has no right descent in S_mu, and w is the minimal element of
       S_lam w S_mu.
-
-    Memoized per matrix for the life of the process: the result is a pure
-    function of the key and an immutable permutation.
     """
     return symbol_of_matrix(s).min_coset_rep()
 

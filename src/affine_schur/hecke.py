@@ -83,15 +83,11 @@ class HeckeElement(SparseVector):
                                    key=lambda t: (t[0].length(), t[0].window))]
         return " + ".join(bits)
 
-    def __mul__(self, other: "HeckeElement") -> "HeckeElement":
-        return mul(self, other)
-
 
 @lru_cache(maxsize=None)
-def _tw_times_simple(rank: int, window: tuple, i: int):
+def _tw_times_simple(w: AffinePermutation, i: int):
     """T_w * T_{s_i} as a tuple of (permutation, coeff) pairs."""
-    w = AffinePermutation(rank, window)
-    ws = w * affine_weyl.simple(rank, i)
+    ws = w * affine_weyl.simple(w.rank, i)
     if not w.has_right_descent(i):
         return ((ws, ONE),)
     return ((w, _Q_LOW), (ws, _VM2))
@@ -102,7 +98,7 @@ def mul_by_simple(h: HeckeElement, i: int) -> HeckeElement:
     D = h.rank
     out = {}
     for w, c in h.terms.items():
-        add_scaled(out, _tw_times_simple(D, w.window, i), c)
+        add_scaled(out, _tw_times_simple(w, i), c)
     return HeckeElement(D, out)
 
 

@@ -17,17 +17,9 @@ class LaurentScalar:
 
     __slots__ = ("_c", "_hash")
 
-    def __init__(self, coeffs=None):
-        c = {}
-        if coeffs:
-            for e, a in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-                if a:
-                    b = c.get(e, 0) + a
-                    if b:
-                        c[e] = b
-                    elif e in c:
-                        del c[e]
-        self._c = c
+    def __init__(self, coeffs: dict = None):
+        """From a dict {exponent: coefficient}; zero coefficients drop."""
+        self._c = {e: a for e, a in coeffs.items() if a} if coeffs else {}
         self._hash = None
 
     # -- constructors ------------------------------------------------------

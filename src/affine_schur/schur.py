@@ -94,20 +94,16 @@ class SchurElement(SparseVector):
         return out
 
     def _sorted_blocks(self) -> list:
-        return sorted(self.blocks().items(),
-                      key=lambda kv: (kv[0][0].values, kv[0][1].values))
+        return sorted(self.blocks().items())
 
     def __repr__(self):
         if not self.terms:
             return "SchurElement(0)"
         bits = []
         for _, terms in self._sorted_blocks():
-            for s, c in sorted(terms.items(), key=lambda t: t[0].entries):
+            for s, c in sorted(terms.items()):
                 bits.append(f"({c})*[{dict(s.entries)}]")
         return " + ".join(bits)
-
-    def __mul__(self, other: "SchurElement") -> "SchurElement":
-        return schur_mul(self, other)
 
     def to_json(self) -> dict:
         out = []
@@ -115,7 +111,7 @@ class SchurElement(SparseVector):
             out.append({"lambda": list(lam.values), "mu": list(mu.values),
                         "terms": [{"matrix": [[i, j, v] for (i, j), v in s.entries],
                                    "coeff": c.to_json()}
-                                  for s, c in sorted(terms.items(), key=lambda t: t[0].entries)]})
+                                  for s, c in sorted(terms.items())]})
         return {"n": self.n, "D": self.D, "blocks": out}
 
     @staticmethod

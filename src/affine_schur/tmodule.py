@@ -73,14 +73,13 @@ class ModuleVector(SparseVector):
     def __repr__(self):
         if not self.terms:
             return "ModuleVector(0)"
-        bits = [f"({c})*[{list(p.values)}]"
-                for p, c in sorted(self.terms.items(), key=lambda t: t[0].values)]
+        bits = [f"({c})*[{list(p.values)}]" for p, c in sorted(self.terms.items())]
         return " + ".join(bits)
 
     def to_json(self) -> dict:
         return {"n": self.n, "D": self.D,
                 "terms": [{"p": list(p.values), "coeff": c.to_json()}
-                          for p, c in sorted(self.terms.items(), key=lambda t: t[0].values)]}
+                          for p, c in sorted(self.terms.items())]}
 
     @staticmethod
     def from_json(obj: dict) -> "ModuleVector":

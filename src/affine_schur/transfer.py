@@ -419,7 +419,7 @@ class MonomialSpan:
             raise RuntimeError(f"span search exceeded {MAX_ROWS} rows")
         self.monomials.append(mono)
         self.images.append(image)
-        pivot = min(vec, key=lambda s: s.entries)
+        pivot = min(vec)
         inv = RationalScalar.one() / vec[pivot]
         low = add_scaled(self._vec_of(low_image), low, -RationalScalar.one())
         self._pivot_row[pivot] = len(self._rows)
@@ -486,7 +486,7 @@ def transfer_map(x: SchurElement, span: MonomialSpan) -> SchurElement:
         residual, _ = span._reduce(span._vec_of(x))
         raise OutsideSpanError(f"element outside the monomial span up to word "
                                f"length {grown}; residual support "
-                               f"{sorted(residual, key=lambda s: s.entries)}")
+                               f"{sorted(residual)}")
     for s, c in low.items():
         if not c.is_laurent():
             raise ArithmeticError(

@@ -82,6 +82,3 @@ class SparseVector:
     def __eq__(self, other) -> bool:
         return (type(other) is type(self) and other._shape() == self._shape()
                 and other.terms == self.terms)
-
-    def __hash__(self):
-        return hash((self._shape(), frozenset(self.terms.items())))

@@ -196,7 +196,7 @@ def tau_schur_by_parabolic_bar(s: PeriodicMatrix) -> dict:
 def kashiwara_oracle_per_symbol(b: FlagSymbol, i: int) -> tuple:
     """(f~_i b, e~_i b) from one string decomposition of [b] itself, each
     reduced mod v: the reference for `crystal.kashiwara_oracle`, which
-    decomposes once per local word."""
+    decomposes the canonical symbol of the local word."""
     parts = crystal.string_decomposition(ModuleVector.basis(b), i)
     return tuple(crystal._reduce_mod_v(parts, i, shift) for shift in (1, -1))
 
@@ -206,7 +206,7 @@ def string_relation_per_symbol(b: FlagSymbol, i: int) -> bool:
     itself: the reference for the `strings` verdict of
     `crystal.word_verdicts`, which decides it once per local word."""
     part = crystal.bracket(b, i)
-    nJ, l = len(part.unpaired), part.epsilon()
+    nJ, l = len(part.unpaired), part.epsilon
     av = tmodule.angle_vector(b, i)
     down = crystal.kashiwara_e(b, i)
     expect_e = (ModuleVector.zero(b.n, b.D) if down is None

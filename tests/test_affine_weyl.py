@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 from functools import lru_cache
 
 from hypothesis import given, settings, strategies as st
@@ -193,3 +194,20 @@ def test_trusted_product_and_inverse_match_validating_route(data):
                                         for k in range(1, D + 1) if (a(k) - j) % D == 0))
     assert a.inverse() == inv and hash(a.inverse()) == hash(inv)
     assert a * inv == aw.identity(D) == inv * a
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_permutation_hash_is_the_cached_dataclass_hash(data):
+    D = data.draw(st.integers(1, 5))
+    window = data.draw(valid_windows(D))
+    a = aw.AffinePermutation(D, window)
+    b = a * aw.identity(D)  # built without validation
+    assert a is not b and a._hash is None and b._hash is None
+    for w in (a, b):
+        assert hash(w) == hash((D, window)) == w._hash
+    assert a == b and {a: 0, b: 1} == {a: 1}
+    assert repr(a) == repr(b) == f"AffinePermutation(D={D}, {list(window)})"
+    for w in (a, b, aw.AffinePermutation(D, window)):
+        back = pickle.loads(pickle.dumps(w))
+        assert back == a and hash(back) == hash(a) and repr(back) == repr(a)

@@ -3,6 +3,7 @@
 import inspect
 import json
 import sys
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from affine_schur import (affine_weyl as aw, canonical, cli, flag_comb as fc, he
 from affine_schur.flag_comb import FlagSymbol, PeriodicMatrix
 from affine_schur.laurent import LaurentScalar, ONE
 from affine_schur.schur import SchurElement
+from affine_schur.vector import add_scaled
 
 from oracles import hecke_to_matrix_terms, tau_schur_by_parabolic_bar
 
@@ -90,9 +92,54 @@ def test_solver_order_independent():
     assert out_a == out_b
 
 
+@dataclass(frozen=True)
+class _Reversed:
+    """A label ordered the other way round."""
+    label: str
+
+    def __lt__(self, other):
+        return other.label < self.label
+
+
+def test_tie_order_does_not_change_the_solution():
+    # b_y1 = [y1] + v[z], b_y2 = [y2] + 2v[z] and b_x = [x] + v[y1] +
+    # v^2[y2] + v^3[z], and tau is the antilinear map fixing them: tau([x])
+    # has y1 and y2, of equal grade, in its support, so the solver breaks a
+    # tie there
+    v = LaurentScalar.v
+    grade = {"x": 2, "y1": 1, "y2": 1, "z": 0}
+    canon = {"z": {"z": ONE}, "y1": {"y1": ONE, "z": v(1)},
+             "y2": {"y2": ONE, "z": LaurentScalar({1: 2})},
+             "x": {"x": ONE, "y1": v(1), "y2": v(2), "z": v(3)}}
+    taus = {}
+    for x in ("z", "y1", "y2", "x"):
+        # tau(b_x) = b_x gives tau([x]) = b_x - sum of bar(c_y) tau([y])
+        t = dict(canon[x])
+        for y, c in canon[x].items():
+            if y != x:
+                add_scaled(t, taus[y], -c.bar())
+        taus[x] = t
+    assert set(taus["x"]) == {"x", "y1", "y2", "z"}
+
+    forward = canonical.BarSystem(tau_fn=lambda x: taus[x], grade=grade.get)
+    backward = canonical.BarSystem(
+        tau_fn=lambda x: {_Reversed(y): c for y, c in taus[x.label].items()},
+        grade=lambda x: grade[x.label])
+    assert canonical._max_label(forward, {"y1", "y2"}) == "y1"
+    assert canonical._max_label(
+        backward, {_Reversed("y1"), _Reversed("y2")}) == _Reversed("y2")
+
+    assert canonical.solve_canonical(forward, "x") == canon["x"]
+    got = canonical.solve_canonical(backward, _Reversed("x"))
+    assert {y.label: c for y, c in got.items()} == canon["x"]
+    assert forward._canon == canon
+    assert {x.label: {y.label: c for y, c in b.items()}
+            for x, b in backward._canon.items()} == canon
+
+
 def test_unitriangularity_violation_detected():
     bad = canonical.BarSystem(
-        tau_fn=lambda x: {x: LaurentScalar.v(1)}, grade=len, sort_key=lambda x: x)
+        tau_fn=lambda x: {x: LaurentScalar.v(1)}, grade=len)
     with pytest.raises(ArithmeticError):
         bad.tau_expand("a")
 
@@ -103,7 +150,7 @@ def test_off_diagonal_term_of_equal_grade_detected():
     gamma = LaurentScalar({1: 1, -1: -1})
     bad = canonical.BarSystem(
         tau_fn=lambda x: {x: ONE, x[::-1]: gamma} if x == "ab" else {x: ONE},
-        grade=len, sort_key=lambda x: x)
+        grade=len)
     with pytest.raises(ArithmeticError, match="grade 2 >= 2"):
         bad.tau_expand("ab")
     with pytest.raises(ArithmeticError):
@@ -241,8 +288,7 @@ def test_solver_chain_deeper_than_recursion_limit():
         t[k - 1] = t[k - 1] + v
         t[k] = ONE
         taus[k] = t
-    system = canonical.BarSystem(tau_fn=lambda k: taus[k], grade=lambda k: k,
-                                 sort_key=lambda k: -k)
+    system = canonical.BarSystem(tau_fn=lambda k: taus[k], grade=lambda k: k)
     old = sys.getrecursionlimit()
     sys.setrecursionlimit(limit)
     try:

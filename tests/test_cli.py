@@ -149,6 +149,41 @@ def test_transfer_compute_rejects_periodic_matrix(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("args, rule", [
+    (["crystal-graph", "--n", "1", "--D", "2", "--window", "3"],
+     "the crystal suite's sl2-string oracle needs n >= 2"),
+    (["crystal-graph", "--n", "0"], "n, D and window must be >= 1"),
+    (["crystal-graph", "--D", "0"], "n, D and window must be >= 1"),
+    (["transfer", "--s", "n=1;D=3;[[1,1,3]]"],
+     "the transfer suite needs n >= 2: affine sl_n's Chevalley generators "
+     "need two residues, and (i-1) mod n and i mod n coincide at n = 1"),
+])
+def test_compute_rejects_sizes_run_suite_rejects(args, rule):
+    """compute checks the sizes `run-suite` checks, and exits as a parse
+    error does: nonzero, one line on stderr and nothing on stdout."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-m", "affine_schur.cli", "compute",
+                          *args], env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert res.returncode != 0
+    assert res.stdout == ""
+    assert res.stderr == f"invalid sizes: {rule}\n"
+
+
+def test_parser_defaults_are_run_config_defaults():
+    parser = cli._build_parser()
+    rs = vars(parser.parse_args(["run-suite", "relations"]))
+    default = cli.RunConfig()
+    assert (rs["n"], rs["D"], rs["window"], rs["band"], rs["word_len"],
+            rs["format"]) == (default.n, default.D, default.window,
+                              default.band, default.word_len, default.fmt)
+    cp = vars(parser.parse_args(["compute", "xstat"]))
+    assert (cp["n"], cp["D"], cp["window"]) == (default.n, default.D,
+                                                default.window)
+
+
 def test_canonical_report_same_cold_warm_and_across_hash_seeds(tmp_path):
     """Memo iteration order must not leak into a report: two fresh
     interpreters with different hash seeds and a warm in-process rerun all

@@ -33,7 +33,7 @@ def test_bracket_unpaired():
     p = FlagSymbol(2, 3, (2, 1, 1))
     part = crystal.bracket(p, 1)
     # the leading 2 is unpaired (no 1 before it), one later 1 pairs nothing
-    assert part.epsilon() == 1
+    assert part.epsilon == 1
     assert crystal.kashiwara_e(p, 1) == FlagSymbol(2, 3, (1, 1, 1))
 
 
@@ -44,11 +44,11 @@ def test_epsilon_phi_string_lengths():
             while (b2 := crystal.kashiwara_e(b, i)) is not None:
                 b, k = b2, k + 1
             part = crystal.bracket(p, i)
-            assert part.epsilon() == k
+            assert part.epsilon == k
             k, b = 0, p
             while (b2 := crystal.kashiwara_f(b, i)) is not None:
                 b, k = b2, k + 1
-            assert len(part.unpaired) - part.epsilon() == k
+            assert len(part.unpaired) - part.epsilon == k
 
 
 def test_oracle_agreement_suite():

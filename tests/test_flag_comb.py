@@ -222,3 +222,28 @@ def left_cosets_by_enumeration(s) -> tuple:
 def test_left_cosets_match_enumeration(n, D, band):
     for s in transfer.band_matrices(n, D, band):
         assert fc.left_cosets(s) == left_cosets_by_enumeration(s)
+
+
+@st.composite
+def labels_of_one_shape(draw):
+    """A list of symbols and a list of matrices, all of one (n, D)."""
+    n, D = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    windows = st.lists(st.integers(-2, 2 * n), min_size=D, max_size=D)
+    cells = st.lists(st.tuples(st.integers(1, n), st.integers(-2, 2 * n + 2)),
+                     min_size=D, max_size=D)
+    symbols = [FlagSymbol.make(n, D, w)
+               for w in draw(st.lists(windows, max_size=8))]
+    matrices = [PeriodicMatrix.make(n, D, [(ij, 1) for ij in c])
+                for c in draw(st.lists(cells, max_size=8))]
+    return symbols, matrices
+
+
+@given(labels_of_one_shape())
+def test_labels_of_one_shape_order_by_window_and_entries(labels):
+    symbols, matrices = labels
+    assert sorted(symbols) == sorted(symbols, key=lambda p: p.values)
+    assert sorted(matrices) == sorted(matrices, key=lambda s: s.entries)
+    for p in symbols:
+        fc.x_stat(p)  # a cached field takes no part in the order
+        fresh = FlagSymbol(p.n, p.D, p.values)
+        assert not p < fresh and not fresh < p and p <= fresh

@@ -139,3 +139,12 @@ def test_left_coset_collapse_rejects_non_constant_double_coset(spoil, at):
         del coords[qs[at]]
     with pytest.raises(ArithmeticError, match="not constant"):
         schur.from_column(mu, _on_column(S_WIDE, coords))
+
+
+def test_vectors_are_unhashable():
+    p = fc.FlagSymbol.make(2, 2, (2, 1))
+    s = fc.delta_matrix((1, 1))
+    for vec in (ModuleVector.basis(p), schur.SchurElement.basis(s),
+                HeckeElement.unit(2)):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(vec)
