@@ -90,8 +90,9 @@ given x and the dimension statistic of its labels; the canonical suite
 checks that each is nonnegative (`cli._expansion_checks`).  Order is fixed
 only where it is visible: `compute` writes b_x as JSON with its terms
 sorted by label (`expansion_to_json`), optionally kept per block in a
-`CanonicalCache`, and a failing check names the first bad label in that
-order.
+`CanonicalCache` (each file stamped with a schema number and the quadratic
+relation, so a stale file is recomputed), and a failing check names the
+first bad label in that order.
 """
 
 from __future__ import annotations
@@ -101,7 +102,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 
-from . import flag_comb, schur, tmodule
+from . import flag_comb, hecke, schur, tmodule
 from .flag_comb import FlagSymbol, PeriodicMatrix, block_of, x_stat, y_stat
 from .laurent import ONE
 from .vector import add_scaled
@@ -262,8 +263,19 @@ def expansion_to_json(leading, vec) -> dict:
                       for x, c in sorted(vec.terms.items())]}
 
 
+# The layout of a cache file; raise it when the layout or a payload changes.
+CACHE_SCHEMA = 1
+_CACHE_STAMP = {"schema": CACHE_SCHEMA, "relation": hecke.QUADRATIC_RELATION}
+
+
 class CanonicalCache:
-    """One JSON file per (n, D, lambda, mu) under a root directory."""
+    """One JSON file per (n, D, lambda, mu) under a root directory.
+
+    A file holds {"stamp": ..., "entries": {key: payload}}.  The stamp names
+    the file layout (`CACHE_SCHEMA`) and the quadratic relation the entries
+    were solved under; `load` ignores a file with another stamp, or with
+    none, and `store` replaces it, so stale entries are recomputed.
+    """
 
     def __init__(self, root):
         import pathlib
@@ -279,19 +291,21 @@ class CanonicalCache:
         path = self._path(n, D, lam_wt, mu_wt)
         if not path.exists():
             return {}
-        return json.loads(path.read_text())
+        data = json.loads(path.read_text())
+        return data["entries"] if data.get("stamp") == _CACHE_STAMP else {}
 
     def store(self, n, D, lam_wt, mu_wt, key: str, payload: dict):
         """Add one entry to the block's file.  The new file is written beside
         the old one and renamed over it, so a failed or interrupted write
         leaves the previous file whole."""
         path = self._path(n, D, lam_wt, mu_wt)
-        data = json.loads(path.read_text()) if path.exists() else {}
-        data[key] = payload
+        entries = self.load(n, D, lam_wt, mu_wt)
+        entries[key] = payload
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as f:
-                json.dump(data, f, sort_keys=True, indent=1)
+                json.dump({"stamp": _CACHE_STAMP, "entries": entries}, f,
+                          sort_keys=True, indent=1)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

@@ -49,6 +49,10 @@ from .affine_weyl import AffinePermutation
 from .laurent import LaurentScalar, ONE
 from .vector import SparseVector, add_scaled
 
+# The relation every product here obeys, as the module docstring states it;
+# `canonical.CanonicalCache` stamps its files with it.
+QUADRATIC_RELATION = "(T_i + 1)(T_i - v^-2) = 0"
+
 _Q_LOW = LaurentScalar({-2: 1, 0: -1})   # v^-2 - 1
 _VM2 = LaurentScalar({-2: 1})            # v^-2
 _VP2 = LaurentScalar({2: 1})             # v^2

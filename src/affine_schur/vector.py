@@ -6,12 +6,14 @@ module and [s] in the Schur algebra, over Z[v, v^-1]; the sl_2-string oracle
 and the span solver use the same dicts over Q(v).  `add_scaled` is the one
 accumulate loop over such dicts, and `SparseVector` the one base class of
 the element types.  Both work with `LaurentScalar` and `RationalScalar`
-coefficients alike: they need only `+`, `*` and `is_zero`.
+coefficients alike: they need only `+`, `*` and `is_zero`.  A Laurent zero
+is the one shared object `laurent.ZERO`, so both test it by identity and
+call `is_zero` only on other scalars.
 """
 
 from __future__ import annotations
 
-from .laurent import LaurentScalar
+from .laurent import ZERO, LaurentScalar
 
 _MINUS_ONE = LaurentScalar.const(-1)
 
@@ -28,7 +30,7 @@ def add_scaled(out: dict, terms, c=None) -> dict:
         s = out.get(x)
         if s is not None:
             a = s + a
-        if a.is_zero():
+        if a is ZERO or (a.__class__ is not LaurentScalar and a.is_zero()):
             out.pop(x, None)
         else:
             out[x] = a
@@ -46,7 +48,7 @@ class SparseVector:
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict):
-        self.terms = {x: c for x, c in terms.items() if not c.is_zero()}
+        self.terms = {x: c for x, c in terms.items() if c is not ZERO}
 
     def _shape(self) -> tuple:
         raise NotImplementedError
@@ -59,7 +61,7 @@ class SparseVector:
         return not self.terms
 
     def coeff(self, x) -> LaurentScalar:
-        return self.terms.get(x, LaurentScalar.zero())
+        return self.terms.get(x, ZERO)
 
     def _like(self, terms: dict):
         return type(self)(*self._shape(), terms)

@@ -21,6 +21,48 @@ from affine_schur.tmodule import ModuleVector
 from affine_schur.vector import add_scaled
 
 
+# ---------------------------------------------------------------------------
+# Laurent arithmetic on plain dicts {exponent: nonzero coefficient}: the
+# loops `LaurentScalar` ran on every call before small values were shared
+# and their operations memoized.
+
+
+def laurent_add(x: dict, y: dict) -> dict:
+    c = dict(x)
+    for e, a in y.items():
+        b = c.get(e, 0) + a
+        if b:
+            c[e] = b
+        elif e in c:
+            del c[e]
+    return c
+
+
+def laurent_neg(x: dict) -> dict:
+    return {e: -a for e, a in x.items()}
+
+
+def laurent_mul(x: dict, y: dict) -> dict:
+    c = {}
+    for e1, a1 in x.items():
+        for e2, a2 in y.items():
+            e = e1 + e2
+            b = c.get(e, 0) + a1 * a2
+            if b:
+                c[e] = b
+            elif e in c:
+                del c[e]
+    return c
+
+
+def laurent_shift(x: dict, k: int) -> dict:
+    return {e + k: a for e, a in x.items()}
+
+
+def laurent_bar(x: dict) -> dict:
+    return {-e: a for e, a in x.items()}
+
+
 def young_generators(dominant_window) -> list:
     """The finite simple reflections s_i inside blocks of equal values."""
     return [i for i in range(1, len(dominant_window))

@@ -181,6 +181,41 @@ def test_cache_store_failure_keeps_previous_file(tmp_path):
     assert cache.load(2, 2, (1, 1), None) == {"a": {"x": 1}}
 
 
+def test_cache_ignores_a_file_with_another_stamp(tmp_path):
+    cache = canonical.CanonicalCache(tmp_path)
+    cache.store(2, 2, (1, 1), None, "a", {"x": 1})
+    (path,) = tmp_path.iterdir()
+    data = json.loads(path.read_text())
+    assert data["stamp"] == {"schema": canonical.CACHE_SCHEMA,
+                             "relation": "(T_i + 1)(T_i - v^-2) = 0"}
+    stale = [{"stamp": dict(data["stamp"], schema=canonical.CACHE_SCHEMA - 1),
+              "entries": data["entries"]},
+             {"stamp": dict(data["stamp"], relation="(T_i - v)(T_i + v^-1) = 0"),
+              "entries": data["entries"]},
+             data["entries"]]  # the unstamped layout
+    for old in stale:
+        path.write_text(json.dumps(old))
+        assert cache.load(2, 2, (1, 1), None) == {}
+        cache.store(2, 2, (1, 1), None, "b", {"x": 2})
+        assert json.loads(path.read_text()) == {"stamp": data["stamp"],
+                                                "entries": {"b": {"x": 2}}}
+
+
+def test_compute_recomputes_a_stale_cache_entry(tmp_path, capsys):
+    argv = ["compute", "canonical-t", "--p", "n=2;D=2;[2,1]",
+            "--cache", str(tmp_path)]
+    assert cli.main(argv) == 0
+    cold = capsys.readouterr().out
+    (path,) = tmp_path.iterdir()
+    data = json.loads(path.read_text())
+    (key,) = data["entries"]
+    data["stamp"]["schema"] += 1
+    data["entries"][key] = {"leading": [], "terms": []}  # a wrong payload
+    path.write_text(json.dumps(data))
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == cold
+
+
 # ---------------------------------------------------------------------------
 # The recompute route: the solver before the discrepancy was kept
 # incrementally, applying tau to the whole of b after every correction.

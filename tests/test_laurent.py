@@ -1,12 +1,21 @@
-"""Exact scalar arithmetic: ring axioms, bar, quantum combinatorics."""
+"""Exact scalar arithmetic: ring axioms, bar, quantum combinatorics, and
+the shared small scalars with their memoized operations."""
+
+import copy
+import pickle
+import sys
+import threading
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from affine_schur.laurent import (LaurentScalar, RationalScalar, ONE,
+from affine_schur import laurent
+from affine_schur.laurent import (LaurentScalar, RationalScalar, ONE, ZERO,
                                   divide_exact, laurent_gcd,
                                   quantum_binomial, quantum_factorial,
                                   quantum_integer)
+
+import oracles
 
 
 def L(d):
@@ -54,11 +63,7 @@ def test_ring_axioms(a, b, c):
 
 def convolution(a: LaurentScalar, b: LaurentScalar) -> LaurentScalar:
     """The product term by term, with no shortcut: the reference for `*`."""
-    c = {}
-    for e1, a1 in a.items():
-        for e2, a2 in b.items():
-            c[e1 + e2] = c.get(e1 + e2, 0) + a1 * a2
-    return L(c)
+    return L(oracles.laurent_mul(dict(a.items()), dict(b.items())))
 
 
 monomials = st.builds(LaurentScalar.monomial,
@@ -214,3 +219,111 @@ def test_rational_division_by_zero_raises():
             x / zero
     with pytest.raises(ZeroDivisionError):
         RationalScalar(ONE, LaurentScalar.zero())
+
+
+# ---------------------------------------------------------------------------
+# Shared small scalars and the memoized operations, against the dict oracle
+
+SMALL = laurent._SHARED_TERMS
+# up to twice the cutoff in terms, so that both sides of it are drawn
+wide = st.dictionaries(st.integers(-8, 8), st.integers(-5, 5).filter(bool),
+                       max_size=2 * SMALL + 1).map(L)
+
+
+def _terms(x) -> dict:
+    if isinstance(x, int):
+        return {0: x} if x else {}
+    return dict(x.items())
+
+
+def _check_value(got, want: dict):
+    assert isinstance(got, LaurentScalar)
+    assert dict(got.items()) == want
+    # the hash of the set of terms, so dict and set order stay what they were
+    assert hash(got) == hash(frozenset(want.items()))
+    fresh = L(dict(reversed(list(want.items()))))  # another insertion order
+    assert got == fresh and hash(got) == hash(fresh)
+    if len(want) <= SMALL:
+        assert got is fresh
+    else:
+        assert got is not fresh
+
+
+@settings(max_examples=300)
+@given(wide, wide | st.integers(-4, 4), st.integers(-6, 6))
+def test_memoized_ops_match_dict_oracle(x, y, k):
+    dx, dy = _terms(x), _terms(y)
+    for _ in range(2):  # the second round is answered by the memos
+        _check_value(x + y, oracles.laurent_add(dx, dy))
+        _check_value(y + x, oracles.laurent_add(dy, dx))
+        _check_value(x - y, oracles.laurent_add(dx, oracles.laurent_neg(dy)))
+        _check_value(y - x, oracles.laurent_add(dy, oracles.laurent_neg(dx)))
+        _check_value(x * y, oracles.laurent_mul(dx, dy))
+        _check_value(y * x, oracles.laurent_mul(dy, dx))
+        _check_value(-x, oracles.laurent_neg(dx))
+        _check_value(x.shift(k), oracles.laurent_shift(dx, k))
+        _check_value(x.bar(), oracles.laurent_bar(dx))
+    assert (x == y) == (dx == dy)
+    assert x.is_zero() == (x is ZERO) == (not dx)
+    assert x.is_one() == (x is ONE) == (dx == {0: 1})
+
+
+@given(wide, st.integers(-6, 6))
+def test_equal_small_values_are_one_object(x, k):
+    routes = [x.shift(k).shift(-k), x.bar().bar(), -(-x), x + ZERO, ONE * x,
+              L(dict(x.items())), pickle.loads(pickle.dumps(x))]
+    for y in routes:
+        assert y == x and hash(y) == hash(x)
+        if len(dict(x.items())) <= SMALL:
+            assert y is x
+
+
+def test_pickle_and_copy_keep_shared_values_intact():
+    values = [L({1: 2, -1: 3}), L({e: 1 for e in range(SMALL + 2)}), ZERO, ONE,
+              quantum_integer(3), LaurentScalar.v(-2)]
+    for x in values:
+        copies = [copy.copy(x), copy.deepcopy(x), copy.deepcopy([x])[0]]
+        copies += [pickle.loads(pickle.dumps(x, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for y in copies:
+            assert dict(y.items()) == dict(x.items()) and hash(y) == hash(x)
+            if len(dict(x.items())) <= SMALL:
+                assert y is x
+    r = RationalScalar(L({2: 1, 0: 1}), quantum_integer(3))
+    back = pickle.loads(pickle.dumps(r))
+    assert back == r and back.num is r.num and back.den is r.den
+    # the shared zero and one are unchanged
+    assert dict(ZERO.items()) == {} and ZERO is LaurentScalar.zero() is L({})
+    assert dict(ONE.items()) == {0: 1} and ONE is LaurentScalar.one() is L({0: 1})
+    assert ZERO.is_zero() and not ZERO and ONE.is_one() and ONE
+
+
+def test_threads_build_one_object_per_value():
+    """Four threads build the same new values at once, with the interpreter
+    switching threads as often as it can; each value must be one object."""
+    base = 10 ** 6  # exponents no other test uses, so every value is new
+    values = [{base + i: 1, -base - i: -2} for i in range(1500)]
+    start = threading.Barrier(4)
+    results = [[] for _ in range(4)]
+
+    def build(out):
+        start.wait()
+        for c in values:
+            x = L(c)
+            out.append((x, x.bar(), x * x, x + ONE, x.shift(1)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(out,)) for out in results]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for i, c in enumerate(values):
+        assert dict(results[0][i][0].items()) == c
+        for j in range(5):
+            assert len({id(out[i][j]) for out in results}) == 1
