@@ -89,10 +89,10 @@ as a `schur.SchurElement`, each a flat {label: scalar} dict in no order.
 given x and the dimension statistic of its labels; the canonical suite
 checks that each is nonnegative (`cli._expansion_checks`).  Order is fixed
 only where it is visible: `compute` writes b_x as JSON with its terms
-sorted by label (`expansion_to_json`), optionally kept per block in a
-`CanonicalCache` (each file stamped with a schema number and the quadratic
-relation, so a stale file is recomputed), and a failing check names the
-first bad label in that order.
+sorted by label (`expansion_to_json`), optionally kept in a
+`CanonicalCache` (one file per element, stamped with a schema number and
+the quadratic relation, so a stale entry is recomputed), and a failing
+check names the first bad label in that order.
 """
 
 from __future__ import annotations
@@ -264,17 +264,20 @@ def expansion_to_json(leading, vec) -> dict:
 
 
 # The layout of a cache file; raise it when the layout or a payload changes.
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 _CACHE_STAMP = {"schema": CACHE_SCHEMA, "relation": hecke.QUADRATIC_RELATION}
 
 
 class CanonicalCache:
-    """One JSON file per (n, D, lambda, mu) under a root directory.
+    """One JSON file per entry under a root directory, named by a digest of
+    the entry's key.
 
-    A file holds {"stamp": ..., "entries": {key: payload}}.  The stamp names
-    the file layout (`CACHE_SCHEMA`) and the quadratic relation the entries
-    were solved under; `load` ignores a file with another stamp, or with
-    none, and `store` replaces it, so stale entries are recomputed.
+    A file holds {"stamp": ..., "key": key, "payload": payload}.  The stamp
+    names the file layout (`CACHE_SCHEMA`) and the quadratic relation the
+    payload was solved under; `load` ignores a file with another stamp or
+    another key, and `store` replaces it, so stale entries are recomputed.
+    A store writes its own file only, so concurrent stores of different
+    keys keep every entry.
     """
 
     def __init__(self, root):
@@ -282,30 +285,30 @@ class CanonicalCache:
         self.root = pathlib.Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
 
-    def _path(self, n, D, lam_wt, mu_wt):
-        lam = "-".join(str(m) for m in lam_wt)
-        mu = "-".join(str(m) for m in mu_wt) if mu_wt is not None else "T"
-        return self.root / f"n{n}_D{D}_lam{lam}_mu{mu}.json"
+    def _path(self, key: str):
+        import hashlib  # loads OpenSSL, so only a run that caches pays for it
+        return self.root / f"{hashlib.sha256(key.encode()).hexdigest()}.json"
 
-    def load(self, n, D, lam_wt, mu_wt) -> dict:
-        path = self._path(n, D, lam_wt, mu_wt)
+    def load(self, key: str):
+        """The payload stored under key, or None."""
+        path = self._path(key)
         if not path.exists():
-            return {}
+            return None
         data = json.loads(path.read_text())
-        return data["entries"] if data.get("stamp") == _CACHE_STAMP else {}
+        if data.get("stamp") != _CACHE_STAMP or data.get("key") != key:
+            return None
+        return data["payload"]
 
-    def store(self, n, D, lam_wt, mu_wt, key: str, payload: dict):
-        """Add one entry to the block's file.  The new file is written beside
-        the old one and renamed over it, so a failed or interrupted write
-        leaves the previous file whole."""
-        path = self._path(n, D, lam_wt, mu_wt)
-        entries = self.load(n, D, lam_wt, mu_wt)
-        entries[key] = payload
+    def store(self, key: str, payload: dict):
+        """Write the entry's file.  The new file is written beside the old
+        one and renamed over it, so a failed or interrupted write leaves the
+        previous file whole."""
+        path = self._path(key)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as f:
-                json.dump({"stamp": _CACHE_STAMP, "entries": entries}, f,
-                          sort_keys=True, indent=1)
+                json.dump({"stamp": _CACHE_STAMP, "key": key, "payload": payload},
+                          f, sort_keys=True, indent=1)
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)

@@ -528,25 +528,37 @@ def _check_sizes(**sizes):
 
 
 def _cache(args) -> "canonical.CanonicalCache | None":
+    """The cache under --cache or $AFFINE_SCHUR_CACHE, if either is set;
+    OSError if its root cannot be made or written."""
     root = args.cache or os.environ.get(CACHE_ENV, "")
-    return canonical.CanonicalCache(root) if root else None
+    if not root:
+        return None
+    cache = canonical.CanonicalCache(root)
+    if not os.access(cache.root, os.W_OK | os.X_OK):
+        raise PermissionError(f"cannot write to {root!r}")
+    return cache
 
 
-def _cached_expansion(cache, n, D, lam_wt, mu_wt, key, solve):
+def _cached_expansion(cache, key, solve):
     """The JSON of a canonical element, from the cache when it is stored
-    there; solve() computes it otherwise."""
+    there under key; solve() computes it otherwise."""
     if cache is None:
         return solve()
-    stored = cache.load(n, D, lam_wt, mu_wt).get(key)
-    if stored is not None:
-        return stored
-    payload = solve()
-    cache.store(n, D, lam_wt, mu_wt, key, payload)
+    payload = cache.load(key)
+    if payload is None:
+        payload = solve()
+        cache.store(key, payload)
     return payload
 
 
 def compute(args) -> int:
     out = sys.stdout
+    if args.entity in ("canonical-t", "canonical-s"):
+        try:
+            cache = _cache(args)
+        except OSError as e:
+            print(f"invalid cache root: {e}", file=sys.stderr)
+            return 2
     if args.entity == "xstat":
         p = _parse_symbol(args.p)
         print(x_stat(p), file=out)
@@ -556,14 +568,14 @@ def compute(args) -> int:
     elif args.entity == "canonical-t":
         p = _parse_symbol(args.p)
         payload = _cached_expansion(
-            _cache(args), p.n, p.D, p.weight(), None, p.to_text(),
+            cache, f"canonical-t {p.to_text()}",
             lambda: canonical.expansion_to_json(p, canonical.canonical_tmodule(p)))
         print(json.dumps(payload, sort_keys=True, indent=1), file=out)
     elif args.entity == "canonical-s":
         s = _parse_matrix(args.s)
-        key = json.dumps(s.to_json()["entries"])
+        key = f"canonical-s n={s.n};D={s.D};{json.dumps(s.to_json()['entries'])}"
         payload = _cached_expansion(
-            _cache(args), s.n, s.D, s.row_weight(), s.col_weight(), key,
+            cache, key,
             lambda: canonical.expansion_to_json(s, canonical.canonical_schur(s)))
         print(json.dumps(payload, sort_keys=True, indent=1), file=out)
     elif args.entity == "crystal-graph":
@@ -639,6 +651,15 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"invalid config: {e}", file=sys.stderr)
         return 2
+    if args.out:
+        # checked before the suite runs; the report itself is opened, and an
+        # existing one truncated, only once the suite has finished
+        parent = os.path.dirname(os.path.abspath(args.out))
+        if (os.path.isdir(args.out) or not os.path.isdir(parent)
+                or not os.access(parent, os.W_OK | os.X_OK)):
+            print(f"invalid --out: cannot write a report to {args.out!r}",
+                  file=sys.stderr)
+            return 2
     report = run_suite(cfg)
     text = report_to_text(report, cfg.fmt)
     if args.out:

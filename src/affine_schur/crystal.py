@@ -26,12 +26,12 @@ The lemma extends to the bracketing rule and to every check of the
 crystal suite.  `bracket` scans the values at k_1..k_L in order and
 returns positions, so the partition of (b, i) is that of (c, 1) carried
 along t -> k_t.  f~_i and e~_i flip one unpaired position, so f~_i b and
-e~_i b are f~_1 c and e~_1 c written back onto b (`write_local_word`),
-and None exactly when these are.  Writing back is injective: at n >= 2 it
-rewrites one position of each class of k_1..k_L and nothing else, so
-different words give different symbols.  Hence the oracle agrees with the
-rule on (b, i) exactly when it does on (c, 1).  The inverse check carries
-back too: f~_i b has the local positions of b and the word of f~_1 c, so
+e~_i b are f~_1 c and e~_1 c written back onto b (the value i + w'_t at
+k_t, w' their word), and None exactly when these are.  Writing back is
+injective: at n >= 2 it rewrites one position of each class of k_1..k_L
+and nothing else, so different words give different symbols.  Hence the
+oracle agrees with the rule on (b, i) exactly when it does on (c, 1).
+The inverse check carries back too: f~_i b has the local positions of b and the word of f~_1 c, so
 e~_i f~_i b = b exactly when e~_1 f~_1 c = c, and likewise for f~ e~.
 `angle_vector` reads a symbol only through `bracket` and `with_value` at
 the local positions: <b> rewrites the values at the unpaired positions J
@@ -48,7 +48,11 @@ partition is the only one, so every check passes.
 
 Memos.  `word_verdicts` decides the suite's four checks on (c, 1) once per
 local word: how many of f~ and e~ the oracle confirms, how many of
-e~ f~ c = c and f~ e~ c = c fail, the string relation and uniqueness.  The
+e~ f~ c = c and f~ e~ c = c fail, the string relation and uniqueness.  It
+is the one place the lemma is applied: `kashiwara_oracle` decomposes [b]
+itself, so tests/test_crystal.py checks the lemma on the oracle, and the
+per-symbol suite of tests/oracles.py, which calls the oracle on every
+symbol at every residue, is a reference that does not assume it.  The
 suite counts the symbols of each word at each residue and weights each
 verdict by that count, so its reports equal those of the per-symbol
 loops.  At (n, D, window) = (3, 3, 6) the 648 (symbol, residue) pairs
@@ -60,9 +64,6 @@ and 1s and a value is an immutable `WordVerdicts`, a pure function of the
 key, so the memo is safe to share.  `kashiwara_oracle` and `bracket` keep
 no memo: the suite reaches the oracle only through `word_verdicts`, once
 per word, and a repeated `bracket` call rescans at most 2D positions.
-tests/oracles.py keeps the per-symbol routes as references: the oracle by
-one decomposition of [b] itself, the string relation and
-uniqueness on b itself, and the suite's four per-symbol loops.
 """
 
 from __future__ import annotations
@@ -182,18 +183,9 @@ def string_decomposition(x: ModuleVector, i: int) -> list:
 
 def kashiwara_oracle(b: FlagSymbol, i: int) -> tuple:
     """(f~_i b, e~_i b) from one string decomposition of [b], each reduced
-    mod v L_D; None where the string ends.  The decomposition is made on
-    the canonical symbol of the local word of (b, i) (see the module
-    docstring), and each image is written back onto b's positions."""
-    if b.n < 2:
-        raise ValueError("the sl2-string oracle needs n >= 2")
-    positions, word = local_word(b, i)
-    if not word:
-        return None, None
-    parts = string_decomposition(ModuleVector.basis(local_symbol(word)), 1)
-    return tuple(None if q is None
-                 else write_local_word(b, i, positions, [a - 1 for a in q.values])
-                 for q in (_reduce_mod_v(parts, 1, shift) for shift in (1, -1)))
+    mod v L_D; None where the string ends.  Needs n >= 2."""
+    parts = string_decomposition(ModuleVector.basis(b), i)
+    return tuple(_reduce_mod_v(parts, i, shift) for shift in (1, -1))
 
 
 def local_word(b: FlagSymbol, i: int) -> tuple:
@@ -207,14 +199,6 @@ def local_symbol(word: tuple) -> FlagSymbol:
     """The canonical symbol of a nonempty local word: n = 2, values
     1 + word at positions 1..len(word), read at i = 1."""
     return FlagSymbol.make(2, len(word), [1 + a for a in word])
-
-
-def write_local_word(b: FlagSymbol, i: int, positions, word: tuple) -> FlagSymbol:
-    """b with the value i + word[t] at positions[t]."""
-    for k, a in zip(positions, word):
-        if b(k) != i + a:
-            b = b.with_value(k, i + a)
-    return b
 
 
 def _reduce_mod_v(parts: list, i: int, shift: int):

@@ -12,9 +12,10 @@ at D = n, and the block twist psi.  A divided power e_i^(k) or f_i^(k) at a
 weight is the characteristic function of one orbit, as in the
 Beilinson-Lusztig-MacPherson construction, so its image is the single
 basis element of `flag_comb.generator_matrices`, and monomial evaluation
-multiplies by it once.  The sign character needs no Hecke algebra: on its
-one block [s] is a single v^{y_s} T_w, and `epsilon_degrees` reads its
-value off the matrix.
+multiplies by each letter once (`_mul_gen`): one `schur_mul` by the sum of
+these elements at the weights of the element it extends.  The sign
+character needs no Hecke algebra: on its one block [s] is a single
+v^{y_s} T_w, and `epsilon_degrees` reads its value off the matrix.
 
 The column map.  An element z of column nu (its terms in blocks (lam, nu))
 is fixed by its value z*[nu] = v^{x_nu} z on the dominant [nu].
@@ -226,23 +227,13 @@ def phi_e(n: int, D: int, i: int, lam_weight, k: int = 1) -> SchurElement:
     return SchurElement.basis(e_mat)
 
 
-def phi_f(n: int, D: int, i: int, lam_weight, k: int = 1) -> SchurElement:
-    """Image of f_i^(k) a_{lam}: the transpose displacement, or 0."""
-    if not _of_rank(n, D, lam_weight):
-        return SchurElement.zero(n, D)
-    _, f_mat = flag_comb.generator_matrices(lam_weight, i, k)
-    if f_mat is None:
-        return SchurElement.zero(n, D)
-    return SchurElement.basis(f_mat)
-
-
 # ---------------------------------------------------------------------------
 # Monomials of the modified quantum algebra
 #
 # A letter is ("a", weight) | ("e", i, k) | ("f", i, k) with k the divided
-# power.  Evaluation is anchored at an "a" letter, extending leftward by
-# left multiplication and rightward by right multiplication; weights are
-# resolved blockwise from the neighbouring idempotent.
+# power.  Evaluation is anchored at the first "a" letter, extending leftward
+# by left multiplication and rightward by right multiplication; each
+# letter's weights are read off the terms it multiplies.
 
 
 class UdotMonomial:
@@ -291,32 +282,32 @@ def _wshift(n: int, kind: str, i: int, k: int) -> tuple:
 
 def _mul_gen(x: SchurElement, kind: str, i: int, k: int,
              left: bool) -> SchurElement:
-    """Left (left=True) or right multiplication by e_i^(k) or f_i^(k): each
-    block of x times the one basis element `phi_e` or `phi_f` gives at its
-    weight.  At n = 1 the two value classes of the residue coincide and
+    """Left (left=True) or right multiplication by e_i^(k) or f_i^(k): one
+    `schur_mul` by the sum of the generator's basis matrices at the weights
+    of x on the side it touches.  Each is read from
+    `flag_comb.generator_matrices` at its e-matrix's row weight, the left
+    weight of e_i^(k) and the right weight of f_i^(k): x's own weight, or
+    that weight raised by e_i^(k) when e acts on the left or f on the
+    right.  At n = 1 the two value classes of the residue coincide and
     e_0 e_0 is not divisible by [2], so k >= 2 raises ArithmeticError, as
     `tmodule.divided` does."""
     if k >= 2 and x.n == 1 and not x.is_zero():
         raise ArithmeticError(f"divided power of order {k} needs n >= 2")
-    out = {}
-    shift = _wshift(x.n, kind, i, k)
-    sign = 1 if left else -1
-    for terms in x.blocks().values():
-        s = next(iter(terms))
-        old_wt = s.row_weight() if left else s.col_weight()
-        new_wt = tuple(a + sign * b for a, b in zip(old_wt, shift))
-        # the left side checks the new weight for e and f, the right side
-        # only for f
-        if (left or kind == "f") and any(m < 0 for m in new_wt):
-            continue
-        # phi_e takes the letter's left weight, phi_f its right weight
-        if kind == "e":
-            g = phi_e(x.n, x.D, i, new_wt if left else old_wt, k)
-        else:
-            g = phi_f(x.n, x.D, i, old_wt if left else new_wt, k)
-        piece = SchurElement(x.n, x.D, terms)
-        add_scaled(out, (schur_mul(g, piece) if left else schur_mul(piece, g)).terms)
-    return SchurElement(x.n, x.D, out)
+    raise_wt = (kind == "e") == left
+    shift = _wshift(x.n, "e", i, k)
+    gens = {}
+    for wt in dict.fromkeys(s.row_weight() if left else s.col_weight()
+                            for s in x.terms):
+        if raise_wt:
+            wt = tuple(a + b for a, b in zip(wt, shift))
+            if min(wt) < 0:
+                continue
+        e_mat, f_mat = flag_comb.generator_matrices(wt, i, k)
+        g = e_mat if kind == "e" else f_mat
+        if g is not None:
+            gens[g] = ONE
+    g = SchurElement(x.n, x.D, gens)
+    return schur_mul(g, x) if left else schur_mul(x, g)
 
 
 def phi_monomial(m: UdotMonomial, D: int) -> SchurElement:
@@ -327,14 +318,11 @@ def phi_monomial(m: UdotMonomial, D: int) -> SchurElement:
         raise ValueError("monomial has no weight letter to anchor at")
     j = anchors[0]
     x = phi_idempotent(n, D, m.letters[j][1])
-    # extend to the left
+    # extend to the left, where no letter is a weight letter
     for g in reversed(m.letters[:j]):
         if x.is_zero():
             return x
-        if g[0] == "a":
-            x = schur_mul(phi_idempotent(n, D, g[1]), x)
-        else:
-            x = _mul_gen(x, g[0], g[1], g[2], left=True)
+        x = _mul_gen(x, g[0], g[1], g[2], left=True)
     # extend to the right
     for g in m.letters[j + 1:]:
         if x.is_zero():

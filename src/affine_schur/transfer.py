@@ -36,8 +36,9 @@ periodic unit matrix and row sums over all integer rows l:
               beta = sum_{l>p} (s_{l,c} - s_{l,c-1}).
 
 An empty sum is the zero product.  The oracle is the Hecke route,
-schur.schur_mul([s], phi_e or phi_f), which acts through one Hecke
-product per basis pair (schur._act_basis); tests/test_transfer.py
+schur.schur_mul([s], g) with g the generator's basis element at the
+column weight of s (flag_comb.generator_matrices), which acts through
+one Hecke product per basis pair (schur._act_basis); tests/test_transfer.py
 compares the two on every band matrix of a few small ranks and on
 Hypothesis-drawn band matrices at n = 2..4, D <= 5.  schur.phi_monomial
 stays on the Hecke route, a divided power e_i^(k) or f_i^(k) being one

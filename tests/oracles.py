@@ -235,14 +235,6 @@ def tau_schur_by_parabolic_bar(s: PeriodicMatrix) -> dict:
     return {t: c.shift(twist) for t, c in terms.items()}
 
 
-def kashiwara_oracle_per_symbol(b: FlagSymbol, i: int) -> tuple:
-    """(f~_i b, e~_i b) from one string decomposition of [b] itself, each
-    reduced mod v: the reference for `crystal.kashiwara_oracle`, which
-    decomposes the canonical symbol of the local word."""
-    parts = crystal.string_decomposition(ModuleVector.basis(b), i)
-    return tuple(crystal._reduce_mod_v(parts, i, shift) for shift in (1, -1))
-
-
 def string_relation_per_symbol(b: FlagSymbol, i: int) -> bool:
     """e_i <b> = [#J - l + 1] <e~_i b> and f_i <b> = [l + 1] <f~_i b> on b
     itself: the reference for the `strings` verdict of
@@ -329,6 +321,50 @@ def inv_monomial(c: LaurentScalar) -> LaurentScalar:
 
 
 # ---------------------------------------------------------------------------
+# Generator products block by block
+
+
+def phi_f(n: int, D: int, i: int, lam_weight, k: int = 1) -> SchurElement:
+    """Image of f_i^(k) a_{lam}: the transpose displacement, or 0."""
+    if not schur._of_rank(n, D, lam_weight):
+        return SchurElement.zero(n, D)
+    _, f_mat = flag_comb.generator_matrices(lam_weight, i, k)
+    if f_mat is None:
+        return SchurElement.zero(n, D)
+    return SchurElement.basis(f_mat)
+
+
+def mul_gen_by_blocks(x: SchurElement, kind: str, i: int, k: int,
+                      left: bool) -> SchurElement:
+    """Left or right multiplication by e_i^(k) or f_i^(k), one block of x at
+    a time, each times the basis element `schur.phi_e` or `phi_f` gives at
+    the letter's weight: the reference for `schur._mul_gen`, which makes
+    one product by the sum of the generator's basis matrices."""
+    if k >= 2 and x.n == 1 and not x.is_zero():
+        raise ArithmeticError(f"divided power of order {k} needs n >= 2")
+    out = {}
+    shift = schur._wshift(x.n, kind, i, k)
+    sign = 1 if left else -1
+    for terms in x.blocks().values():
+        s = next(iter(terms))
+        old_wt = s.row_weight() if left else s.col_weight()
+        new_wt = tuple(a + sign * b for a, b in zip(old_wt, shift))
+        # the left side checks the new weight for e and f, the right side
+        # only for f
+        if (left or kind == "f") and any(m < 0 for m in new_wt):
+            continue
+        # phi_e takes the letter's left weight, phi_f its right weight
+        if kind == "e":
+            g = schur.phi_e(x.n, x.D, i, new_wt if left else old_wt, k)
+        else:
+            g = phi_f(x.n, x.D, i, old_wt if left else new_wt, k)
+        piece = SchurElement(x.n, x.D, terms)
+        add_scaled(out, (schur.schur_mul(g, piece) if left
+                         else schur.schur_mul(piece, g)).terms)
+    return SchurElement(x.n, x.D, out)
+
+
+# ---------------------------------------------------------------------------
 # Divided powers as k generator products
 
 
@@ -354,7 +390,7 @@ def mul_gen_k_fold(x: SchurElement, kind: str, i: int, k: int,
             if kind == "e":
                 g = schur.phi_e(x.n, x.D, i, new_wt if left else old_wt)
             else:
-                g = schur.phi_f(x.n, x.D, i, old_wt if left else new_wt)
+                g = phi_f(x.n, x.D, i, old_wt if left else new_wt)
             piece = (schur.schur_mul(g, piece) if left
                      else schur.schur_mul(piece, g))
         fact = quantum_factorial(k)

@@ -2,7 +2,9 @@
 
 import inspect
 import json
+import os
 import sys
+import threading
 from dataclasses import dataclass
 
 import pytest
@@ -164,41 +166,65 @@ def test_export_and_cache(tmp_path):
     text = json.dumps(payload, sort_keys=True)
     assert json.loads(text) == payload
     cache = canonical.CanonicalCache(tmp_path)
-    cache.store(2, 2, (1, 1), None, "k", payload)
-    assert cache.load(2, 2, (1, 1), None)["k"] == payload
+    assert cache.load("k") is None
+    cache.store("k", payload)
+    assert cache.load("k") == payload
+    assert cache.load("other") is None
 
 
 def test_cache_store_failure_keeps_previous_file(tmp_path):
     cache = canonical.CanonicalCache(tmp_path)
-    cache.store(2, 2, (1, 1), None, "a", {"x": 1})
+    cache.store("a", {"x": 1})
     (path,) = tmp_path.iterdir()
     before = path.read_text()
     # "z" sorts last, so serialization fails after the other keys are written
     with pytest.raises(TypeError):
-        cache.store(2, 2, (1, 1), None, "b", {"x": 2, "z": object()})
+        cache.store("a", {"x": 2, "z": object()})
     assert list(tmp_path.iterdir()) == [path]
     assert path.read_text() == before
-    assert cache.load(2, 2, (1, 1), None) == {"a": {"x": 1}}
+    assert cache.load("a") == {"x": 1}
 
 
 def test_cache_ignores_a_file_with_another_stamp(tmp_path):
     cache = canonical.CanonicalCache(tmp_path)
-    cache.store(2, 2, (1, 1), None, "a", {"x": 1})
+    cache.store("a", {"x": 1})
     (path,) = tmp_path.iterdir()
     data = json.loads(path.read_text())
-    assert data["stamp"] == {"schema": canonical.CACHE_SCHEMA,
-                             "relation": "(T_i + 1)(T_i - v^-2) = 0"}
-    stale = [{"stamp": dict(data["stamp"], schema=canonical.CACHE_SCHEMA - 1),
-              "entries": data["entries"]},
-             {"stamp": dict(data["stamp"], relation="(T_i - v)(T_i + v^-1) = 0"),
-              "entries": data["entries"]},
-             data["entries"]]  # the unstamped layout
+    assert data == {"stamp": {"schema": canonical.CACHE_SCHEMA,
+                              "relation": "(T_i + 1)(T_i - v^-2) = 0"},
+                    "key": "a", "payload": {"x": 1}}
+    stale = [dict(data, stamp=dict(data["stamp"], schema=canonical.CACHE_SCHEMA - 1)),
+             dict(data, stamp=dict(data["stamp"], relation="(T_i - v)(T_i + v^-1) = 0")),
+             dict(data, key="b"),  # another key under the same digest
+             {"entries": {"a": {"x": 1}}}]  # the unstamped layout
     for old in stale:
         path.write_text(json.dumps(old))
-        assert cache.load(2, 2, (1, 1), None) == {}
-        cache.store(2, 2, (1, 1), None, "b", {"x": 2})
-        assert json.loads(path.read_text()) == {"stamp": data["stamp"],
-                                                "entries": {"b": {"x": 2}}}
+        assert cache.load("a") is None
+        cache.store("a", {"x": 2})
+        assert json.loads(path.read_text()) == dict(data, payload={"x": 2})
+
+
+def test_concurrent_stores_keep_every_entry(tmp_path, monkeypatch):
+    # both stores have written their new file before either renames it
+    # into place; a store that rewrote a shared file would lose one entry
+    cache = canonical.CanonicalCache(tmp_path)
+    barrier = threading.Barrier(2, timeout=10)
+    replace = os.replace
+
+    def meeting(src, dst):
+        barrier.wait()
+        replace(src, dst)
+
+    monkeypatch.setattr(canonical.os, "replace", meeting)
+    threads = [threading.Thread(target=cache.store, args=(key, {"x": key}))
+               for key in "ab"]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert not barrier.broken
+    assert [cache.load(key) for key in "ab"] == [{"x": "a"}, {"x": "b"}]
+    assert len(list(tmp_path.iterdir())) == 2
 
 
 def test_compute_recomputes_a_stale_cache_entry(tmp_path, capsys):
@@ -208,9 +234,8 @@ def test_compute_recomputes_a_stale_cache_entry(tmp_path, capsys):
     cold = capsys.readouterr().out
     (path,) = tmp_path.iterdir()
     data = json.loads(path.read_text())
-    (key,) = data["entries"]
     data["stamp"]["schema"] += 1
-    data["entries"][key] = {"leading": [], "terms": []}  # a wrong payload
+    data["payload"] = {"leading": [], "terms": []}  # a wrong payload
     path.write_text(json.dumps(data))
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == cold

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from affine_schur import cli, flag_comb as fc, schur, tmodule, transfer
+from affine_schur import canonical, cli, flag_comb as fc, schur, tmodule, transfer
 from affine_schur.laurent import LaurentScalar
 from affine_schur.schur import UdotMonomial
 from affine_schur.tmodule import ModuleVector
@@ -123,6 +123,51 @@ def test_out_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     report = json.loads(out.read_text())
     assert all(c["status"] == "pass" for c in report["cases"])
+
+
+def _suite_must_not_run(cfg):
+    raise AssertionError("the suite ran")
+
+
+@pytest.mark.parametrize("where", ["missing/r.json", "."])
+def test_bad_out_path_exits_2_before_the_suite_runs(where, tmp_path, capsys,
+                                                     monkeypatch):
+    monkeypatch.setattr(cli, "run_suite", _suite_must_not_run)
+    out = tmp_path / where
+    assert cli.main(["run-suite", "crystal", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"invalid --out: cannot write a report to {str(out)!r}\n"
+    assert not (tmp_path / "missing").exists()
+
+
+def test_out_check_keeps_an_existing_report(tmp_path, monkeypatch):
+    # the report is opened only once the suite has finished
+    out = tmp_path / "r.json"
+    out.write_text("previous report")
+    monkeypatch.setattr(cli, "run_suite", _suite_must_not_run)
+    with pytest.raises(AssertionError, match="the suite ran"):
+        cli.main(["run-suite", "crystal", "--out", str(out)])
+    assert out.read_text() == "previous report"
+
+
+@pytest.mark.parametrize("entity, flag", [("canonical-t", "--p=n=2;D=2;[2,1]"),
+                                          ("canonical-s", "--s=n=2;D=2;[[1,2,1],[2,2,1]]")])
+def test_bad_cache_root_exits_2_before_solving(entity, flag, tmp_path, capsys,
+                                               monkeypatch):
+    def must_not_solve(x):
+        raise AssertionError("solved")
+
+    monkeypatch.setattr(canonical, "canonical_tmodule", must_not_solve)
+    monkeypatch.setattr(canonical, "canonical_schur", must_not_solve)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for root in (blocker, blocker / "cache"):
+        assert cli.main(["compute", entity, flag, "--cache", str(root)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid cache root: ")
+        assert captured.err.count("\n") == 1
 
 
 def test_cache_warm_run_identical(tmp_path, capsys):

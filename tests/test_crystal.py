@@ -14,8 +14,20 @@ from affine_schur.laurent import (LaurentScalar, ONE, RationalScalar,
                                   quantum_binomial, quantum_factorial)
 
 from oracles import (bracketing_unique_per_symbol, crystal_cases_per_symbol,
-                     inverse_failures_per_symbol, kashiwara_oracle_per_symbol,
-                     string_relation_per_symbol)
+                     inverse_failures_per_symbol, string_relation_per_symbol)
+
+
+def write_local_word(b: FlagSymbol, i: int, q):
+    """A symbol q of the canonical local symbol of (b, i), read at 1,
+    written back onto b: the value i + q(t) - 1 at the t-th local position
+    of b.  None stays None."""
+    if q is None:
+        return None
+    positions = crystal.local_word(b, i)[0]
+    for k, a in zip(positions, q.values):
+        if b(k) != i + a - 1:
+            b = b.with_value(k, i + a - 1)
+    return b
 
 
 def test_bracket_example():
@@ -228,15 +240,27 @@ def test_oracle_at_rank_one_ends_at_once(capsys):
     assert "sl2-string oracle needs n >= 2" in capsys.readouterr().err
 
 
-def test_oracle_matches_per_symbol_route_at_benchmark_size():
-    # the crystal workload: n = 3, D = 3, window values in [1, 6]
-    pairs = 0
-    for b in fc.enumerate_flag_symbols(3, 3, 1, 6):
-        for i in range(3):
-            assert (crystal.kashiwara_oracle(b, i)
-                    == kashiwara_oracle_per_symbol(b, i)), (b, i)
-            pairs += 1
-    assert pairs == 648
+def _oracle_is_local(b, i) -> bool:
+    """The local-word lemma on the oracle: on (b, i) it gives the oracle on
+    the canonical symbol of b's local word at 1, written back onto b."""
+    word = crystal.local_word(b, i)[1]
+    if not word:
+        return crystal.kashiwara_oracle(b, i) == (None, None)
+    local = crystal.kashiwara_oracle(crystal.local_symbol(word), 1)
+    return crystal.kashiwara_oracle(b, i) == tuple(write_local_word(b, i, q)
+                                                   for q in local)
+
+
+@pytest.mark.parametrize("size", [(2, 3, 4), (3, 3, 6), (3, 4, 5), (4, 4, 6)])
+def test_oracle_is_local(size):
+    # every (symbol, residue) at the sizes of the per-symbol suite check;
+    # (3, 3, 6) is the crystal workload
+    n, D, window = size
+    symbols = fc.enumerate_flag_symbols(n, D, 1, window)
+    for b in symbols:
+        for i in range(n):
+            assert _oracle_is_local(b, i), (b, i)
+    assert len(symbols) == window ** D
 
 
 # windows reach below 1 and above n, so some symbols have no position
@@ -250,10 +274,9 @@ drawn_symbols = st.tuples(st.integers(2, 4), st.integers(1, 5)).flatmap(
 @settings(max_examples=60, deadline=None)
 @given(drawn_symbols)
 @example(FlagSymbol(3, 2, (3, 6)))  # no position valued 1 or 2
-def test_oracle_matches_per_symbol_route(b):
+def test_oracle_is_local_on_drawn_symbols(b):
     for i in range(b.n):
-        assert (crystal.kashiwara_oracle(b, i)
-                == kashiwara_oracle_per_symbol(b, i)), (b, i)
+        assert _oracle_is_local(b, i), (b, i)
 
 
 @settings(max_examples=80, deadline=None)
@@ -265,16 +288,14 @@ def test_divided_power_is_local(p, data):
     i = data.draw(st.integers(0, p.n - 1))
     k = data.draw(st.integers(0, 2))
     which = data.draw(st.sampled_from(["e", "f"]))
-    positions, word = crystal.local_word(p, i)
+    word = crystal.local_word(p, i)[1]
     assert all(a in (0, 1) for a in word)
     direct = tmodule.divided(i, k, {p: ONE}, which)
     if not word:
         assert direct == ({p: ONE} if k == 0 else {})
         return
     local = tmodule.divided(1, k, {crystal.local_symbol(word): ONE}, which)
-    back = {crystal.write_local_word(p, i, positions,
-                                     tuple(a - 1 for a in q.values)): c
-            for q, c in local.items()}
+    back = {write_local_word(p, i, q): c for q, c in local.items()}
     assert direct == back
 
 
@@ -311,13 +332,12 @@ def test_bracketing_rule_is_local(b, data):
     # on b's canonical local symbol, written back onto b's positions, and
     # so the oracle and inverse verdicts of the word are those of b
     i = data.draw(st.integers(0, b.n - 1))
-    positions, word = crystal.local_word(b, i)
+    word = crystal.local_word(b, i)[1]
     verdict = crystal.word_verdicts(word)
     up, down = crystal.kashiwara_f(b, i), crystal.kashiwara_e(b, i)
     if word:
         c = crystal.local_symbol(word)
-        back = [None if q is None else crystal.write_local_word(
-                    b, i, positions, tuple(a - 1 for a in q.values))
+        back = [write_local_word(b, i, q)
                 for q in (crystal.kashiwara_f(c, 1), crystal.kashiwara_e(c, 1))]
         assert [up, down] == back
     else:
@@ -363,15 +383,13 @@ def test_angle_vector_is_local(p, data):
     # the lemma under the string-relation memo: <p> at i is <c> at 1 on
     # p's canonical local symbol c, written back onto p's positions
     i = data.draw(st.integers(0, p.n - 1))
-    positions, word = crystal.local_word(p, i)
+    word = crystal.local_word(p, i)[1]
     direct = tmodule.angle_vector(p, i)
     if not word:
         assert direct == tmodule.ModuleVector.basis(p)
         return
     local = tmodule.angle_vector(crystal.local_symbol(word), 1)
-    back = {crystal.write_local_word(p, i, positions,
-                                     tuple(a - 1 for a in q.values)): c
-            for q, c in local.terms.items()}
+    back = {write_local_word(p, i, q): c for q, c in local.terms.items()}
     assert direct.terms == back
 
 

@@ -5,7 +5,7 @@ from functools import lru_cache
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from affine_schur import cli, flag_comb as fc, schur, tmodule, transfer
 from affine_schur.flag_comb import FlagSymbol, PeriodicMatrix
@@ -14,7 +14,8 @@ from affine_schur.schur import SchurElement, UdotMonomial
 from affine_schur.vector import add_scaled
 
 from oracles import (act_on_module_by_blocks, block_to_hecke, epsilon_sign,
-                     inv_monomial, phi_monomial_k_fold, schur_mul_by_hecke)
+                     inv_monomial, mul_gen_by_blocks, phi_f,
+                     phi_monomial_k_fold, schur_mul_by_hecke)
 
 
 def unit_on_weights(n, D, weights):
@@ -35,7 +36,7 @@ def test_mul_associative_sampled():
     rng = random.Random(3)
     gens = [schur.phi_e(2, 3, i, lam.weight())
             for lam in fc.all_dominant(2, 3) for i in range(2)]
-    gens += [schur.phi_f(2, 3, i, lam.weight())
+    gens += [phi_f(2, 3, i, lam.weight())
              for lam in fc.all_dominant(2, 3) for i in range(2)]
     gens = [g for g in gens if not g.is_zero()]
     for _ in range(25):
@@ -122,7 +123,7 @@ def test_phi_images_reject_malformed_weights_of_the_rank(wt):
     # a weight that sums to the rank must be a nonnegative n-tuple
     for image in (lambda: schur.phi_idempotent(2, 2, wt),
                   lambda: schur.phi_e(2, 2, 1, wt),
-                  lambda: schur.phi_f(2, 2, 1, wt)):
+                  lambda: phi_f(2, 2, 1, wt)):
         with pytest.raises(ValueError, match="nonnegative n-tuple"):
             image()
 
@@ -136,7 +137,7 @@ def test_schur_suite():
 
 def test_tau_schur_involution():
     lam = fc.dominant_from_weight(2, 2, (1, 1))
-    for x in (schur.phi_e(2, 2, 0, (1, 1)), schur.phi_f(2, 2, 1, (2, 0))):
+    for x in (schur.phi_e(2, 2, 0, (1, 1)), phi_f(2, 2, 1, (2, 0))):
         if x.is_zero():
             continue
         assert schur.tau_schur(schur.tau_schur(x)) == x
@@ -188,6 +189,42 @@ def elements_and_vectors(draw):
 def test_act_on_module_matches_block_route(case):
     x, vec = case
     assert schur.act_on_module(x, vec) == act_on_module_by_blocks(x, vec)
+
+
+@st.composite
+def generator_products(draw):
+    """x a combination of band-one basis matrices from several blocks at
+    n = 2..4, D <= 4, and a letter e_i^(k) or f_i^(k), k <= 3, on either
+    side; at D < 3 or with a zero weight entry, some blocks meet a
+    generator that vanishes."""
+    n = draw(st.integers(2, 4))
+    D = draw(st.integers(1, 4))
+    terms = draw(st.lists(st.tuples(st.sampled_from(_band_one(n, D)), coeffs),
+                          min_size=1, max_size=5))
+    return (SchurElement(n, D, add_scaled({}, terms)), draw(st.sampled_from("ef")),
+            draw(st.integers(0, n - 1)), draw(st.integers(0, 3)),
+            draw(st.booleans()))
+
+
+# e_i^(2) and f_i^(2) vanish on one of the two blocks at each residue
+_TWO_BLOCKS = SchurElement(2, 2, {fc.delta_matrix((2, 0)): ONE,
+                                  fc.delta_matrix((0, 2)): ONE})
+
+
+@settings(max_examples=80, deadline=None)
+@given(generator_products())
+@example((_TWO_BLOCKS, "e", 0, 2, True))
+@example((_TWO_BLOCKS, "f", 1, 2, False))
+def test_mul_gen_matches_block_route(case):
+    x, kind, i, k, left = case
+    assert schur._mul_gen(x, kind, i, k, left) == mul_gen_by_blocks(x, kind, i, k, left)
+
+
+def test_mul_gen_on_a_vanishing_block():
+    for kind, i, left in product("ef", range(2), (True, False)):
+        x = schur._mul_gen(_TWO_BLOCKS, kind, i, 2, left)
+        assert len(x.terms) == 1, (kind, i, left)
+        assert schur._mul_gen(_TWO_BLOCKS, kind, i, 3, left).is_zero()
 
 
 @st.composite
@@ -267,7 +304,7 @@ def test_epsilon_sign_character():
     d = fc.delta_matrix((1, 1))
     assert epsilon_sign(SchurElement.basis(d)) == ONE
     x = schur.phi_e(2, 2, 1, (1, 1))
-    y = schur.phi_f(2, 2, 1, (1, 1))
+    y = phi_f(2, 2, 1, (1, 1))
     prod = schur.schur_mul(x, y)
     # e f on the standard block evaluates through the sign character
     val = epsilon_sign(prod)
@@ -446,7 +483,7 @@ def test_tau_schur_involution_on_combinations(x):
 def test_offset_twist_multiplicative():
     # offset_sum is additive along products of basis elements
     a = schur.phi_e(2, 2, 1, (1, 1))
-    b = schur.phi_f(2, 2, 1, (1, 1))
+    b = phi_f(2, 2, 1, (1, 1))
     (sa, _), = a.terms.items()
     (sb, _), = b.terms.items()
     for s, _ in schur.schur_mul(a, b).terms.items():

@@ -12,7 +12,7 @@ from affine_schur.schur import SchurElement, UdotMonomial
 from affine_schur.vector import add_scaled
 
 from oracles import (CombinationSpan, combination_transfer_map, epsilon_sign,
-                     omega_route, phi_of_reduction, reduce_by_full_scan,
+                     omega_route, phi_f, phi_of_reduction, reduce_by_full_scan,
                      reduce_monomial, resolve_weights)
 
 
@@ -287,7 +287,7 @@ def hecke_basis_gen(s, kind, i):
     # f_i a_lam with left weight wt has right weight lam
     lam = tuple(a - b for a, b in zip(wt, schur._wshift(n, "f", i, 1)))
     return (SchurElement.zero(n, D) if min(lam) < 0
-            else schur.schur_mul(x, schur.phi_f(n, D, i, lam)))
+            else schur.schur_mul(x, phi_f(n, D, i, lam)))
 
 
 def blm_basis_gen(s, kind, i):
