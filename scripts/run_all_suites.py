@@ -5,9 +5,9 @@ Writes one JSON report per run into --out-dir (default ./reports), named
 after the run's key (the suite, then "-" and a tag when a suite runs at
 more than one size), and prints a one-line verdict per run. Exit status is
 nonzero if any run has a failing case. The transfer suite sweeps 501
-matrices and took 2.6 s at its reference size on a shared 2-core x86-64
+matrices and took 2.7 s at its reference size on a shared 2-core x86-64
 VM (Python 3.11, median of three runs, 2.6-2.7 s; the whole reference set
-took about 5 s) and peaked at 41 MB RSS when run on its own; pass --quick
+took about 4.4 s) and peaked at 42 MB RSS when run on its own; pass --quick
 to shrink the bounds. The reference sizes run canonical,
 schur and crystal at n = 3 as well (crystal at D = 4, with symbols whose
 local word is empty and residue 0 wrapping past position 1), and the quick

@@ -77,17 +77,18 @@ class AffinePermutation:
     # -- length and descents -----------------------------------------------
 
     def length(self) -> int:
-        """Number of inversions (i, j), i in [1, D], i < j, w(i) > w(j)."""
-        D, total = self.rank, 0
-        for i in range(1, D + 1):
-            wi = self(i)
-            for j0 in range(1, D + 1):
-                wj0 = self.window[j0 - 1]
-                # j = j0 + m*D with j > i and w(j) = wj0 + m*D < wi
-                lo = (i - j0) // D + 1          # smallest m with j0 + m*D > i
-                hi = -((wj0 - wi) // D) - 1      # largest m with wj0 + m*D < wi
-                if hi >= lo:
-                    total += hi - lo + 1
+        """Number of inversions (i, j), i in [1, D], i < j, w(i) > w(j), in
+        closed form by Shi's formula: the sum over 1 <= i < j <= D of
+        |floor((w(j) - w(i)) / D)| (J.-Y. Shi, The Kazhdan-Lusztig cells in
+        certain affine Weyl groups, LNM 1179, 1986; Bjorner-Brenti,
+        Combinatorics of Coxeter Groups, Section 8.3).  The term of a pair
+        i < j counts the inversions between the position classes of i and j
+        mod D; one class has none, as w is increasing on it."""
+        D, win, total = self.rank, self.window, 0
+        for i, wi in enumerate(win):
+            for wj in win[i + 1:]:
+                q = (wj - wi) // D
+                total += q if q >= 0 else -q
         return total
 
     def has_right_descent(self, i: int) -> bool:

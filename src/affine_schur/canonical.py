@@ -275,7 +275,8 @@ class CanonicalCache:
     A file holds {"stamp": ..., "key": key, "payload": payload}.  The stamp
     names the file layout (`CACHE_SCHEMA`) and the quadratic relation the
     payload was solved under; `load` ignores a file with another stamp or
-    another key, and `store` replaces it, so stale entries are recomputed.
+    another key, or one that is not such an object at all, and `store`
+    replaces it, so stale and damaged entries are recomputed.
     A store writes its own file only, so concurrent stores of different
     keys keep every entry.
     """
@@ -290,12 +291,19 @@ class CanonicalCache:
         return self.root / f"{hashlib.sha256(key.encode()).hexdigest()}.json"
 
     def load(self, key: str):
-        """The payload stored under key, or None."""
+        """The payload stored under key, or None.  A file that is not a JSON
+        object with this stamp, this key and a payload (cut short, say, or
+        edited by hand) is a miss, so its entry is recomputed and stored
+        over it."""
         path = self._path(key)
         if not path.exists():
             return None
-        data = json.loads(path.read_text())
-        if data.get("stamp") != _CACHE_STAMP or data.get("key") != key:
+        try:
+            data = json.loads(path.read_text())
+        except ValueError:  # invalid JSON or invalid UTF-8
+            return None
+        if (not isinstance(data, dict) or data.get("stamp") != _CACHE_STAMP
+                or data.get("key") != key or "payload" not in data):
             return None
         return data["payload"]
 

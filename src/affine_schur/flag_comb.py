@@ -25,14 +25,16 @@ filled by `setdefault`, so two threads that build one label get one object.
 In `run-suite canonical --n 2 --D 3 --window 5 --band 2` the tables hold 261
 symbols and 220 matrices, and x_stat is counted once per symbol.
 
-`block_of` is memoized per matrix in an unbounded `lru_cache` that lives as
-long as the process, and so is `left_cosets`.  Each is a pure function of
-the matrix (the block is fixed by its row and column weights, and the
-cosets by the matrix and its block) and a tuple of frozen values, so the
-memos are safe to share between callers and threads.
-`double_coset_min_rep` has no memo of its own: the min rep it returns is
-cached on the symbol that `symbol_of_matrix` builds, so a repeated call
-only rebuilds that symbol's window.
+`block_of`, `symbol_of_matrix` and `left_cosets` are each memoized per
+matrix in an unbounded `lru_cache` that lives as long as the process.  Each
+is a pure function of the matrix (the block is fixed by its row and column
+weights, the symbol by the matrix and its column symbol, and the cosets by
+the matrix and its block) and returns a frozen value or a tuple of them, so
+the memos are safe to share between callers and threads.  The symbol memo
+holds one entry per matrix met: 220 after the canonical suite above, and
+4636 after `run-suite transfer --n 4 --D 1 --band 1 --word-len 2`.
+`double_coset_min_rep` has no memo of its own: it reads the min rep cached
+on the memoized symbol, so a repeated call builds nothing.
 """
 
 from __future__ import annotations
@@ -124,10 +126,14 @@ class FlagSymbol:
 
     def act(self, w: AffinePermutation) -> "FlagSymbol":
         """Right action (p)w with (p)w (k) = p(w(k))."""
-        if w.rank != self.D:
+        n, D, vals = self.n, self.D, self.values
+        if w.rank != D:
             raise ValueError("rank mismatch")
-        return FlagSymbol.make(self.n, self.D,
-                               [self(w(k)) for k in range(1, self.D + 1)])
+        out = []
+        for wk in w.window:
+            q, r = divmod(wk - 1, D)
+            out.append(vals[r] + q * n)
+        return FlagSymbol.make(n, D, out)
 
     def with_value(self, position: int, value: int) -> "FlagSymbol":
         """Replace the value at the given position (periodic: changes the
@@ -403,9 +409,10 @@ def block_of(s: PeriodicMatrix) -> tuple:
             dominant_from_weight(s.n, s.D, s.col_weight()))
 
 
+@lru_cache(maxsize=None)
 def symbol_of_matrix(s: PeriodicMatrix) -> FlagSymbol:
     """A flag symbol p with matrix_of_pair(p, mu) = s, mu the column symbol
-    of s, built canonically."""
+    of s, built canonically; memoized per matrix."""
     n, D = s.n, s.D
     mu = block_of(s)[1]
     window = [None] * D

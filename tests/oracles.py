@@ -69,8 +69,26 @@ def young_generators(dominant_window) -> list:
             if dominant_window[i - 1] == dominant_window[i]]
 
 
+def length(w) -> int:
+    """Number of inversions (i, j), i in [1, D], i < j, w(i) > w(j),
+    counted as intervals of shifts j = j0 + m D for each pair of window
+    positions: the reference for Shi's formula in
+    `AffinePermutation.length`."""
+    D, total = w.rank, 0
+    for i in range(1, D + 1):
+        wi = w(i)
+        for j0 in range(1, D + 1):
+            wj0 = w.window[j0 - 1]
+            # j = j0 + m*D with j > i and w(j) = wj0 + m*D < wi
+            lo = (i - j0) // D + 1          # smallest m with j0 + m*D > i
+            hi = -((wj0 - wi) // D) - 1      # largest m with wj0 + m*D < wi
+            if hi >= lo:
+                total += hi - lo + 1
+    return total
+
+
 def _by_length(elems) -> tuple:
-    return tuple(sorted(elems, key=lambda w: (w.length(), w.window)))
+    return tuple(sorted(elems, key=lambda w: (length(w), w.window)))
 
 
 def young_subgroup_by_bfs(D: int, dominant_window) -> tuple:
@@ -114,13 +132,48 @@ def min_double_coset_rep_by_descent(D: int, lam_window, w, mu_window):
         changed = False
         for i in left:
             u = affine_weyl.simple(D, i) * w
-            if u.length() < w.length():
+            if length(u) < length(w):
                 w, changed = u, True
         for j in right:
             u = w * affine_weyl.simple(D, j)
-            if u.length() < w.length():
+            if length(u) < length(w):
                 w, changed = u, True
     return w
+
+
+def act_per_position(p: FlagSymbol, w) -> FlagSymbol:
+    """(p)w, one position at a time through p(w(k)): the reference for
+    `FlagSymbol.act`."""
+    return FlagSymbol.make(p.n, p.D, [p(w(k)) for k in range(1, p.D + 1)])
+
+
+def mul_by_words(h1: HeckeElement, h2: HeckeElement) -> HeckeElement:
+    """h1 h2 through a reduced word of every term of h2, with no shortcut
+    for the unit: the reference for `hecke.mul`."""
+    out = {}
+    for w, c in h2.terms.items():
+        k, word = w.reduced_word()
+        piece = hecke.mul_by_rotation(h1, k) if k else h1
+        for i in word:
+            piece = hecke.mul_by_simple(piece, i)
+        add_scaled(out, piece.terms, c)
+    return HeckeElement(h1.rank, out)
+
+
+def bar_parabolic_per_term(lam: FlagSymbol, h: HeckeElement) -> dict:
+    """bar(P_lam h) on the left-coset sums T_q, each term T_u of bar(h)
+    sent to q = (lam)u with v^2 to the number of pairs of positions a < b
+    in one block of lam with u^-1(a) < u^-1(b), counted afresh: the
+    reference for the memoized `hecke.bar_parabolic`."""
+    vals = lam.values
+    pairs = [(a, b) for a in range(lam.D) for b in range(a + 1, lam.D)
+             if vals[a] == vals[b]]
+    out = {}
+    for u, c in hecke.bar(h).terms.items():
+        inv = u.inverse().window
+        e = 2 * sum(1 for a, b in pairs if inv[a] < inv[b])
+        add_scaled(out, ((act_per_position(lam, u), c.shift(e)),))
+    return out
 
 
 def coset_sum(lam: FlagSymbol, p: FlagSymbol) -> HeckeElement:
@@ -197,6 +250,14 @@ def left_cosets_to_matrix_terms(mu: FlagSymbol, coords: dict) -> dict:
         return t, [r for r, _ in flag_comb.left_cosets(t)]
 
     return hecke.collapse(coords, coset, y_stat)
+
+
+def from_column_by_pairs(nu: FlagSymbol, coords: dict) -> dict:
+    """`schur.from_column` with the matrix and left cosets of each
+    coordinate worked out afresh: the reference for its memo."""
+    xnu = x_stat(nu)
+    return left_cosets_to_matrix_terms(
+        nu, {r: c.shift(x_stat(r) - xnu) for r, c in coords.items()})
 
 
 def schur_mul_by_hecke(a: SchurElement, b: SchurElement) -> SchurElement:

@@ -8,8 +8,9 @@ from functools import lru_cache
 from hypothesis import given, settings, strategies as st
 
 from affine_schur import affine_weyl as aw, flag_comb as fc, transfer
-from oracles import (double_coset_by_bfs, min_double_coset_rep_by_descent,
-                     young_generators, young_subgroup_by_bfs)
+from oracles import (double_coset_by_bfs, length as length_by_intervals,
+                     min_double_coset_rep_by_descent, young_generators,
+                     young_subgroup_by_bfs)
 
 
 def random_elements(D, max_word=6):
@@ -58,6 +59,30 @@ def test_inverse_length(w):
     assert w.inverse().length() == w.length()
 
 
+@st.composite
+def shifted_windows(draw):
+    """Any element at D <= 6: a permutation of [1, D] with each entry
+    shifted by a multiple of D."""
+    D = draw(st.integers(1, 6))
+    perm = draw(st.permutations(range(1, D + 1)))
+    shifts = draw(st.lists(st.integers(-3, 3), min_size=D, max_size=D))
+    return aw.AffinePermutation(D, tuple(v + D * m for v, m in zip(perm, shifts)))
+
+
+@settings(max_examples=300)
+@given(shifted_windows())
+def test_length_matches_interval_count(w):
+    assert w.length() == length_by_intervals(w)
+
+
+def test_length_of_rotations_and_simples():
+    for D in range(1, 7):
+        for k in range(-2 * D, 2 * D + 1):
+            assert aw.rotation(D, k).length() == 0
+        if D > 1:
+            assert all(aw.simple(D, i).length() == 1 for i in range(D))
+
+
 def test_young_subgroup():
     # |S_lambda| is the product of the part factorials
     elems = aw.young_subgroup_elements(4, (1, 1, 2, 2))
@@ -98,7 +123,7 @@ def young_by_blocks(D, lam):
 
 
 def by_length(elems):
-    return tuple(sorted(elems, key=lambda w: (w.length(), w.window)))
+    return tuple(sorted(elems, key=lambda w: (length_by_intervals(w), w.window)))
 
 
 @st.composite

@@ -241,6 +241,38 @@ def test_compute_recomputes_a_stale_cache_entry(tmp_path, capsys):
     assert capsys.readouterr().out == cold
 
 
+@pytest.mark.parametrize("damaged", ['{"stamp": ', "[]", "null", '"text"',
+                                     b"\xff\xfe{}"])
+def test_compute_recomputes_a_damaged_cache_entry(tmp_path, capsys, damaged):
+    # a file cut short, or not a JSON object, is a miss: the entry is
+    # recomputed and written over it
+    argv = ["compute", "canonical-t", "--p", "n=2;D=2;[2,1]",
+            "--cache", str(tmp_path)]
+    assert cli.main(argv) == 0
+    cold = capsys.readouterr().out
+    (path,) = tmp_path.iterdir()
+    whole = path.read_text()
+    if isinstance(damaged, bytes):
+        path.write_bytes(damaged)
+    else:
+        path.write_text(damaged)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == cold
+    assert path.read_text() == whole
+
+
+def test_cache_entry_without_payload_is_a_miss(tmp_path):
+    cache = canonical.CanonicalCache(tmp_path)
+    cache.store("a", {"x": 1})
+    (path,) = tmp_path.iterdir()
+    data = json.loads(path.read_text())
+    del data["payload"]
+    path.write_text(json.dumps(data))
+    assert cache.load("a") is None
+    cache.store("a", {"x": 2})
+    assert cache.load("a") == {"x": 2}
+
+
 # ---------------------------------------------------------------------------
 # The recompute route: the solver before the discrepancy was kept
 # incrementally, applying tau to the whole of b after every correction.

@@ -252,7 +252,7 @@ def test_canonical_report_same_cold_warm_and_across_hash_seeds(tmp_path):
     assert reports[0] and all(r == reports[0] for r in reports)
 
 
-def test_transfer_suite_matches_benchmark_reference():
+def test_benchmark_workloads_match_reference():
     """The benchmark's workloads, in process: every case must equal the
     checked-in reference record."""
     workloads = {

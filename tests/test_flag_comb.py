@@ -7,6 +7,8 @@ from affine_schur import affine_weyl as aw, flag_comb as fc, schur, transfer
 from affine_schur.flag_comb import FlagSymbol, PeriodicMatrix
 from affine_schur.laurent import LaurentScalar
 
+from oracles import act_per_position
+
 
 symbols = st.tuples(st.integers(2, 3), st.integers(1, 4)).flatmap(
     lambda nd: st.lists(st.integers(-2, 2 * nd[0]),
@@ -39,6 +41,23 @@ def test_dominant_xstat_longest_element():
 def test_symbol_roundtrips(p):
     assert FlagSymbol.from_text(p.to_text()) == p
     assert sum(p.weight()) == p.D
+
+
+def elements_of_rank(D):
+    """Any element of rank D: a permutation of [1, D] with each entry
+    shifted by a multiple of D."""
+    return st.tuples(st.permutations(range(1, D + 1)),
+                     st.lists(st.integers(-2, 2), min_size=D, max_size=D)).map(
+        lambda t: aw.AffinePermutation(D, tuple(v + D * m for v, m in zip(*t))))
+
+
+@given(symbols.flatmap(lambda p: st.tuples(st.just(p), elements_of_rank(p.D),
+                                           elements_of_rank(p.D))))
+def test_act_matches_per_position_route(case):
+    p, w, w2 = case
+    assert p.act(w) == act_per_position(p, w)
+    # a right action: ((p)w)w' = (p)(ww')
+    assert p.act(w).act(w2) == p.act(w * w2)
 
 
 @given(symbols)

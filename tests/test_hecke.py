@@ -2,11 +2,12 @@
 
 from hypothesis import given, settings, strategies as st
 
-from affine_schur import affine_weyl as aw, flag_comb as fc, hecke
+from affine_schur import affine_weyl as aw, flag_comb as fc, hecke, transfer
 from affine_schur.hecke import HeckeElement
 from affine_schur.laurent import LaurentScalar, ONE
 
-from oracles import coset_sum, young_generators
+from oracles import (bar_parabolic_per_term, coset_sum, mul_by_words,
+                     young_generators)
 
 
 def t(D, i):
@@ -169,3 +170,32 @@ def test_bar_parabolic_matches_bar_of_product(h, data):
     expected = hecke.collapse(full.terms, lambda w: (lam.act(w), [u * w for u in young]),
                               lambda q: 0)
     assert hecke.bar_parabolic(lam, h) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(hecke_elements(), st.data())
+def test_bar_parabolic_matches_per_term_count(h, data):
+    lam = data.draw(st.sampled_from(dominant_symbols(h.rank)))
+    assert hecke.bar_parabolic(lam, h) == bar_parabolic_per_term(lam, h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(hecke_elements(), laurent_scalars)
+def test_mul_by_unit_matches_word_route(h, c):
+    unit = HeckeElement.unit(h.rank)
+    got = hecke.mul(h, unit)
+    assert got == mul_by_words(h, unit) == h
+    assert got.terms is not h.terms  # a copy, which the caller may change
+    # a scaled unit takes the generic loop
+    assert hecke.mul(h, unit.scale(c)) == mul_by_words(h, unit.scale(c))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), laurent_scalars)
+def test_double_coset_sum_with_coefficient_matches_scale(data, c):
+    n = data.draw(st.integers(1, 3))
+    D = data.draw(st.integers(1, 4))
+    s = data.draw(st.sampled_from(transfer.band_matrices(n, D, 1)))
+    lam, mu = fc.block_of(s)
+    assert (hecke.double_coset_sum(lam, mu, s, c)
+            == hecke.double_coset_sum(lam, mu, s).scale(c))

@@ -14,8 +14,8 @@ from affine_schur.schur import SchurElement, UdotMonomial
 from affine_schur.vector import add_scaled
 
 from oracles import (act_on_module_by_blocks, block_to_hecke, epsilon_sign,
-                     inv_monomial, mul_gen_by_blocks, phi_f,
-                     phi_monomial_k_fold, schur_mul_by_hecke)
+                     from_column_by_pairs, inv_monomial, mul_gen_by_blocks,
+                     phi_f, phi_monomial_k_fold, schur_mul_by_hecke)
 
 
 def unit_on_weights(n, D, weights):
@@ -250,6 +250,23 @@ def _column_by_hecke(s):
 @given(drawn_band_matrices())
 def test_column_vector_matches_hecke_action(s):
     assert schur.column_vector(s).terms == _column_by_hecke(s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(drawn_band_matrices(), min_size=1, max_size=4), st.data())
+def test_from_column_matches_matrix_of_pair_route(mats, data):
+    # z*[nu] for z a combination of the drawn matrices of the first one's
+    # shape and column, and tau of one column vector, which spreads over
+    # lower matrices
+    s = mats[0]
+    nu = fc.block_of(s)[1]
+    z = {t: data.draw(coeffs) for t in mats
+         if (t.n, t.D) == (s.n, s.D) and fc.block_of(t)[1] == nu}
+    for coords in (schur.act_on_module(SchurElement(s.n, s.D, z),
+                                       tmodule.ModuleVector.basis(nu)).terms,
+                   tmodule.tau(schur.column_vector(s)).terms):
+        assert schur.from_column(nu, coords) == from_column_by_pairs(nu, coords)
+    assert schur.from_column(nu, schur.column_vector(s).terms) == {s: ONE}
 
 
 @pytest.mark.parametrize("n, D, band", [(2, 3, 2), (3, 3, 1)])
